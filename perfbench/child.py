@@ -10,6 +10,10 @@ run makes `ru_maxrss` the peak of this run alone.
 
 plain: every `engine.step` is timed through a wrapper on the instance.
 trace: `Tracer` spans are recorded around the run instead.
+
+Set-up, step and run times are the process's CPU time (user + system), which
+other load on a shared host disturbs less than wall time; the run's wall time
+is recorded too, on the clock the tracer's spans use.
 """
 
 from __future__ import annotations
@@ -45,31 +49,31 @@ def output_digest(directory: Path) -> str:
 
 
 def set_up(workload: str, seed: int, scenario_file: str) -> tuple[simulation.SimulationEngine, dict]:
-    """One set-up as `lendsim run` performs it; returns the engine and phase times (s)."""
+    """One set-up as `lendsim run` performs it; returns the engine and phase CPU times (s)."""
     built = []
     build_world = simulation.build_world
+    clock = time.process_time
 
     def timed_build_world(*args, **kwargs):
-        t = time.perf_counter()
+        t = clock()
         world = build_world(*args, **kwargs)
-        built.append(time.perf_counter() - t)
+        built.append(clock() - t)
         return world
 
-    t0 = time.perf_counter()
+    t0 = clock()
     sc = scenario.load_scenario(scenario_file)
-    t1 = time.perf_counter()
+    t1 = clock()
     scenario.validate_scenario(sc)
-    t2 = time.perf_counter()
+    t2 = clock()
     simulation.build_world = timed_build_world
     try:
         engine = simulation.SimulationEngine(sc)
     finally:
         simulation.build_world = build_world
-    t3 = time.perf_counter()
     if workload == "cascade":
         workloads.open_vaults(engine.world, seed)
-    t4 = time.perf_counter()
-    return engine, {"parse": t1 - t0, "validate": t2 - t1, "build_world": built[0], "total": t4 - t0}
+    t3 = clock()
+    return engine, {"parse": t1 - t0, "validate": t2 - t1, "build_world": built[0], "total": t3 - t0}
 
 
 def identity_problems(world) -> list[str]:
@@ -105,7 +109,7 @@ def event_counts(world) -> dict[str, int]:
 NESTED_SELF = ("ledger.checkpoint.self_s", "ledger.full_audit.self_s")
 
 
-def trace_metrics(tracer, run_s: float) -> tuple[dict, dict]:
+def trace_metrics(tracer, run_wall_s: float) -> tuple[dict, dict]:
     """Reduce the recorded spans and counters to the per-layer metrics."""
     self_ns, calls = tracer.self_times()
 
@@ -172,7 +176,7 @@ def trace_metrics(tracer, run_s: float) -> tuple[dict, dict]:
     }
     # the part of the run no per-layer self time accounts for
     attributed = sum(v for k, v in out.items() if k.endswith(".self_s") and k not in NESTED_SELF)
-    out["trace.unattributed_s"] = run_s - attributed
+    out["trace.unattributed_s"] = run_wall_s - attributed
     return out, {name: ns / 1e9 for name, ns in self_ns.items()}
 
 
@@ -202,7 +206,7 @@ def main() -> int:
             tracer.install()
         else:
             step = engine.step
-            clock = time.perf_counter_ns
+            clock = time.process_time_ns
 
             def timed_step(t: int) -> None:
                 start = clock()
@@ -210,17 +214,19 @@ def main() -> int:
                 step_ns.append(clock() - start)
 
             engine.step = timed_step
-        started = time.perf_counter()
+        started, started_wall = time.process_time(), time.perf_counter()
         try:
             engine.run(out_dir=out_dir)
         finally:
-            run_s = time.perf_counter() - started
+            run_s = time.process_time() - started
+            run_wall_s = time.perf_counter() - started_wall
             if tracer is not None:
                 tracer.uninstall()
 
         world = engine.world
         result.update(
             run_s=run_s,
+            run_wall_s=run_wall_s,
             steps=engine.horizon,
             step_ns=step_ns,
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -232,7 +238,7 @@ def main() -> int:
             journal_records=len(world.ledger.journal),
         )
         if tracer is not None:
-            layers, self_s = trace_metrics(tracer, run_s)
+            layers, self_s = trace_metrics(tracer, run_wall_s)
             layers["world.accounts"] = result["accounts"]
             layers["ledger.journal_records"] = result["journal_records"]
             layers["pool.borrows_gap"] = result["borrows_gap"]

@@ -1,13 +1,14 @@
 """lendsim benchmark: `SimulationEngine.run` on seeded workloads.
 
-    python3 perfbench/run.py --workload desk --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload desk --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --report [--seed N] [--seconds S]
     python3 perfbench/run.py --self-check
 
 One invocation measures one workload: it writes the seeded scenario, then
 runs it again and again, each time in a fresh child process (`child.py`),
-one after another, until `--seconds` have passed. `--trace 0` reports the
-end-to-end metrics of BENCHMARK.json, `--trace 1` the per-layer ones from
+one after another, until `--seconds` have passed (default: BENCHMARK.json's
+`run_seconds`). `--trace 0` reports the end-to-end metrics of
+BENCHMARK.json, `--trace 1` the per-layer ones from
 traced runs (interleaved with untraced runs for the tracing overhead). The
 last line of standard output is the result object; the lines before it give
 each metric with its unit, the sample counts and the provenance.
@@ -142,8 +143,9 @@ def per_layer(m: dict) -> dict:
     runs = m["plain"] + traced
     for phase in ("parse", "validate", "build_world"):
         out[f"scenario.{phase}_s"] = statistics.median(r["setup"][phase] for r in runs)
-    plain_sps = statistics.median(r["steps"] / r["run_s"] for r in m["plain"])
-    out["trace.overhead_ratio"] = statistics.median(r["steps"] / r["run_s"] for r in traced) / plain_sps
+    # both on wall time, the clock the spans use
+    plain_sps = statistics.median(r["steps"] / r["run_wall_s"] for r in m["plain"])
+    out["trace.overhead_ratio"] = statistics.median(r["steps"] / r["run_wall_s"] for r in traced) / plain_sps
     return out
 
 
@@ -252,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seconds", type=float, help="time budget of one invocation (default: run_seconds)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--report", action="store_true", help="every workload, untraced and traced")
     parser.add_argument("--self-check", action="store_true", help="short runs checking the benchmark itself")
@@ -264,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     import workloads
 
     spec = load_spec()
+    if args.seconds is None:
+        args.seconds = spec["run_seconds"]
     if args.self_check:
         return self_check(args, spec)
     if args.report:

@@ -30,7 +30,7 @@ WORKLOADS = ("desk", "crowd", "cascade")
 
 # Steps simulated per run. A run is one `SimulationEngine.run`; the benchmark
 # repeats runs until its time budget is spent.
-HORIZON = {"desk": 4000, "crowd": 1000, "cascade": 1000}
+HORIZON = {"desk": 4000, "crowd": 500, "cascade": 1000}
 
 CROWD_IDLE_DEPOSITORS = 5000
 CASCADE_LEVERAGE_SPIRALS = 100
@@ -196,25 +196,24 @@ def cascade(seed: int, horizon: int | None = None) -> dict:
 BUILDERS = {"desk": desk, "crowd": crowd, "cascade": cascade}
 
 
-def open_vaults(world, seed: int, step: int = 0) -> int:
-    """Open the cascade vault book through the CDP engine's public calls.
+def open_vaults(world, seed: int) -> None:
+    """Open the cascade vault book at step 0 through the CDP engine's public calls.
 
     Owners are fresh ledger accounts funded at genesis, as build_world funds
     agent endowments. The vaults draw 60% to 95% of their issuance bound,
     evenly spread (no two alike) and dealt out by the seed, so the falling
-    market pushes them past the bound at different steps. Returns the number of vaults.
+    market pushes them past the bound at different steps.
     """
     rng = random.Random(seed)
     draws = [600 + 350 * i // (CASCADE_VAULTS - 1) for i in range(CASCADE_VAULTS)]  # per mille
     rng.shuffle(draws)
     cdp, ledger = world.cdp, world.ledger
-    world.oracle.ensure_step(step)
+    world.oracle.ensure_step(0)
     for i in range(CASCADE_VAULTS):
         owner = ledger.register_account(f"vault-owner{i}", "user")
         asset, amount = ("ETH", 5 * 10**18) if i % 2 else ("BTC", 2 * 10**17)
         ledger.mint(owner, asset, amount, "genesis", tag="genesis")
         vault_id = cdp.open_vault(owner)
         cdp.lock(world, vault_id, asset, amount)
-        bound = cdp.issuance_bound(world, cdp.vault(vault_id), step)
-        cdp.draw(world, vault_id, bound * draws[i] // 1000, step)
-    return CASCADE_VAULTS
+        bound = cdp.issuance_bound(world, cdp.vault(vault_id), 0)
+        cdp.draw(world, vault_id, bound * draws[i] // 1000, 0)
