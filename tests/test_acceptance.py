@@ -7,6 +7,7 @@ independent re-computations: literal per-step loops in the same fixed point,
 """
 
 import filecmp
+import hashlib
 import json
 import random
 import time
@@ -637,7 +638,9 @@ def test_criterion_11_desk_scale_performance():
     validate_scenario(sc)
     engine = SimulationEngine(sc)
     started = time.perf_counter()
-    engine.run(out_dir=None)
+    summary = engine.run(out_dir=None)
     elapsed = time.perf_counter() - started
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == "42a95875c4dc6fb7e2ce7c179c388796192a965426b553aaae16283f819287f2"
     assert elapsed < 5.0, f"run took {elapsed:.2f}s"
     ok(11, f"10,000 steps x 100 agents x 3 pools x 2 venues in {elapsed:.2f}s")
