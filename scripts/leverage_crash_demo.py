@@ -26,7 +26,7 @@ def main() -> None:
 
     for t in range(sc.horizon):
         engine.step(t)
-        report = liquidation.health(world, "bull", t)
+        report = liquidation.account_totals(world, "bull", t)
         price = to_str(world.oracle.price_at("ETH", t))
         print(f"step {t}: ETH {price:>6}  trader HF {report.hf_str()}")
         found = flashloan.scan_liquidations(world, t)
@@ -37,7 +37,7 @@ def main() -> None:
             print(f"  executed best plan -> {outcome}")
 
     print("\nfinal trader position:")
-    report = liquidation.health(world, "bull", sc.horizon - 1)
+    report = liquidation.account_totals(world, "bull", sc.horizon - 1)
     print(f"  collateral {to_str(report.collateral_value)} USD, "
           f"debt {to_str(report.debt_value)} USD, HF {report.hf_str()}")
 

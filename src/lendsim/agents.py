@@ -96,19 +96,10 @@ def _swap_to(world: World, account: str, venue_id: str, asset_in: str, asset_out
             return venue.sell(world, account, asset_in, amount)
         if asset_in == venue.numeraire:
             # spend `amount` numeraire on as much asset_out as it buys
-            price = venue.quotes[asset_out]
-            lo, hi = 0, div_down(amount, price) + 1
-            while venue.buy_quote(asset_out, hi) <= amount:
-                hi *= 2
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if venue.buy_quote(asset_out, mid) <= amount:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            if lo:
-                venue.buy(world, account, asset_out, lo)
-            return lo
+            bought = venue.buy_amount_for(asset_out, amount)
+            if bought:
+                venue.buy(world, account, asset_out, bought)
+            return bought
     raise errors.UnknownVenue(venue_id)
 
 
@@ -194,6 +185,19 @@ class BaseAgent:
 
     def _cap(self) -> int:
         return int(self.spec.params.get("iteration_cap", DEFAULT_ITERATION_CAP))
+
+    def _execute(self, world: World, best: flashloan.Opportunity, t: int) -> None:
+        outcome = flashloan.execute(world, best.plan, t)
+        world.emit(
+            kind="flash",
+            step=t,
+            agent=self.account,
+            plan=best.kind,
+            target=best.venue_or_target,
+            outcome="committed" if isinstance(outcome, flashloan.Committed) else "reverted",
+            profit=getattr(outcome, "profit", None),
+            profit_asset=best.plan.profit_asset,
+        )
 
 
 class DepositorAgent(BaseAgent):
@@ -286,41 +290,16 @@ class LiquidatorAgent(BaseAgent):
             return
         best = found[0]
         if use_flash:
-            outcome = flashloan.execute(world, best.plan, t)
-            world.emit(
-                kind="flash",
-                step=t,
-                agent=self.account,
-                plan="liquidation",
-                target=best.venue_or_target,
-                outcome="committed" if isinstance(outcome, flashloan.Committed) else "reverted",
-                profit=getattr(outcome, "profit", None),
-                profit_asset=best.plan.profit_asset,
-            )
+            self._execute(world, best, t)
         else:
-            item = best.plan.steps[0]
-            liquidation.liquidate(
-                world, self.account, item.target, item.repay_asset, item.seize_asset, item.amount, t
-            )
+            flashloan.run_liquidation(world, self.account, best.plan.steps[0], t)
 
 
 class ArbitrageurAgent(BaseAgent):
     def act(self, world: World, t: int) -> None:
         found = flashloan.scan_arbitrage(world, t, borrower=self.account)
-        if not found:
-            return
-        best = found[0]
-        outcome = flashloan.execute(world, best.plan, t)
-        world.emit(
-            kind="flash",
-            step=t,
-            agent=self.account,
-            plan="arbitrage",
-            target=best.venue_or_target,
-            outcome="committed" if isinstance(outcome, flashloan.Committed) else "reverted",
-            profit=getattr(outcome, "profit", None),
-            profit_asset=best.plan.profit_asset,
-        )
+        if found:
+            self._execute(world, found[0], t)
 
 
 AGENT_CLASSES = {

@@ -20,6 +20,7 @@ from typing import Callable
 
 from . import errors
 from .fixed import WAD, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .liquidation import seize_split
 
 VAULT_ENGINE_ACCOUNT = "vault-engine"
 CDP_AUTHORITY = "cdp"
@@ -149,11 +150,15 @@ class CdpEngine:
             raise errors.NoDebt(f"vault {vault_id}")
         applied = min(amount, debt)
         world.ledger.burn(vault.owner, self.dai_asset, applied, CDP_AUTHORITY, tag="dai-repay")
-        if applied == debt:
+        self._reduce_debt(vault, applied)
+        return applied
+
+    def _reduce_debt(self, vault: Vault, applied: int) -> None:
+        """Book a repayment of at most the vault's debt; the whole debt clears it."""
+        if applied >= self.debt_of(vault):
             vault.debt_scaled = 0
         else:
             vault.debt_scaled -= div_down(applied, self.fee_index)
-        return applied
 
     # ------------------------------------------------------------------
     def accrue(self, world, step: int, dt: int = 1) -> None:
@@ -185,24 +190,17 @@ class CdpEngine:
         if held == 0:
             raise errors.NoSuchCollateral(f"vault {vault_id} holds no {seize_asset}")
 
-        debt = self.debt_of(vault)
-        applied = min(repay_amount, debt)
-        price_dai = WAD  # issuance accounting values the stablecoin at target
-        price_seize = world.oracle.price_at(seize_asset, step)
-        penalty = WAD + self.liquidation_penalty
-
-        seize_value = mul_down(mul_down(applied, price_dai), penalty)
-        seized = div_down(seize_value, price_seize)
-        if seized > held:
-            seized = held
-            capped_value = mul_down(seized, price_seize)
-            applied = min(applied, div_up(div_up(capped_value, penalty), price_dai))
+        # issuance accounting values the stablecoin at its 1 USD target
+        applied, seized = seize_split(
+            min(repay_amount, self.debt_of(vault)),
+            WAD,
+            world.oracle.price_at(seize_asset, step),
+            WAD + self.liquidation_penalty,
+            held,
+        )
 
         world.ledger.burn(liquidator, self.dai_asset, applied, CDP_AUTHORITY, tag="vault-liquidation-repay")
-        if applied >= debt:
-            vault.debt_scaled = 0
-        else:
-            vault.debt_scaled -= div_down(applied, self.fee_index)
+        self._reduce_debt(vault, applied)
         vault.collateral[seize_asset] = held - seized
         world.ledger.transfer(VAULT_ENGINE_ACCOUNT, liquidator, seize_asset, seized, tag="vault-liquidation-seize")
 

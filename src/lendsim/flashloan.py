@@ -111,6 +111,20 @@ def _venue(world: World, venue_id: str):
         raise errors.UnknownVenue(venue_id) from None
 
 
+def run_liquidation(world: World, liquidator: str, item: LiquidateStep, step: int) -> int:
+    """Liquidate a vault through the CDP engine, an account through its pools.
+
+    Returns the seized amount in underlying units of the seize asset.
+    """
+    if item.vault_id is None:
+        return liquidation.liquidate(
+            world, liquidator, item.target, item.repay_asset, item.seize_asset, item.amount, step
+        )
+    if world.cdp is None:
+        raise errors.UnknownVault(str(item.vault_id))
+    return world.cdp.liquidate(world, liquidator, item.vault_id, item.amount, item.seize_asset, step)
+
+
 def _run_step(world: World, borrower: str, step_item: PlanStep, step: int) -> None:
     if isinstance(step_item, SellStep):
         venue = _venue(world, step_item.venue_id)
@@ -128,34 +142,18 @@ def _run_step(world: World, borrower: str, step_item: PlanStep, step: int) -> No
             amount = world.ledger.balance(borrower, step_item.asset_in)
         venue.swap(world, borrower, step_item.asset_in, amount)
     elif isinstance(step_item, LiquidateStep):
-        if step_item.vault_id is not None:
-            if world.cdp is None:
-                raise errors.UnknownVault(str(step_item.vault_id))
-            world.cdp.liquidate(
-                world, borrower, step_item.vault_id, step_item.amount, step_item.seize_asset, step
-            )
-        else:
-            seize_pool = world.pools.get(step_item.seize_asset)
-            if seize_pool is None:
-                raise errors.UnknownAsset(f"no pool for {step_item.seize_asset}")
-            iou = seize_pool.params.iou_asset
-            before = world.ledger.balance(borrower, iou)
-            liquidation.liquidate(
-                world,
-                borrower,
-                step_item.target,
-                step_item.repay_asset,
-                step_item.seize_asset,
-                step_item.amount,
-                step,
-            )
-            # surface the seized claim as underlying so a swap leg can use it
-            gained = world.ledger.balance(borrower, iou) - before
-            if gained:
-                if seize_pool.params.iou_mode == "exchange-rate":
-                    seize_pool.redeem(world, borrower, gained, step)
-                else:
-                    seize_pool.redeem(world, borrower, mul_down(gained, seize_pool.liquidity_index), step)
+        # pool liquidations pay the seized claim in IOU (vault ones pay the
+        # underlying): redeem what arrived so a swap leg can use it
+        seize_pool = world.pools.get(step_item.seize_asset)
+        if seize_pool is None:
+            run_liquidation(world, borrower, step_item, step)
+            return
+        iou = seize_pool.params.iou_asset
+        before = world.ledger.balance(borrower, iou)
+        run_liquidation(world, borrower, step_item, step)
+        gained = world.ledger.balance(borrower, iou) - before
+        if gained:
+            seize_pool.redeem(world, borrower, seize_pool.displayed(gained), step)
     else:
         raise TypeError(f"unknown plan step {step_item!r}")
 

@@ -1,9 +1,11 @@
 """Journaled balance ledger: the single mutation substrate for every module.
 
-Balances live in nested dicts keyed asset -> account. All mutation flows
-through one credit/debit primitive that also maintains a running per-asset
-balance sum, which makes the every-step conservation audit O(assets): the sum
-must always equal net minted supply exactly.
+Balances live in nested dicts keyed asset -> account, next to each asset's
+net minted supply (mints minus burns). The per-step audit() is O(1) and fails
+while a checkpoint is still open, i.e. a transaction neither committed nor
+rolled back. full_audit(), run at the end of a simulation, recomputes every
+asset's balance sum, which must equal net minted supply exactly, and rejects
+negative balances.
 
 Checkpoints are strictly LIFO. A checkpoint snapshots balances and records the
 journal position; rollback restores the snapshot and truncates the journal, so
@@ -57,10 +59,9 @@ class Ledger:
         self._balances: dict[str, dict[str, int]] = {}  # asset -> account -> raw
         self._mint_auth: dict[str, frozenset[str]] = {}
         self._minted: dict[str, int] = {}  # net minted per asset
-        self._sums: dict[str, int] = {}  # running sum of balances per asset
         self.journal: list[JournalRecord] = []
-        # open checkpoints: (id, journal_len, balances, minted, sums)
-        self._checkpoints: list[tuple[int, int, dict, dict, dict]] = []
+        # open checkpoints: (id, journal_len, balances, minted)
+        self._checkpoints: list[tuple[int, int, dict, dict]] = []
         self._cp_counter = 0
 
     # ------------------------------------------------------------------
@@ -84,7 +85,6 @@ class Ledger:
         self._balances[symbol] = {}
         self._mint_auth[symbol] = frozenset(mint_authorities) | {GENESIS_AUTHORITY}
         self._minted[symbol] = 0
-        self._sums[symbol] = 0
         return symbol
 
     def has_account(self, account: str) -> bool:
@@ -164,7 +164,6 @@ class Ledger:
             raise errors.Unauthorized(f"{authority!r} may not mint {asset}")
         table[to] = table.get(to, 0) + amount
         self._minted[asset] += amount
-        self._sums[asset] += amount
         self._record("mint", None, to, asset, amount, tag)
 
     def burn(self, frm: str, asset: str, amount: int, authority: str, tag: str = "burn") -> None:
@@ -176,7 +175,6 @@ class Ledger:
             raise errors.InsufficientBalance(f"{frm} holds {table.get(frm, 0)} {asset}, needs {amount}")
         table[frm] = table.get(frm, 0) - amount
         self._minted[asset] -= amount
-        self._sums[asset] -= amount
         self._record("burn", frm, None, asset, amount, tag)
 
     # ------------------------------------------------------------------
@@ -189,12 +187,11 @@ class Ledger:
             len(self.journal),
             {asset: dict(table) for asset, table in self._balances.items()},
             dict(self._minted),
-            dict(self._sums),
         )
         self._checkpoints.append(snapshot)
         return self._cp_counter
 
-    def _pop_checkpoint(self, cp: int) -> tuple[int, int, dict, dict, dict]:
+    def _pop_checkpoint(self, cp: int) -> tuple[int, int, dict, dict]:
         if not self._checkpoints:
             raise errors.CheckpointOrderViolation(f"no open checkpoint for id {cp}")
         if self._checkpoints[-1][0] != cp:
@@ -204,10 +201,9 @@ class Ledger:
         return self._checkpoints.pop()
 
     def rollback(self, cp: int) -> None:
-        _, journal_len, balances, minted, sums = self._pop_checkpoint(cp)
+        _, journal_len, balances, minted = self._pop_checkpoint(cp)
         self._balances = balances
         self._minted = minted
-        self._sums = sums
         del self.journal[journal_len:]
 
     def commit(self, cp: int) -> None:
@@ -220,21 +216,19 @@ class Ledger:
     # audits and export
     # ------------------------------------------------------------------
     def audit(self) -> None:
-        """O(assets) conservation check against the incremental sums."""
-        for asset, total in self._sums.items():
-            if total != self._minted[asset]:
-                raise errors.InvariantViolation(
-                    f"conservation broken for {asset}: balances sum {total}, net minted {self._minted[asset]}"
-                )
+        """O(1) per-step check: every checkpoint has been committed or rolled back."""
+        if self._checkpoints:
+            raise errors.InvariantViolation(
+                f"{len(self._checkpoints)} ledger checkpoint(s) still open at the end of a step"
+            )
 
     def full_audit(self) -> None:
-        """Recompute every per-asset sum from scratch and compare."""
+        """Recompute every per-asset balance sum and compare it with net minted supply."""
         for asset, table in self._balances.items():
             fresh = sum(table.values())
-            if fresh != self._minted[asset] or fresh != self._sums[asset]:
+            if fresh != self._minted[asset]:
                 raise errors.InvariantViolation(
-                    f"conservation broken for {asset}: recomputed {fresh}, "
-                    f"net minted {self._minted[asset]}, running sum {self._sums[asset]}"
+                    f"conservation broken for {asset}: recomputed {fresh}, net minted {self._minted[asset]}"
                 )
             for account, bal in table.items():
                 if bal < 0:

@@ -6,6 +6,11 @@ liquidate, repaying up to close_factor of the target's per-asset debt and
 seizing collateral worth (1 + bonus) times the repaid value. The seized
 collateral is handed over as the pool's IOU token (the claim stays inside the
 pool; the liquidator may redeem it afterwards).
+
+The seize rule lives in seize_split, which CDP vault liquidation shares: value
+the repay at the repay asset's price, add the bonus, convert at the seized
+asset's price, and when that exceeds the collateral held, seize all of it and
+shrink the repay to match, rounding against the liquidator.
 """
 
 from __future__ import annotations
@@ -49,10 +54,6 @@ def account_totals(world, account: str, step: int) -> HealthReport:
     return HealthReport(account, collateral, threshold, debt, ltv, hf)
 
 
-def health(world, account: str, step: int) -> HealthReport:
-    return account_totals(world, account, step)
-
-
 def borrowing_power(world, account: str, step: int) -> int:
     """USD borrow capacity: sum of flagged collateral value * collateral_factor."""
     power = 0
@@ -62,6 +63,21 @@ def borrowing_power(world, account: str, step: int) -> int:
             value = world.oracle.value_usd(claim, p.params.asset, step)
             power += mul_down(value, p.params.collateral_factor)
     return power
+
+
+def seize_split(applied: int, price_repay: int, price_seize: int, bonus: int, held: int) -> tuple[int, int]:
+    """Repay and seize amounts for repaying `applied` at a (1 + bonus) premium.
+
+    `bonus` is the wad multiplier WAD + incentive. The seize is capped at
+    `held`; the repay then shrinks to keep the value relation. Returns
+    (applied, seized).
+    """
+    seized = div_down(mul_down(mul_down(applied, price_repay), bonus), price_seize)
+    if seized > held:
+        seized = held
+        capped_value = mul_down(seized, price_seize)
+        applied = min(applied, div_up(div_up(capped_value, bonus), price_repay))
+    return applied, seized
 
 
 def liquidate(
@@ -102,42 +118,17 @@ def liquidate(
     if seize_claim == 0 or not seize_pool.collateral_on.get(target, False):
         raise errors.NoSuchCollateral(f"{target} has no flagged {seize_asset} deposit")
 
-    price_repay = world.oracle.price_at(repay_asset, step)
-    price_seize = world.oracle.price_at(seize_asset, step)
-    bonus = WAD + seize_pool.params.liquidation_bonus
+    applied, seized = seize_split(
+        repay_amount,
+        world.oracle.price_at(repay_asset, step),
+        world.oracle.price_at(seize_asset, step),
+        WAD + seize_pool.params.liquidation_bonus,
+        seize_claim,
+    )
 
-    repay_value = mul_down(repay_amount, price_repay)
-    seize_value = mul_down(repay_value, bonus)
-    seized = div_down(seize_value, price_seize)
-    applied = repay_amount
-    if seized > seize_claim:
-        # cap at the deposit; shrink the effective repay to keep the
-        # (1+bonus) value relation, rounding against the liquidator
-        seized = seize_claim
-        capped_value = mul_down(seized, price_seize)
-        applied = min(repay_amount, div_up(div_up(capped_value, bonus), price_repay))
-
-    # settle the debt leg
     world.ledger.transfer(liquidator, repay_pool.account, repay_asset, applied, tag="liquidation-repay")
-    pos = repay_pool.positions[target]
-    if pos.rate_mode == "variable":
-        if applied >= repay_pool.debt_of(target):
-            pos.scaled = 0
-        else:
-            pos.scaled -= div_down(applied, repay_pool.borrow_index)
-    else:
-        pos.stable_principal = max(0, pos.stable_principal - applied)
-    repay_pool.total_borrows = max(0, repay_pool.total_borrows - applied)
-    if pos.scaled == 0 and pos.stable_principal == 0:
-        del repay_pool.positions[target]
-
-    # hand over the seized claim as IOU units
-    if seize_pool.params.iou_mode == "exchange-rate":
-        units = div_down(seized, seize_pool.exchange_rate(world))
-    else:
-        units = div_down(seized, seize_pool.liquidity_index)
-    world.ledger.transfer(target, liquidator, seize_pool.params.iou_asset, units, tag="liquidation-seize")
-    seize_pool.collateral_on.setdefault(liquidator, True)
+    repay_pool.reduce_debt(target, applied)
+    seize_pool.seize(world, target, liquidator, seized)
 
     after = account_totals(world, target, step)
     world.emit(

@@ -165,6 +165,20 @@ class Pool:
             return mul_down(bal, self.exchange_rate(world))
         return mul_down(bal, self.liquidity_index)
 
+    def unit_rate(self, world) -> int:
+        """Underlying per IOU ledger unit: the exchange rate, or the liquidity index when rebasing."""
+        return self.exchange_rate(world) if self.params.iou_mode == EXCHANGE_RATE else self.liquidity_index
+
+    def units_for(self, world, underlying: int) -> int:
+        """IOU ledger units worth `underlying` at the current rate (rounds down)."""
+        return div_down(underlying, self.unit_rate(world))
+
+    def displayed(self, units: int) -> int:
+        """The amount `redeem` takes to redeem `units` of IOU (rounds down)."""
+        if self.params.iou_mode == EXCHANGE_RATE:
+            return units
+        return mul_down(units, self.liquidity_index)
+
     def debt_of(self, account: str) -> int:
         pos = self.positions.get(account)
         if pos is None:
@@ -202,10 +216,7 @@ class Pool:
         require_amount(amount)
         if self.paused:
             raise errors.PoolPaused(self.params.asset)
-        if self.params.iou_mode == EXCHANGE_RATE:
-            minted = div_down(amount, self.exchange_rate(world))
-        else:
-            minted = div_down(amount, self.liquidity_index)
+        minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
         world.ledger.mint(account, self.params.iou_asset, minted, self.authority, tag="deposit-iou")
         self.collateral_on.setdefault(account, True)
@@ -219,15 +230,12 @@ class Pool:
         """
         require_amount(iou_amount)
         bal = world.ledger.balance(account, self.params.iou_asset)
+        if iou_amount > self.displayed(bal):
+            raise errors.InsufficientIOU(f"{account} holds {self.displayed(bal)} redeemable, asked {iou_amount}")
         if self.params.iou_mode == EXCHANGE_RATE:
-            if iou_amount > bal:
-                raise errors.InsufficientIOU(f"{account} holds {bal}, asked {iou_amount}")
             payout = mul_down(iou_amount, self.exchange_rate(world))
             burn_units = iou_amount
         else:
-            displayed = mul_down(bal, self.liquidity_index)
-            if iou_amount > displayed:
-                raise errors.InsufficientIOU(f"{account} shows {displayed}, asked {iou_amount}")
             payout = iou_amount  # 1:1 redemption of the displayed balance
             burn_units = min(div_up(iou_amount, self.liquidity_index), bal)
         if payout > self.cash(world):
@@ -238,6 +246,12 @@ class Pool:
         world.ledger.burn(account, self.params.iou_asset, burn_units, self.authority, tag="redeem-iou")
         world.ledger.transfer(self.account, account, self.params.asset, payout, tag="redeem")
         return payout
+
+    def seize(self, world, target: str, liquidator: str, underlying: int) -> None:
+        """Hand `underlying` worth of the target's IOU to a liquidator."""
+        units = self.units_for(world, underlying)
+        world.ledger.transfer(target, liquidator, self.params.iou_asset, units, tag="liquidation-seize")
+        self.collateral_on.setdefault(liquidator, True)
 
     def _require_health_after_withdrawal(self, world, account: str, underlying_out: int, step: int) -> None:
         if not self.collateral_on.get(account, False):
@@ -254,14 +268,7 @@ class Pool:
         if not on and self.collateral_on.get(account, False):
             claim = self.underlying_claim(world, account)
             if claim:
-                totals = liquidation.account_totals(world, account, step)
-                if totals.debt_value > 0:
-                    removed = world.oracle.value_usd(claim, self.params.asset, step)
-                    new_threshold = totals.threshold_value - mul_down(
-                        removed, self.params.liquidation_threshold
-                    )
-                    if new_threshold < totals.debt_value:
-                        raise errors.WouldBecomeUndercollateralized(account)
+                self._require_health_after_withdrawal(world, account, claim, step)
         self.collateral_on[account] = on
 
     # ------------------------------------------------------------------
@@ -309,23 +316,27 @@ class Pool:
 
     def repay(self, world, account: str, amount: int) -> int:
         require_amount(amount)
-        pos = self.positions.get(account)
         debt = self.debt_of(account)
-        if pos is None or debt == 0:
+        if debt == 0:
             raise errors.NoDebt(f"{account} owes nothing in {self.params.asset}")
         applied = min(amount, debt)
         world.ledger.transfer(account, self.account, self.params.asset, applied, tag="repay")
+        self.reduce_debt(account, applied)
+        return applied
+
+    def reduce_debt(self, account: str, applied: int) -> None:
+        """Book a repayment, already in the pool's cash, of at most the account's debt."""
+        pos = self.positions[account]
         if pos.rate_mode == VARIABLE:
-            if applied == debt:
+            if applied >= self.debt_of(account):
                 pos.scaled = 0
             else:
                 pos.scaled -= div_down(applied, self.borrow_index)
         else:
-            pos.stable_principal -= applied
+            pos.stable_principal = max(0, pos.stable_principal - applied)
         self.total_borrows = max(0, self.total_borrows - applied)
         if pos.scaled == 0 and pos.stable_principal == 0:
             del self.positions[account]
-        return applied
 
     def switch_rate_mode(self, world, account: str) -> None:
         pos = self.positions.get(account)
@@ -350,11 +361,7 @@ class Pool:
         util = self.utilization(world)
         r_b = self.params.rate_model.borrow_rate(util)
         r_s = self.params.rate_model.supply_rate(r_b, util)
-        index = (
-            self.exchange_rate(world)
-            if self.params.iou_mode == EXCHANGE_RATE
-            else self.liquidity_index
-        )
+        index = self.unit_rate(world)
         cells = (
             str(step),
             self.params.asset,

@@ -108,6 +108,44 @@ def _amt(raw: Any, where: str, problems: list[str]) -> int:
     return value
 
 
+def _num(raw: Any, cast: type, where: str, problems: list[str]):
+    """An int or float field; a malformed one is a problem and reads as 0."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        problems.append(f"{where}: expected {cast.__name__}, got {raw!r}")
+        return cast(0)
+
+
+def _obj(raw: Any, where: str, problems: list[str]) -> dict:
+    """A JSON object field; anything else is a problem and reads as {}."""
+    if isinstance(raw, dict):
+        return raw
+    problems.append(f"{where}: expected an object, got {type(raw).__name__}")
+    return {}
+
+
+def _list(raw: Any, where: str, problems: list[str]) -> list:
+    """A JSON array field; anything else is a problem and reads as []."""
+    if isinstance(raw, (list, tuple)):
+        return list(raw)
+    problems.append(f"{where}: expected a list, got {type(raw).__name__}")
+    return []
+
+
+def _pair(raw: Any, where: str, problems: list[str]) -> list | None:
+    """A two-element JSON array; anything else is a problem and reads as None."""
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        return list(raw)
+    problems.append(f"{where}: expected a pair, got {raw!r}")
+    return None
+
+
+def _amounts(raw: Any, where: str, problems: list[str]) -> dict[str, int]:
+    """A JSON object of decimal-string amounts keyed by symbol."""
+    return {key: _amt(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()}
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fp:
@@ -124,12 +162,15 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
 
-    assets = list(doc.get("assets", []))
+    assets = _list(doc.get("assets", []), "assets", problems)
+    horizon = _num(doc.get("horizon", 1), int, "horizon", problems)
+    seed = _num(doc.get("seed", 0), int, "seed", problems)
 
     pools = []
-    for i, p in enumerate(doc.get("pools", [])):
+    for i, p in enumerate(_list(doc.get("pools", []), "pools", problems)):
         where = f"pools[{i}]"
-        model = p.get("rate_model", {})
+        p = _obj(p, where, problems)
+        model = _obj(p.get("rate_model", {}), f"{where}.rate_model", problems)
         rate_model = RateModelParams(
             base_rate=_amt(model.get("base_rate", "0"), f"{where}.rate_model.base_rate", problems),
             slope1=_amt(model.get("slope1", "0"), f"{where}.rate_model.slope1", problems),
@@ -152,8 +193,9 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
         pools.append(PoolSpec(params=params, initial_cash=_amt(p.get("initial_cash", "0"), f"{where}.initial_cash", problems)))
 
     venues = []
-    for i, v in enumerate(doc.get("venues", [])):
+    for i, v in enumerate(_list(doc.get("venues", []), "venues", problems)):
         where = f"venues[{i}]"
+        v = _obj(v, where, problems)
         kind = v.get("kind", "quote")
         if kind == "quote":
             venues.append(
@@ -161,93 +203,83 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
                     kind="quote",
                     venue_id=str(v.get("id", f"venue{i}")),
                     numeraire=v.get("numeraire", ""),
-                    quotes={a: _amt(q, f"{where}.quotes.{a}", problems) for a, q in v.get("quotes", {}).items()},
-                    inventory={a: _amt(q, f"{where}.inventory.{a}", problems) for a, q in v.get("inventory", {}).items()},
-                    fee_bps=int(v.get("fee_bps", 0)),
+                    quotes=_amounts(v.get("quotes", {}), f"{where}.quotes", problems),
+                    inventory=_amounts(v.get("inventory", {}), f"{where}.inventory", problems),
+                    fee_bps=_num(v.get("fee_bps", 0), int, f"{where}.fee_bps", problems),
                 )
             )
         elif kind == "amm":
-            pair = v.get("pair", ["", ""])
-            reserves = v.get("reserves", ["0", "0"])
+            pair = _pair(v.get("pair", ["", ""]), f"{where}.pair", problems) or ["", ""]
+            reserves = _pair(v.get("reserves", ["0", "0"]), f"{where}.reserves", problems) or ["0", "0"]
             venues.append(
                 VenueSpec(
                     kind="amm",
                     venue_id=str(v.get("id", f"venue{i}")),
-                    pair=(pair[0], pair[1]) if len(pair) == 2 else ("", ""),
+                    pair=(pair[0], pair[1]),
                     reserves=(
                         _amt(reserves[0], f"{where}.reserves[0]", problems),
                         _amt(reserves[1], f"{where}.reserves[1]", problems),
-                    )
-                    if len(reserves) == 2
-                    else (0, 0),
-                    fee_bps=int(v.get("fee_bps", 30)),
+                    ),
+                    fee_bps=_num(v.get("fee_bps", 30), int, f"{where}.fee_bps", problems),
                 )
             )
         else:
             problems.append(f"{where}.kind: unknown venue kind {kind!r}")
 
-    feeds = doc.get("price_feeds", {})
+    feeds = _obj(doc.get("price_feeds", {}), "price_feeds", problems)
     feed_mode = feeds.get("mode", "replay")
     feed_series: dict[str, list[tuple[int, int]]] = {}
     feed_walk: dict[str, Any] = {}
     if feed_mode == "replay":
         if "csv" in feeds:
             feed_series = oracle_mod.load_feed_csv(feeds["csv"])
-        for asset, points in feeds.get("series", {}).items():
-            feed_series[asset] = [
-                (int(s), _amt(p, f"price_feeds.series.{asset}", problems)) for s, p in points
-            ]
+        for asset, points in _obj(feeds.get("series", {}), "price_feeds.series", problems).items():
+            where = f"price_feeds.series.{asset}"
+            pairs = [_pair(point, where, problems) or [0, "0"] for point in _list(points, where, problems)]
+            feed_series[asset] = [(_num(s, int, where, problems), _amt(p, where, problems)) for s, p in pairs]
     elif feed_mode == "walk":
         feed_walk = {
-            "seed": int(feeds.get("seed", 0)),
-            "drift": float(feeds.get("drift", 0.0)),
-            "volatility": float(feeds.get("volatility", 0.0)),
-            "initial": {
-                a: _amt(p, f"price_feeds.initial.{a}", problems)
-                for a, p in feeds.get("initial", {}).items()
-            },
+            "seed": _num(feeds.get("seed", 0), int, "price_feeds.seed", problems),
+            "drift": _num(feeds.get("drift", 0.0), float, "price_feeds.drift", problems),
+            "volatility": _num(feeds.get("volatility", 0.0), float, "price_feeds.volatility", problems),
+            "initial": _amounts(feeds.get("initial", {}), "price_feeds.initial", problems),
         }
     else:
         problems.append(f"price_feeds.mode: unknown mode {feed_mode!r}")
 
     cdp_spec = None
     if "cdp" in doc:
-        c = doc["cdp"]
+        c = _obj(doc["cdp"], "cdp", problems)
         cdp_spec = CdpSpec(
             dai_asset=c.get("dai_symbol", "DAI"),
-            issuance_fraction={
-                a: _amt(t, f"cdp.issuance_fractions.{a}", problems)
-                for a, t in c.get("issuance_fractions", {}).items()
-            },
+            issuance_fraction=_amounts(c.get("issuance_fractions", {}), "cdp.issuance_fractions", problems),
             stability_fee=_amt(c.get("stability_fee", "0"), "cdp.stability_fee", problems),
             liquidation_penalty=_amt(c.get("liquidation_penalty", "0.13"), "cdp.liquidation_penalty", problems),
             fee_policy=c.get("fee_policy"),
         )
 
     agents = []
-    for i, a in enumerate(doc.get("agents", [])):
+    for i, a in enumerate(_list(doc.get("agents", []), "agents", problems)):
         where = f"agents[{i}]"
-        window = a.get("window", [0, doc.get("horizon", 1)])
+        a = _obj(a, where, problems)
+        window = _pair(a.get("window", [0, horizon]), f"{where}.window", problems) or [0, 0]
         agents.append(
             AgentSpec(
                 agent_id=str(a.get("id", f"agent{i}")),
                 kind=a.get("kind", ""),
-                endowment={
-                    asset: _amt(q, f"{where}.endowment.{asset}", problems)
-                    for asset, q in a.get("endowment", {}).items()
-                },
-                params=dict(a.get("params", {})),
-                window=(int(window[0]), int(window[1])),
+                endowment=_amounts(a.get("endowment", {}), f"{where}.endowment", problems),
+                params=dict(_obj(a.get("params", {}), f"{where}.params", problems)),
+                window=(_num(window[0], int, f"{where}.window", problems), _num(window[1], int, f"{where}.window", problems)),
             )
         )
 
-    rewards_doc = doc.get("rewards", {})
+    rewards_doc = _obj(doc.get("rewards", {}), "rewards", problems)
     rewards = RewardConfig(
         emission_per_pool=_amt(rewards_doc.get("emission_per_pool", "0"), "rewards.emission_per_pool", problems),
         supply_split=_amt(rewards_doc.get("supply_split", "0.5"), "rewards.supply_split", problems),
     )
 
-    gas_doc = doc.get("gas", {})
+    gas_doc = _obj(doc.get("gas", {}), "gas", problems)
     gas = GasConfig(
         asset=gas_doc.get("asset"),
         fee=_amt(gas_doc.get("fee", "0"), "gas.fee", problems) if gas_doc else 0,
@@ -267,8 +299,8 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
         agents=agents,
         rewards=rewards,
         gas=gas,
-        horizon=int(doc.get("horizon", 1)),
-        seed=int(doc.get("seed", 0)),
+        horizon=horizon,
+        seed=seed,
     )
 
 
@@ -282,7 +314,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
     assets = set(sc.assets)
 
     for i, symbol in enumerate(sc.assets):
-        if not symbol or not symbol.isupper() or not symbol.isalnum():
+        if not isinstance(symbol, str) or not symbol.isupper() or not symbol.isalnum():
             problems.append(f"assets[{i}]: symbol {symbol!r} must be non-empty uppercase alphanumeric")
     if len(assets) != len(sc.assets):
         problems.append("assets: duplicate symbols")
@@ -391,13 +423,13 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if a.window[0] < 0 or a.window[1] < a.window[0]:
             problems.append(f"{where}.window: must satisfy 0 <= start <= end")
         eps = a.params.get("min_action")
-        if eps is not None and from_str(str(eps)) <= 0:
+        if eps is not None and _amt(str(eps), f"{where}.params.min_action", problems) <= 0:
             problems.append(f"{where}.params.min_action: must be > 0")
         buffer = a.params.get("buffer")
-        if buffer is not None and from_str(str(buffer)) < 0:
+        if buffer is not None and _amt(str(buffer), f"{where}.params.buffer", problems) < 0:
             problems.append(f"{where}.params.buffer: must be >= 0")
         cap = a.params.get("iteration_cap")
-        if cap is not None and int(cap) < 0:
+        if cap is not None and _num(cap, int, f"{where}.params.iteration_cap", problems) < 0:
             problems.append(f"{where}.params.iteration_cap: must be >= 0")
         if a.kind in ("depositor", "borrow_spiral"):
             if a.params.get("pool") not in pool_assets:

@@ -3,8 +3,9 @@
 Each step runs a fixed phase order: (1) advance price feeds, (2) accrue all
 pools and the vault fee index, (3) distribute governance-token rewards,
 (4) agents act in an order shuffled by a seed derived from (master seed, t),
-(5) flush telemetry. Agent failures become events, never aborts; a cheap
-conservation audit runs every step and a full one at the end of the run.
+(5) flush telemetry. Agent failures become events, never aborts. Before the
+telemetry flush, World.audit checks that no ledger checkpoint outlived the
+step; the full conservation audit runs at the end of the run.
 
 Outputs per run directory: pools.csv, vaults.csv, events.jsonl, rewards.csv
 and summary.json (initial/final value locked per pool, liquidation count,
@@ -26,7 +27,7 @@ from .fixed import mul_down, to_str
 from .oracle import derive_seed
 from .pool import TELEMETRY_HEADER
 from .scenario import Scenario, build_world
-from .world import World
+from .world import RewardLedger, World
 
 REWARD_DUST_ACCOUNT = "reward-dust"
 
@@ -51,6 +52,18 @@ def net_worth_usd(world: World, account: str, step: int) -> int:
                 total += world.cdp.collateral_value(world, vault, step)
                 total -= world.oracle.value_usd(world.cdp.debt_of(vault), world.cdp.dai_asset, step)
     return total
+
+
+def _pay_pro_rata(rewards: RewardLedger, tranche: int, weights: list[tuple[str, int]]) -> None:
+    """Split a tranche by weight, each share rounded down; the rest is dust."""
+    total = sum(w for _, w in weights)
+    paid = 0
+    if total:
+        for account, weight in weights:
+            share = tranche * weight // total
+            rewards.add(account, share)
+            paid += share
+    rewards.add_dust(tranche - paid)
 
 
 class SimulationEngine:
@@ -129,28 +142,9 @@ class SimulationEngine:
         for sym in self._pool_order:
             p = world.pools[sym]
             supply_tranche = mul_down(emission, split)
-            borrow_tranche = emission - supply_tranche
-
             # share values are order-independent, so unsorted iteration is fine
-            holders = list(world.ledger.iter_holders(p.params.iou_asset))
-            total_weight = sum(w for _, w in holders)
-            paid = 0
-            if total_weight:
-                for account, weight in holders:
-                    share = supply_tranche * weight // total_weight
-                    rewards.add(account, share)
-                    paid += share
-            rewards.add_dust(supply_tranche - paid)
-
-            debtors = [(a, p.debt_of(a)) for a in p.positions]
-            total_debt = sum(d for _, d in debtors)
-            paid = 0
-            if total_debt:
-                for account, debt in debtors:
-                    share = borrow_tranche * debt // total_debt
-                    rewards.add(account, share)
-                    paid += share
-            rewards.add_dust(borrow_tranche - paid)
+            _pay_pro_rata(rewards, supply_tranche, list(world.ledger.iter_holders(p.params.iou_asset)))
+            _pay_pro_rata(rewards, emission - supply_tranche, [(a, p.debt_of(a)) for a in p.positions])
 
     # ------------------------------------------------------------------
     def run(self, out_dir: str | Path | None = None) -> dict:

@@ -50,16 +50,17 @@ class QuoteVenue:
         """Numeraire owed for buying `amount` of asset (rounds up)."""
         return ceil_div(amount * self._price(asset) * BPS_DENOM, WAD * (BPS_DENOM - self.fee_bps))
 
+    def buy_amount_for(self, asset: str, budget: int) -> int:
+        """Largest amount of asset whose buy_quote fits in `budget` numeraire."""
+        return budget * WAD * (BPS_DENOM - self.fee_bps) // (self._price(asset) * BPS_DENOM)
+
     def max_sell(self, world, asset: str) -> int:
-        """Largest sellable amount the venue's numeraire inventory can pay for."""
+        """Largest sellable amount the venue's numeraire inventory can pay for.
+
+        Rounding down here keeps sell_quote of the result within the inventory.
+        """
         inventory = world.ledger.balance(self.account, self.numeraire)
-        price = self._price(asset)
-        if price == 0:
-            return 0
-        hi = inventory * WAD * BPS_DENOM // (price * (BPS_DENOM - self.fee_bps))
-        while hi > 0 and self.sell_quote(asset, hi) > inventory:
-            hi -= 1
-        return hi
+        return inventory * WAD * BPS_DENOM // (self._price(asset) * (BPS_DENOM - self.fee_bps))
 
     def max_buy(self, world, asset: str) -> int:
         return world.ledger.balance(self.account, asset)
@@ -90,14 +91,14 @@ def amm_out_given_in(reserve_in: int, reserve_out: int, amount_in: int, fee_bps:
 
 
 def amm_in_given_out(reserve_in: int, reserve_out: int, amount_out: int, fee_bps: int) -> int:
-    """Smallest input whose swap output is at least `amount_out`."""
+    """Smallest input whose swap output is at least `amount_out`.
+
+    Both ceilings round up, so amm_out_given_in of the result is never short.
+    """
     if amount_out >= reserve_out:
         raise errors.InsufficientInventory("requested output exceeds AMM reserve")
     effective = ceil_div(reserve_in * amount_out, reserve_out - amount_out)
-    amount_in = ceil_div(effective * BPS_DENOM, BPS_DENOM - fee_bps)
-    while amm_out_given_in(reserve_in, reserve_out, amount_in, fee_bps) < amount_out:
-        amount_in += 1
-    return amount_in
+    return ceil_div(effective * BPS_DENOM, BPS_DENOM - fee_bps)
 
 
 @dataclass

@@ -354,7 +354,7 @@ def test_criterion_6_liquidation_grid_and_health_direction():
         for c in range(1, 21):
             for d in range(1, 21):
                 account = f"u-{c}-{d}"
-                report = liquidation.health(w, account, 0)
+                report = liquidation.account_totals(w, account, 0)
                 exact_liquidatable = Fraction(c) * ell < Fraction(d)
                 if report.liquidatable != exact_liquidatable:
                     mismatches += 1
@@ -367,7 +367,7 @@ def test_criterion_6_liquidation_grid_and_health_direction():
                 if repay == 0:
                     continue
                 liquidation.liquidate(w, "keeper", account, "DEBT", "COL", repay, 0)
-                after = liquidation.health(w, account, 0)
+                after = liquidation.account_totals(w, account, 0)
                 hf_after = (
                     Fraction(after.threshold_value, after.debt_value)
                     if after.debt_value
@@ -397,7 +397,7 @@ def test_criterion_6_literal_universal_improvement():
     for c in range(1, 21):
         for d in range(1, 21):
             account = f"u-{c}-{d}"
-            report = liquidation.health(w, account, 0)
+            report = liquidation.account_totals(w, account, 0)
             if not report.liquidatable:
                 continue
             before = report.health_factor
@@ -405,7 +405,7 @@ def test_criterion_6_literal_universal_improvement():
             if repay == 0:
                 continue
             liquidation.liquidate(w, "keeper", account, "DEBT", "COL", repay, 0)
-            after = liquidation.health(w, account, 0)
+            after = liquidation.account_totals(w, account, 0)
             assert after.health_factor is None or after.health_factor >= before
 
 

@@ -4,6 +4,8 @@ import filecmp
 import json
 from pathlib import Path
 
+import pytest
+
 from lendsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -33,6 +35,37 @@ def test_validate_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["validate", "--scenario", str(bad)]) == 1
+
+
+def _set_agent_param(key, value):
+    return lambda doc: doc["agents"][0]["params"].__setitem__(key, value)
+
+
+# field -> (edit making it malformed, location the problem must name)
+MALFORMED = {
+    "min_action": (_set_agent_param("min_action", "abc"), "agents[0].params.min_action"),
+    "iteration_cap": (_set_agent_param("iteration_cap", "x"), "agents[0].params.iteration_cap"),
+    "fee_bps": (lambda doc: doc["venues"][0].__setitem__("fee_bps", "x"), "venues[0].fee_bps"),
+    "horizon": (lambda doc: doc.__setitem__("horizon", "ten"), "horizon"),
+    "pool_entry": (lambda doc: doc["pools"].__setitem__(0, 5), "pools[0]"),
+    "window": (lambda doc: doc["agents"][0].__setitem__("window", [0]), "agents[0].window"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED))
+def test_validate_collects_malformed_field(field, tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "arb_gap.json").read_text())
+    doc["agents"] = [{"id": "farm", "kind": "borrow_spiral", "endowment": {"XYZ": "1"},
+                      "params": {"pool": "XYZ"}, "window": [0, 1]}]
+    edit, where = MALFORMED[field]
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    reported = [line for line in err.splitlines() if line.startswith(("parse error:", "validation error:"))]
+    assert any(where + ":" in line for line in reported), err
 
 
 def test_run_writes_output_contract(tmp_path, capsys):

@@ -312,7 +312,7 @@ def test_scan_liquidations_finds_crash_victim_and_matches_execution():
     assert outcome.profit == opp.expected_profit
     from lendsim import liquidation
 
-    report = liquidation.health(w, "victim", 5)
+    report = liquidation.account_totals(w, "victim", 5)
     assert report.health_factor > from_str("0.914285714285714285")  # improved
 
 

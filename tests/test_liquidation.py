@@ -41,7 +41,7 @@ def rig_position(w, account, collateral, debt):
 def test_health_factor_example_above_one():
     w = health_world()
     rig_position(w, "alice", wad(1000), wad(700))
-    report = liquidation.health(w, "alice", 0)
+    report = liquidation.account_totals(w, "alice", 0)
     assert report.collateral_value == wad(1000)
     assert report.threshold_value == wad(800)
     assert report.debt_value == wad(700)
@@ -53,7 +53,7 @@ def test_health_factor_example_above_one():
 def test_health_factor_infinite_without_debt():
     w = health_world()
     rig_position(w, "alice", wad(1000), 0)
-    report = liquidation.health(w, "alice", 0)
+    report = liquidation.account_totals(w, "alice", 0)
     assert report.health_factor is None
     assert report.hf_str() == "inf"
     assert not report.liquidatable
@@ -62,7 +62,7 @@ def test_health_factor_infinite_without_debt():
 def test_health_factor_example_below_one():
     w = health_world()
     rig_position(w, "alice", wad(1000), wad(900))
-    report = liquidation.health(w, "alice", 0)
+    report = liquidation.account_totals(w, "alice", 0)
     exact = Fraction(8, 9)  # 1000 * 0.8 / 900
     assert report.health_factor == (exact.numerator * WAD) // exact.denominator
     assert report.liquidatable
@@ -71,7 +71,7 @@ def test_health_factor_example_below_one():
 def test_exact_boundary_is_not_liquidatable():
     w = health_world()
     rig_position(w, "alice", wad(1000), wad(800))  # threshold 800 == debt 800
-    report = liquidation.health(w, "alice", 0)
+    report = liquidation.account_totals(w, "alice", 0)
     assert report.health_factor == WAD
     user(w, "liq", DEBT=wad(1000))
     with pytest.raises(errors.NotLiquidatable):
@@ -87,7 +87,7 @@ def test_liquidation_amounts_match_worked_example():
     seized = liquidation.liquidate(w, "liq", "alice", "DEBT", "COL", wad(450), 0)
     assert seized == from_str("472.5")
     assert w.pools["DEBT"].debt_of("alice") == wad(450)
-    report = liquidation.health(w, "alice", 0)
+    report = liquidation.account_totals(w, "alice", 0)
     assert report.health_factor > from_str("0.888888888888888888")  # improved
 
 
@@ -185,7 +185,7 @@ def test_liquidatability_grid_matches_rational_oracle():
                 rig_position(w, account, wad(c), wad(d))
         for c in range(1, 21):
             for d in range(1, 21):
-                report = liquidation.health(w, f"u-{c}-{d}", 0)
+                report = liquidation.account_totals(w, f"u-{c}-{d}", 0)
                 expected = Fraction(c) * Fraction(li, 20) < Fraction(d)
                 assert report.liquidatable == expected, (c, li, d)
 
@@ -212,7 +212,7 @@ def test_health_never_worsens_when_hf_at_least_bonus_weighted_threshold(
         close="0.5",
     )
     rig_position(w, "alice", wad(collateral), wad(debt))
-    before = liquidation.health(w, "alice", 0)
+    before = liquidation.account_totals(w, "alice", 0)
     if not before.liquidatable:
         return
     floor = mul_down(from_str(f"0.{threshold_pct}"), WAD + from_str(f"0.{bonus_pct:02d}"))
@@ -224,7 +224,7 @@ def test_health_never_worsens_when_hf_at_least_bonus_weighted_threshold(
         liquidation.liquidate(w, "liq", "alice", "DEBT", "COL", repay, 0)
     except errors.SimError:
         return
-    after = liquidation.health(w, "alice", 0)
+    after = liquidation.account_totals(w, "alice", 0)
     if before.health_factor >= floor:
         if after.health_factor is not None:
             assert after.health_factor >= before.health_factor - 2

@@ -156,7 +156,7 @@ def test_flag_off_allowed_when_other_collateral_covers():
     w.pools["ETH"].set_collateral_flag(w, "alice", False, step=0)
     from lendsim import liquidation
 
-    report = liquidation.health(w, "alice", 0)
+    report = liquidation.account_totals(w, "alice", 0)
     assert report.health_factor >= WAD
 
 

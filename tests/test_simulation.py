@@ -4,7 +4,9 @@ import filecmp
 import json
 from fractions import Fraction
 
-from lendsim import liquidation
+import pytest
+
+from lendsim import errors, liquidation
 from lendsim.agents import run_borrow_spiral, run_leverage_spiral
 from lendsim.fixed import WAD, from_str, wad
 from lendsim.simulation import SimulationEngine
@@ -116,6 +118,44 @@ def test_agent_protocol_errors_become_events_not_aborts():
     errs = [e for e in w.events if e.get("kind") == "agent-error"]
     assert errs and errs[0]["agent"] == "broke"
     assert errs[0]["error"] == "InsufficientBalance"
+
+
+def test_liquidator_without_flash_loans_clears_unsafe_vault():
+    doc = make_doc(
+        assets=["ETH", "DAI"],
+        pools=[pool_doc("DAI", "aDAI", "rebasing", initial_cash="100000")],
+        venues=[{"kind": "quote", "id": "V", "numeraire": "DAI", "quotes": {"ETH": "120"},
+                 "fee_bps": 0, "inventory": {"ETH": "0", "DAI": "1000000"}}],
+        prices={"ETH": [[0, "200"], [3, "120"]], "DAI": [[0, "1"]]},
+        cdp={"dai_symbol": "DAI", "issuance_fractions": {"ETH": "0.66"},
+             "stability_fee": "0", "liquidation_penalty": "0.13"},
+        agents=[{"id": "keeper", "kind": "liquidator", "endowment": {"DAI": "5000"},
+                 "params": {"use_flashloan": False}}],
+        horizon=4,
+    )
+    engine = engine_for(doc)
+    w = engine.world
+    user(w, "owner", ETH=wad(10))
+    vid = w.cdp.open_vault("owner")
+    w.cdp.lock(w, vid, "ETH", wad(10))
+    w.cdp.draw(w, vid, wad(1000), step=0)
+    for t in range(4):
+        engine.step(t)
+    assert [e for e in w.events if e["kind"] == "agent-error"] == []
+    liqs = [e for e in w.events if e["kind"] == "vault-liquidation"]
+    assert len(liqs) == 1 and liqs[0]["liquidator"] == "keeper" and liqs[0]["step"] == 3
+    assert w.cdp.debt_of(w.cdp.vault(vid)) == 0
+    # the keeper paid the debt from its own DAI and keeps the seized ETH
+    assert w.ledger.balance("keeper", "DAI") == wad(4000)
+    assert w.ledger.balance("keeper", "ETH") == from_str(liqs[0]["seized_amt"])
+
+
+def test_checkpoint_left_open_fails_the_step_audit():
+    engine = engine_for(empty_doc(horizon=2))
+    engine.step(0)
+    engine.world.ledger.checkpoint()  # a transaction that never commits or rolls back
+    with pytest.raises(errors.InvariantViolation, match="1 ledger checkpoint"):
+        engine.step(1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +345,7 @@ def test_price_crash_liquidates_leveraged_trader():
     w = engine.world
     for t in range(6):
         engine.step(t)
-    hf_after_crash = liquidation.health(w, "trader", 5)
+    hf_after_crash = liquidation.account_totals(w, "trader", 5)
     liqs = [e for e in w.events if e.get("kind") == "liquidation"]
     assert liqs, "expected the keeper to clear the underwater trader"
     assert liqs[0]["target"] == "trader"
@@ -342,7 +382,7 @@ def test_two_liquidators_only_first_clears_shallow_position():
         engine.step(t)
     liqs = [e for e in w.events if e.get("kind") == "liquidation"]
     assert len(liqs) == 1  # half-debt repay restores health; second keeper idles
-    report = liquidation.health(w, "victim", 2)
+    report = liquidation.account_totals(w, "victim", 2)
     assert report.health_factor >= WAD
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lendsim import errors
 from lendsim.fixed import WAD, from_str, wad
-from lendsim.venues import amm_in_given_out, amm_out_given_in
+from lendsim.venues import QuoteVenue, amm_in_given_out, amm_out_given_in
 
 from conftest import build, make_doc, user
 
@@ -159,6 +159,18 @@ def test_amm_in_given_out_is_minimal(amount_out, reserve_x, reserve_y, fee_bps):
     need = amm_in_given_out(reserve_x, reserve_y, amount_out, fee_bps)
     assert amm_out_given_in(reserve_x, reserve_y, need, fee_bps) >= amount_out
     assert amm_out_given_in(reserve_x, reserve_y, need - 1, fee_bps) < amount_out
+
+
+@given(
+    st.integers(min_value=0, max_value=wad(10_000_000)),
+    st.integers(min_value=1, max_value=wad(100_000)),
+    st.integers(min_value=0, max_value=9_999),
+)
+@settings(max_examples=300)
+def test_quote_buy_amount_for_inverts_buy_quote(budget, price, fee_bps):
+    venue = QuoteVenue("V", "USD", {"XYZ": price}, fee_bps)
+    amount = venue.buy_amount_for("XYZ", budget)
+    assert venue.buy_quote("XYZ", amount) <= budget < venue.buy_quote("XYZ", amount + 1)
 
 
 def test_venue_trades_conserve_assets():
