@@ -175,16 +175,15 @@ class BaseAgent:
     def act(self, world: World, t: int) -> None:
         raise NotImplementedError
 
-    def _min_action(self) -> int:
-        raw = self.spec.params.get("min_action")
-        return from_str(str(raw)) if raw is not None else DEFAULT_MIN_ACTION
-
-    def _buffer(self) -> int:
-        raw = self.spec.params.get("buffer")
-        return from_str(str(raw)) if raw is not None else 0
-
-    def _cap(self) -> int:
-        return int(self.spec.params.get("iteration_cap", DEFAULT_ITERATION_CAP))
+    def _spiral_limits(self) -> dict[str, int]:
+        """The run_*_spiral keyword limits, read from the agent's params."""
+        params = self.spec.params
+        min_action, buffer = params.get("min_action"), params.get("buffer")
+        return {
+            "iteration_cap": int(params.get("iteration_cap", DEFAULT_ITERATION_CAP)),
+            "min_action": DEFAULT_MIN_ACTION if min_action is None else from_str(str(min_action)),
+            "buffer": 0 if buffer is None else from_str(str(buffer)),
+        }
 
     def _execute(self, world: World, best: flashloan.Opportunity, t: int) -> None:
         outcome = flashloan.execute(world, best.plan, t)
@@ -226,16 +225,7 @@ class BorrowSpiralAgent(BaseAgent):
             return
         asset = self.spec.params["pool"]
         amount = world.ledger.balance(self.account, asset)
-        self.report = run_borrow_spiral(
-            world,
-            self.account,
-            asset,
-            amount,
-            t,
-            iteration_cap=self._cap(),
-            min_action=self._min_action(),
-            buffer=self._buffer(),
-        )
+        self.report = run_borrow_spiral(world, self.account, asset, amount, t, **self._spiral_limits())
         world.emit(
             kind="borrow-spiral",
             step=t,
@@ -260,16 +250,7 @@ class LeverageSpiralAgent(BaseAgent):
         venue = self.spec.params["venue"]
         amount = world.ledger.balance(self.account, collateral)
         self.report = run_leverage_spiral(
-            world,
-            self.account,
-            collateral,
-            borrow,
-            venue,
-            amount,
-            t,
-            iteration_cap=self._cap(),
-            min_action=self._min_action(),
-            buffer=self._buffer(),
+            world, self.account, collateral, borrow, venue, amount, t, **self._spiral_limits()
         )
         world.emit(
             kind="leverage-spiral",

@@ -141,6 +141,16 @@ def _pair(raw: Any, where: str, problems: list[str]) -> list | None:
     return None
 
 
+def _int_pair(raw: Any, where: str, problems: list[str]) -> tuple[int, int]:
+    """A two-element JSON array of integers; anything else is a problem and reads as (0, 0)."""
+    try:
+        first, second = raw
+        return int(first), int(second)
+    except (TypeError, ValueError):
+        problems.append(f"{where}: expected a pair of integers, got {raw!r}")
+        return 0, 0
+
+
 def _amounts(raw: Any, where: str, problems: list[str]) -> dict[str, int]:
     """A JSON object of decimal-string amounts keyed by symbol."""
     return {key: _amt(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()}
@@ -262,14 +272,13 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     for i, a in enumerate(_list(doc.get("agents", []), "agents", problems)):
         where = f"agents[{i}]"
         a = _obj(a, where, problems)
-        window = _pair(a.get("window", [0, horizon]), f"{where}.window", problems) or [0, 0]
         agents.append(
             AgentSpec(
                 agent_id=str(a.get("id", f"agent{i}")),
                 kind=a.get("kind", ""),
                 endowment=_amounts(a.get("endowment", {}), f"{where}.endowment", problems),
                 params=dict(_obj(a.get("params", {}), f"{where}.params", problems)),
-                window=(_num(window[0], int, f"{where}.window", problems), _num(window[1], int, f"{where}.window", problems)),
+                window=_int_pair(a.get("window", (0, horizon)), f"{where}.window", problems),
             )
         )
 
