@@ -35,11 +35,10 @@ class SpiralReport:
 
 def _headroom(world: World, account: str, asset: str, step: int) -> int:
     """Remaining borrow capacity converted into units of `asset`."""
-    power = liquidation.borrowing_power(world, account, step)
-    debt = liquidation.account_totals(world, account, step).debt_value
-    if debt >= power:
+    totals = liquidation.account_totals(world, account, step)
+    if totals.debt_value >= totals.borrowing_power:
         return 0
-    return div_down(power - debt, world.oracle.price_at(asset, step))
+    return div_down(totals.borrowing_power - totals.debt_value, world.oracle.price_at(asset, step))
 
 
 def run_borrow_spiral(

@@ -360,29 +360,25 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
 # ---------------------------------------------------------------------------
 # liquidation scanner
 # ---------------------------------------------------------------------------
-def _swap_legs(world: World, asset_from: str, asset_to: str) -> list[PlanStep]:
+def _swap_leg(world: World, asset_from: str, asset_to: str) -> PlanStep | None:
     """A one-venue conversion of the borrower's full asset_from balance."""
     for venue in world.venues.values():
         if isinstance(venue, AmmVenue) and set(venue.pair) == {asset_from, asset_to}:
-            return [SwapStep(venue.venue_id, asset_in=asset_from, amount=None)]
+            return SwapStep(venue.venue_id, asset_in=asset_from, amount=None)
         if isinstance(venue, QuoteVenue) and venue.numeraire == asset_to and asset_from in venue.quotes:
-            return [SellStep(venue.venue_id, asset_from, amount=None)]
-    return []
+            return SellStep(venue.venue_id, asset_from, amount=None)
+    return None
 
 
-def _grant_scratch_funds(world: World, borrower: str) -> None:
-    # inside a scratch checkpoint only: let an unfunded scanner account pay gas
-    if world.gas.asset is not None and world.gas.fee:
-        short = world.gas.fee - world.ledger.balance(borrower, world.gas.asset)
-        if short > 0:
-            world.ledger.mint(borrower, world.gas.asset, short, "genesis", tag="scratch-grant")
-
-
-def _try_plan(world: World, plan: FlashPlan, step: int, grant_gas: bool) -> int | None:
+def _try_plan(world: World, plan: FlashPlan, step: int) -> int | None:
     cp = world.checkpoint()
     try:
-        if grant_gas:
-            _grant_scratch_funds(world, plan.borrower)
+        gas = world.gas
+        if plan.borrower == SCANNER_ACCOUNT and gas.asset is not None and gas.fee:
+            # scratch only: let the unfunded scanner account pay gas
+            short = gas.fee - world.ledger.balance(plan.borrower, gas.asset)
+            if short > 0:
+                world.ledger.mint(plan.borrower, gas.asset, short, "genesis", tag="scratch-grant")
         outcome = execute(world, plan, step)
     except errors.SimError:
         return None
@@ -393,86 +389,56 @@ def _try_plan(world: World, plan: FlashPlan, step: int, grant_gas: bool) -> int 
     return None
 
 
-def _pool_liquidation_candidates(world: World, step: int):
-    accounts = set()
-    for pool in world.pools.values():
-        accounts.update(pool.positions)
-    for account in sorted(accounts):
-        report = liquidation.account_totals(world, account, step)
-        if report.liquidatable:
-            yield account, report
-
-
 def scan_liquidations(world: World, step: int, borrower: str | None = None) -> list[Opportunity]:
     borrower = borrower or SCANNER_ACCOUNT
-    grant_gas = borrower == SCANNER_ACCOUNT
-    opportunities = []
+    candidates: list[LiquidateStep] = []
 
-    for account, _report in _pool_liquidation_candidates(world, step):
+    for account in sorted({account for pool in world.pools.values() for account in pool.positions}):
         if account == borrower:
             continue
-        repay_asset = max(
-            (a for a, p in world.pools.items() if p.debt_of(account)),
-            key=lambda a: world.oracle.value_usd(world.pools[a].debt_of(account), a, step),
-            default=None,
-        )
-        if repay_asset is None:
+        report = liquidation.account_totals(world, account, step)
+        if not report.liquidatable or report.largest_collateral is None:
             continue
-        repay_pool = world.pools[repay_asset]
-        flagged = [
-            (a, p.underlying_claim(world, account))
-            for a, p in world.pools.items()
-            if p.collateral_on.get(account, False) and p.underlying_claim(world, account)
-        ]
-        if not flagged:
-            continue
-        seize_asset = max(flagged, key=lambda item: world.oracle.value_usd(item[1], item[0], step))[0]
-        debt = repay_pool.debt_of(account)
-        repay_amt = mul_down(debt, repay_pool.params.close_factor)
+        repay_asset, seize_asset = report.largest_debt, report.largest_collateral
+        repay_pool, seize_pool = world.pools[repay_asset], world.pools[seize_asset]
         # keep inside the seizable deposit so the close-factor repay lands fully
-        seize_claim = world.pools[seize_asset].underlying_claim(world, account)
-        seize_value = world.oracle.value_usd(seize_claim, seize_asset, step)
-        bonus = WAD + world.pools[seize_asset].params.liquidation_bonus
-        cap_value = div_down(seize_value, bonus)
-        price_repay = world.oracle.price_at(repay_asset, step)
-        repay_amt = min(repay_amt, div_down(cap_value, price_repay), repay_pool.cash(world))
-        if repay_amt <= 0:
-            continue
-        steps: list[PlanStep] = [LiquidateStep(account, repay_asset, seize_asset, repay_amt)]
-        if seize_asset != repay_asset:
-            legs = _swap_legs(world, seize_asset, repay_asset)
-            if not legs:
-                continue
-            steps.extend(legs)
-        plan = FlashPlan(borrower, repay_asset, repay_amt, steps, profit_asset=repay_asset)
-        profit = _try_plan(world, plan, step, grant_gas)
-        if profit is not None:
-            opportunities.append(Opportunity("liquidation", plan, profit, step, account))
+        seize_value = world.oracle.value_usd(seize_pool.underlying_claim(world, account), seize_asset, step)
+        cap_value = div_down(seize_value, WAD + seize_pool.params.liquidation_bonus)
+        repay_amt = min(
+            mul_down(repay_pool.debt_of(account), repay_pool.params.close_factor),
+            div_down(cap_value, world.oracle.price_at(repay_asset, step)),
+            repay_pool.cash(world),
+        )
+        if repay_amt > 0:
+            candidates.append(LiquidateStep(account, repay_asset, seize_asset, repay_amt))
 
-    if world.cdp is not None:
-        dai = world.cdp.dai_asset
-        dai_pool = world.pools.get(dai)
-        for vault_id in sorted(world.cdp.vaults):
-            vault = world.cdp.vaults[vault_id]
-            if dai_pool is None or not world.cdp.is_unsafe(world, vault, step):
+    cdp = world.cdp
+    if cdp is not None and cdp.dai_asset in world.pools:
+        for vault_id in sorted(cdp.vaults):
+            vault = cdp.vaults[vault_id]
+            if not cdp.is_unsafe(world, vault, step):
                 continue
             held = [(a, amt) for a, amt in vault.collateral.items() if amt]
             if not held:
                 continue
             seize_asset = max(held, key=lambda item: world.oracle.value_usd(item[1], item[0], step))[0]
-            repay_amt = min(world.cdp.debt_of(vault), dai_pool.cash(world))
-            if repay_amt <= 0:
+            repay_amt = min(cdp.debt_of(vault), world.pools[cdp.dai_asset].cash(world))
+            if repay_amt > 0:
+                candidates.append(LiquidateStep(f"vault:{vault_id}", cdp.dai_asset, seize_asset, repay_amt, vault_id))
+
+    # every candidate is sized on the same state: scratch runs roll back exactly
+    opportunities = []
+    for item in candidates:
+        steps: list[PlanStep] = [item]
+        if item.seize_asset != item.repay_asset:
+            leg = _swap_leg(world, item.seize_asset, item.repay_asset)
+            if leg is None:
                 continue
-            steps = [LiquidateStep(f"vault:{vault_id}", dai, seize_asset, repay_amt, vault_id=vault_id)]
-            if seize_asset != dai:
-                legs = _swap_legs(world, seize_asset, dai)
-                if not legs:
-                    continue
-                steps.extend(legs)
-            plan = FlashPlan(borrower, dai, repay_amt, steps, profit_asset=dai)
-            profit = _try_plan(world, plan, step, grant_gas)
-            if profit is not None:
-                opportunities.append(Opportunity("liquidation", plan, profit, step, f"vault:{vault_id}"))
+            steps.append(leg)
+        plan = FlashPlan(borrower, item.repay_asset, item.amount, steps, profit_asset=item.repay_asset)
+        profit = _try_plan(world, plan, step)
+        if profit is not None:
+            opportunities.append(Opportunity("liquidation", plan, profit, step, item.target))
 
     opportunities.sort(key=lambda o: (-o.expected_profit, o.venue_or_target))
     return opportunities

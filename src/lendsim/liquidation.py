@@ -1,5 +1,11 @@
 """Account health accounting and open-access liquidation of pool positions.
 
+account_totals is the one pass over an account's pools. It values each
+flagged deposit once, weighted by the collateral factor (the borrowing power
+that borrow checks and spiral headroom read) and by the liquidation threshold,
+sums the debts, and names the pools of the largest debt and of the largest
+flagged deposit, which the liquidation scanner repays and seizes.
+
 Health factor = sum(flagged collateral value * liquidation_threshold) over
 debt value; a position is liquidatable strictly below 1. Any caller may
 liquidate, repaying up to close_factor of the target's per-asset debt and
@@ -29,6 +35,9 @@ class HealthReport:
     debt_value: int  # USD wad
     ltv: int | None  # None when collateral_value == 0
     health_factor: int | None  # None means infinite (no debt)
+    borrowing_power: int  # USD wad, weighted by per-asset collateral factor
+    largest_debt: str | None  # pool asset of the largest debt by USD value
+    largest_collateral: str | None  # pool asset of the largest flagged deposit by USD value
 
     @property
     def liquidatable(self) -> bool:
@@ -39,30 +48,32 @@ class HealthReport:
 
 
 def account_totals(world, account: str, step: int) -> HealthReport:
-    collateral = threshold = debt = 0
-    for p in world.pools.values():
+    collateral = threshold = power = debt = 0
+    largest_debt = largest_collateral = None
+    top_debt = top_collateral = -1  # below any value: ties go to the first pool in world order
+    for asset, p in world.pools.items():
         claim = p.underlying_claim(world, account)
         if claim and p.collateral_on.get(account, False):
-            value = world.oracle.value_usd(claim, p.params.asset, step)
+            value = world.oracle.value_usd(claim, asset, step)
             collateral += value
             threshold += mul_down(value, p.params.liquidation_threshold)
+            power += mul_down(value, p.params.collateral_factor)
+            if value > top_collateral:
+                largest_collateral, top_collateral = asset, value
         owed = p.debt_of(account)
         if owed:
-            debt += world.oracle.value_usd(owed, p.params.asset, step)
+            value = world.oracle.value_usd(owed, asset, step)
+            debt += value
+            if value > top_debt:
+                largest_debt, top_debt = asset, value
     ltv = div_down(debt, collateral) if collateral else None
     hf = div_down(threshold, debt) if debt else None
-    return HealthReport(account, collateral, threshold, debt, ltv, hf)
+    return HealthReport(account, collateral, threshold, debt, ltv, hf, power, largest_debt, largest_collateral)
 
 
 def borrowing_power(world, account: str, step: int) -> int:
     """USD borrow capacity: sum of flagged collateral value * collateral_factor."""
-    power = 0
-    for p in world.pools.values():
-        claim = p.underlying_claim(world, account)
-        if claim and p.collateral_on.get(account, False):
-            value = world.oracle.value_usd(claim, p.params.asset, step)
-            power += mul_down(value, p.params.collateral_factor)
-    return power
+    return account_totals(world, account, step).borrowing_power
 
 
 def seize_split(applied: int, price_repay: int, price_seize: int, bonus: int, held: int) -> tuple[int, int]:

@@ -282,13 +282,10 @@ class Pool:
             raise errors.InsufficientLiquidity(
                 f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}"
             )
-        power = liquidation.borrowing_power(world, account, step)
-        debt_value = liquidation.account_totals(world, account, step).debt_value
-        new_value = world.oracle.value_usd(amount, self.params.asset, step)
-        if debt_value + new_value > power:
-            raise errors.ExceedsBorrowingPower(
-                f"{account}: debt value {debt_value + new_value} > power {power}"
-            )
+        totals = liquidation.account_totals(world, account, step)
+        debt_value = totals.debt_value + world.oracle.value_usd(amount, self.params.asset, step)
+        if debt_value > totals.borrowing_power:
+            raise errors.ExceedsBorrowingPower(f"{account}: debt value {debt_value} > power {totals.borrowing_power}")
         pos = self.positions.get(account)
         if pos is None:
             pos = BorrowPosition(account=account, rate_mode=mode)
