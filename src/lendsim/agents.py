@@ -177,9 +177,9 @@ class BaseAgent:
     def _spiral_limits(self) -> dict[str, int]:
         """The run_*_spiral keyword limits, read from the agent's params."""
         params = self.spec.params
-        min_action, buffer = params.get("min_action"), params.get("buffer")
+        min_action, buffer, cap = params.get("min_action"), params.get("buffer"), params.get("iteration_cap")
         return {
-            "iteration_cap": int(params.get("iteration_cap", DEFAULT_ITERATION_CAP)),
+            "iteration_cap": DEFAULT_ITERATION_CAP if cap is None else int(cap),
             "min_action": DEFAULT_MIN_ACTION if min_action is None else from_str(str(min_action)),
             "buffer": 0 if buffer is None else from_str(str(buffer)),
         }

@@ -22,17 +22,14 @@ EXIT_IO = 3
 def _load_and_validate(path: str):
     try:
         sc = load_scenario(path)
+        warnings = validate_scenario(sc)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from exc
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION) from exc
-    try:
-        warnings = validate_scenario(sc)
-    except ValidationError as exc:
-        for problem in exc.problems:
-            print(f"validation error: {problem}", file=sys.stderr)
+    except (ParseError, ValidationError) as exc:
+        # both collect field problems; a document that cannot be read at all has none
+        for line in [f"validation error: {problem}" for problem in exc.problems] or [f"parse error: {exc}"]:
+            print(line, file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION) from exc
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -47,6 +44,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     sc = _load_and_validate(args.scenario)
+    if args.steps is not None and args.steps < 1:
+        print(f"validation error: --steps {args.steps} must be >= 1", file=sys.stderr)
+        return EXIT_VALIDATION
     engine = SimulationEngine(sc, seed=args.seed, horizon=args.steps, verbosity=args.verbosity)
     try:
         summary = engine.run(out_dir=args.out)
@@ -63,7 +63,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     sc = _load_and_validate(args.scenario)
-    if args.step >= sc.horizon:
+    if not 0 <= args.step < sc.horizon:
         print(f"validation error: step {args.step} outside horizon {sc.horizon}", file=sys.stderr)
         return EXIT_VALIDATION
     engine = SimulationEngine(sc)

@@ -14,11 +14,12 @@ IOU supply and conservation holds from the genesis journal onwards.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from . import oracle as oracle_mod
-from .cdp import CdpEngine, constant_fee, proportional_fee
+from .cdp import CdpEngine, FeePolicy, constant_fee, proportional_fee
 from .fixed import AmountError, WAD, from_str
 from .ledger import GENESIS_AUTHORITY, Ledger
 from .oracle import PriceOracle, WalkParams
@@ -28,11 +29,19 @@ from .world import FEE_SINK_ACCOUNT, GasConfig, RewardConfig, SCANNER_ACCOUNT, W
 
 SCHEMA_VERSION = 1
 
+# bound on |drift| and volatility, per-step log rates of a walk feed: one
+# step's factor exp(drift + volatility * z) then stays far inside float range
+MAX_WALK_RATE = 1
+
 AGENT_KINDS = ("depositor", "borrow_spiral", "leverage_spiral", "liquidator", "arbitrageur")
 
 
 class ParseError(Exception):
-    pass
+    """An unreadable document, or the field problems collected while reading one."""
+
+    def __init__(self, message: str, problems: list[str] | None = None):
+        super().__init__(message)
+        self.problems = problems or []
 
 
 class ValidationError(Exception):
@@ -62,7 +71,7 @@ class CdpSpec:
     issuance_fraction: dict[str, int]
     stability_fee: int
     liquidation_penalty: int
-    fee_policy: dict[str, Any] | None = None
+    fee_policy: FeePolicy | None = None
 
 
 @dataclass
@@ -109,12 +118,23 @@ def _amt(raw: Any, where: str, problems: list[str]) -> int:
 
 
 def _num(raw: Any, cast: type, where: str, problems: list[str]):
-    """An int or float field; a malformed one is a problem and reads as 0."""
+    """A finite int or float field; anything else is a problem and reads as 0."""
     try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        problems.append(f"{where}: expected {cast.__name__}, got {raw!r}")
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (cast is float and not math.isfinite(value)):
+        problems.append(f"{where}: expected a finite {cast.__name__}, got {raw!r}")
         return cast(0)
+    return value
+
+
+def _str(raw: Any, where: str, problems: list[str]) -> str:
+    """A JSON string field; anything else is a problem and reads as ""."""
+    if isinstance(raw, str):
+        return raw
+    problems.append(f"{where}: expected a string, got {type(raw).__name__}")
+    return ""
 
 
 def _obj(raw: Any, where: str, problems: list[str]) -> dict:
@@ -146,7 +166,7 @@ def _int_pair(raw: Any, where: str, problems: list[str]) -> tuple[int, int]:
     try:
         first, second = raw
         return int(first), int(second)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         problems.append(f"{where}: expected a pair of integers, got {raw!r}")
         return 0, 0
 
@@ -154,6 +174,25 @@ def _int_pair(raw: Any, where: str, problems: list[str]) -> tuple[int, int]:
 def _amounts(raw: Any, where: str, problems: list[str]) -> dict[str, int]:
     """A JSON object of decimal-string amounts keyed by symbol."""
     return {key: _amt(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()}
+
+
+def _fee_policy(raw: Any, problems: list[str]) -> FeePolicy | None:
+    """cdp.fee_policy: null, {"kind": "constant", "fee"} or {"kind": "proportional", "base", "gain"}."""
+    if raw is None:
+        return None
+    doc = _obj(raw, "cdp.fee_policy", problems)
+    kind = doc.get("kind")
+    if kind == "constant":
+        fee = _amt(doc.get("fee", "0"), "cdp.fee_policy.fee", problems)
+        if fee < 0:
+            problems.append("cdp.fee_policy.fee: must be >= 0")
+        return constant_fee(fee)
+    if kind == "proportional":
+        base = _amt(doc.get("base", "0"), "cdp.fee_policy.base", problems)
+        return proportional_fee(base, _amt(doc.get("gain", "0"), "cdp.fee_policy.gain", problems))
+    if isinstance(raw, dict):
+        problems.append(f"cdp.fee_policy.kind: unknown fee policy kind {kind!r}")
+    return None
 
 
 def load_scenario(path: str) -> Scenario:
@@ -172,7 +211,7 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
 
-    assets = _list(doc.get("assets", []), "assets", problems)
+    assets = [_str(a, f"assets[{i}]", problems) for i, a in enumerate(_list(doc.get("assets", []), "assets", problems))]
     horizon = _num(doc.get("horizon", 1), int, "horizon", problems)
     seed = _num(doc.get("seed", 0), int, "seed", problems)
 
@@ -189,9 +228,9 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
             reserve_factor=_amt(model.get("reserve_factor", "0"), f"{where}.rate_model.reserve_factor", problems),
         )
         params = PoolParams(
-            asset=p.get("asset", ""),
-            iou_asset=p.get("iou_symbol", ""),
-            iou_mode=p.get("iou_mode", EXCHANGE_RATE),
+            asset=_str(p.get("asset", ""), f"{where}.asset", problems),
+            iou_asset=_str(p.get("iou_symbol", ""), f"{where}.iou_symbol", problems),
+            iou_mode=_str(p.get("iou_mode", EXCHANGE_RATE), f"{where}.iou_mode", problems),
             collateral_factor=_amt(p.get("collateral_factor", "0"), f"{where}.collateral_factor", problems),
             liquidation_threshold=_amt(p.get("liquidation_threshold", "0"), f"{where}.liquidation_threshold", problems),
             liquidation_bonus=_amt(p.get("liquidation_bonus", "0"), f"{where}.liquidation_bonus", problems),
@@ -206,13 +245,13 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     for i, v in enumerate(_list(doc.get("venues", []), "venues", problems)):
         where = f"venues[{i}]"
         v = _obj(v, where, problems)
-        kind = v.get("kind", "quote")
+        kind = _str(v.get("kind", "quote"), f"{where}.kind", problems)
         if kind == "quote":
             venues.append(
                 VenueSpec(
                     kind="quote",
                     venue_id=str(v.get("id", f"venue{i}")),
-                    numeraire=v.get("numeraire", ""),
+                    numeraire=_str(v.get("numeraire", ""), f"{where}.numeraire", problems),
                     quotes=_amounts(v.get("quotes", {}), f"{where}.quotes", problems),
                     inventory=_amounts(v.get("inventory", {}), f"{where}.inventory", problems),
                     fee_bps=_num(v.get("fee_bps", 0), int, f"{where}.fee_bps", problems),
@@ -225,7 +264,7 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
                 VenueSpec(
                     kind="amm",
                     venue_id=str(v.get("id", f"venue{i}")),
-                    pair=(pair[0], pair[1]),
+                    pair=(_str(pair[0], f"{where}.pair[0]", problems), _str(pair[1], f"{where}.pair[1]", problems)),
                     reserves=(
                         _amt(reserves[0], f"{where}.reserves[0]", problems),
                         _amt(reserves[1], f"{where}.reserves[1]", problems),
@@ -237,12 +276,15 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
             problems.append(f"{where}.kind: unknown venue kind {kind!r}")
 
     feeds = _obj(doc.get("price_feeds", {}), "price_feeds", problems)
-    feed_mode = feeds.get("mode", "replay")
+    feed_mode = _str(feeds.get("mode", "replay"), "price_feeds.mode", problems)
     feed_series: dict[str, list[tuple[int, int]]] = {}
     feed_walk: dict[str, Any] = {}
     if feed_mode == "replay":
         if "csv" in feeds:
-            feed_series = oracle_mod.load_feed_csv(feeds["csv"])
+            try:
+                feed_series = oracle_mod.load_feed_csv(_str(feeds["csv"], "price_feeds.csv", problems))
+            except (OSError, TypeError, ValueError) as exc:
+                problems.append(f"price_feeds.csv: {exc}")
         for asset, points in _obj(feeds.get("series", {}), "price_feeds.series", problems).items():
             where = f"price_feeds.series.{asset}"
             pairs = [_pair(point, where, problems) or [0, "0"] for point in _list(points, where, problems)]
@@ -261,11 +303,11 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     if "cdp" in doc:
         c = _obj(doc["cdp"], "cdp", problems)
         cdp_spec = CdpSpec(
-            dai_asset=c.get("dai_symbol", "DAI"),
+            dai_asset=_str(c.get("dai_symbol", "DAI"), "cdp.dai_symbol", problems),
             issuance_fraction=_amounts(c.get("issuance_fractions", {}), "cdp.issuance_fractions", problems),
             stability_fee=_amt(c.get("stability_fee", "0"), "cdp.stability_fee", problems),
             liquidation_penalty=_amt(c.get("liquidation_penalty", "0.13"), "cdp.liquidation_penalty", problems),
-            fee_policy=c.get("fee_policy"),
+            fee_policy=_fee_policy(c.get("fee_policy"), problems),
         )
 
     agents = []
@@ -275,7 +317,7 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
         agents.append(
             AgentSpec(
                 agent_id=str(a.get("id", f"agent{i}")),
-                kind=a.get("kind", ""),
+                kind=_str(a.get("kind", ""), f"{where}.kind", problems),
                 endowment=_amounts(a.get("endowment", {}), f"{where}.endowment", problems),
                 params=dict(_obj(a.get("params", {}), f"{where}.params", problems)),
                 window=_int_pair(a.get("window", (0, horizon)), f"{where}.window", problems),
@@ -290,12 +332,12 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
 
     gas_doc = _obj(doc.get("gas", {}), "gas", problems)
     gas = GasConfig(
-        asset=gas_doc.get("asset"),
+        asset=None if gas_doc.get("asset") is None else _str(gas_doc["asset"], "gas.asset", problems),
         fee=_amt(gas_doc.get("fee", "0"), "gas.fee", problems) if gas_doc else 0,
     )
 
     if problems:
-        raise ParseError(f"{base_path}: " + "; ".join(problems))
+        raise ParseError(f"{base_path}: " + "; ".join(problems), problems)
 
     return Scenario(
         assets=assets,
@@ -369,9 +411,11 @@ def validate_scenario(sc: Scenario) -> list[str]:
                 referenced.add(asset)
                 if price <= 0:
                     problems.append(f"{where}.quotes.{asset}: price must be > 0")
-            for asset in v.inventory:
+            for asset, amount in v.inventory.items():
                 if asset not in assets:
                     problems.append(f"{where}.inventory: undefined asset {asset!r}")
+                if amount < 0:
+                    problems.append(f"{where}.inventory.{asset}: must be >= 0")
         else:
             for asset in v.pair:
                 if asset not in assets:
@@ -405,6 +449,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
     for asset, points in sc.feed_series.items():
         if asset not in assets:
             problems.append(f"price_feeds.series: undefined asset {asset!r}")
+        if not points or points[0][0] != 0:
+            problems.append(f"price_feeds.series.{asset}: must start with a point at step 0")
         last = -1
         for step, price in points:
             if step <= last:
@@ -414,6 +460,16 @@ def validate_scenario(sc: Scenario) -> list[str]:
             if price <= 0:
                 problems.append(f"price_feeds.series.{asset}: price at step {step} must be > 0")
                 break
+
+    for asset, price in sc.feed_walk.get("initial", {}).items():
+        if asset not in assets:
+            problems.append(f"price_feeds.initial: undefined asset {asset!r}")
+        if price <= 0:
+            problems.append(f"price_feeds.initial.{asset}: price must be > 0")
+    if sc.feed_walk and abs(sc.feed_walk["drift"]) > MAX_WALK_RATE:
+        problems.append(f"price_feeds.drift: must lie in [-{MAX_WALK_RATE}, {MAX_WALK_RATE}]")
+    if sc.feed_walk and not 0 <= sc.feed_walk["volatility"] <= MAX_WALK_RATE:
+        problems.append(f"price_feeds.volatility: must lie in [0, {MAX_WALK_RATE}]")
 
     reserved = {FEE_SINK_ACCOUNT, SCANNER_ACCOUNT, "vault-engine"}
     seen_agents = set()
@@ -426,9 +482,11 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if a.agent_id in seen_agents:
             problems.append(f"{where}.id: duplicate agent id {a.agent_id!r}")
         seen_agents.add(a.agent_id)
-        for asset in a.endowment:
+        for asset, amount in a.endowment.items():
             if asset not in assets:
                 problems.append(f"{where}.endowment: undefined asset {asset!r}")
+            if amount < 0:
+                problems.append(f"{where}.endowment.{asset}: must be >= 0")
         if a.window[0] < 0 or a.window[1] < a.window[0]:
             problems.append(f"{where}.window: must satisfy 0 <= start <= end")
         eps = a.params.get("min_action")
@@ -440,14 +498,16 @@ def validate_scenario(sc: Scenario) -> list[str]:
         cap = a.params.get("iteration_cap")
         if cap is not None and _num(cap, int, f"{where}.params.iteration_cap", problems) < 0:
             problems.append(f"{where}.params.iteration_cap: must be >= 0")
+        # names are looked up only as strings: a list or object param is unhashable
+        named = {key: value for key, value in a.params.items() if isinstance(value, str)}
         if a.kind in ("depositor", "borrow_spiral"):
-            if a.params.get("pool") not in pool_assets:
+            if named.get("pool") not in pool_assets:
                 problems.append(f"{where}.params.pool: no pool for {a.params.get('pool')!r}")
         elif a.kind == "leverage_spiral":
             for key in ("collateral", "borrow"):
-                if a.params.get(key) not in pool_assets:
+                if named.get(key) not in pool_assets:
                     problems.append(f"{where}.params.{key}: no pool for {a.params.get(key)!r}")
-            if a.params.get("venue") not in venue_ids:
+            if named.get("venue") not in venue_ids:
                 problems.append(f"{where}.params.venue: unknown venue {a.params.get('venue')!r}")
 
     if not 0 <= sc.rewards.supply_split <= WAD:
@@ -456,6 +516,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append("rewards.emission_per_pool: must be >= 0")
     if sc.gas.asset is not None and sc.gas.asset not in assets:
         problems.append(f"gas.asset: undefined asset {sc.gas.asset!r}")
+    if sc.gas.fee < 0:
+        problems.append("gas.fee: must be >= 0")
     if sc.horizon < 1:
         problems.append("horizon: must be >= 1")
 
@@ -517,22 +579,12 @@ def build_world(sc: Scenario, seed_override: int | None = None) -> World:
 
     engine = None
     if sc.cdp is not None:
-        policy = None
-        policy_doc = sc.cdp.fee_policy
-        if policy_doc:
-            if policy_doc.get("kind") == "proportional":
-                policy = proportional_fee(
-                    base=from_str(str(policy_doc.get("base", "0"))),
-                    gain=from_str(str(policy_doc.get("gain", "0"))),
-                )
-            elif policy_doc.get("kind") == "constant":
-                policy = constant_fee(from_str(str(policy_doc.get("fee", "0"))))
         engine = CdpEngine(
             dai_asset=sc.cdp.dai_asset,
             issuance_fraction=sc.cdp.issuance_fraction,
             stability_fee=sc.cdp.stability_fee,
             liquidation_penalty=sc.cdp.liquidation_penalty,
-            fee_policy=policy,
+            fee_policy=sc.cdp.fee_policy,
         )
 
     world = World(lg, price_oracle, pools, venues, cdp=engine, gas=sc.gas)

@@ -68,6 +68,53 @@ def test_validate_collects_malformed_field(field, tmp_path, capsys):
     assert any(where + ":" in line for line in reported), err
 
 
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+
+    return edit
+
+
+# inputs `lendsim validate` used to accept (or crash on) that crashed `lendsim run`:
+# name -> (edit of table1.json, extra `run` arguments)
+REJECTED = {
+    "walk_initial_zero": (_set("price_feeds", "initial", "WETH", "0"), []),
+    "walk_initial_negative": (_set("price_feeds", "initial", "WETH", "-1"), []),
+    "drift_nan": (_set("price_feeds", "drift", "nan"), []),
+    "volatility_inf": (_set("price_feeds", "volatility", "inf"), []),
+    "endowment_negative": (_set("agents", 0, "endowment", "WETH", "-1"), []),
+    "inventory_negative": (_set("venues", 1, "inventory", "WBTC", "-1"), []),
+    "gas_fee_negative": (_set("gas", {"asset": "DAI", "fee": "-1"}), []),
+    "fee_policy_bad_decimal": (_set("cdp", "fee_policy", {"kind": "constant", "fee": "1.2.3"}), []),
+    "fee_policy_not_object": (_set("cdp", "fee_policy", "constant"), []),
+    "fee_policy_unknown_kind": (_set("cdp", "fee_policy", {"kind": "pid", "fee": "0.1"}), []),
+    "agent_param_list": (_set("agents", 0, "params", "pool", []), []),
+    "steps_zero": (lambda doc: None, ["--steps", "0"]),
+    "steps_negative": (lambda doc: None, ["--steps", "-3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_bad_input_is_a_validation_error_for_validate_and_run(name, tmp_path, capsys):
+    edit, run_args = REJECTED[name]
+    doc = json.loads((SCENARIOS / "table1.json").read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    commands = [["run", "--scenario", str(path), "--out", str(tmp_path / "out"), *run_args]]
+    if not run_args:
+        commands.append(["validate", "--scenario", str(path)])
+    for argv in commands:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert any(line.startswith("validation error: ") for line in err.splitlines()), err
+
+
 def test_run_writes_output_contract(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--scenario", str(SCENARIOS / "table1.json"), "--out", str(out)]) == 0
@@ -129,3 +176,8 @@ def test_scan_healthy_step_is_empty(capsys):
 
 def test_scan_step_outside_horizon_rejected():
     assert main(["scan", "--scenario", str(SCENARIOS / "crash_flash2.json"), "--step", "99"]) == 1
+
+
+def test_scan_negative_step_rejected(capsys):
+    assert main(["scan", "--scenario", str(SCENARIOS / "crash_flash2.json"), "--step", "-1"]) == 1
+    assert "validation error: step -1 outside horizon" in capsys.readouterr().err
