@@ -218,6 +218,19 @@ class CdpEngine:
         )
         return seized
 
+    def audit(self, world) -> None:
+        """Per-step identity: per asset, the vault engine's ledger holdings equal the vaults' collateral."""
+        locked: dict[str, int] = {}
+        for vault in self.vaults.values():
+            for asset, amount in vault.collateral.items():
+                locked[asset] = locked.get(asset, 0) + amount
+        for asset in world.ledger.assets():
+            held = world.ledger.balance(VAULT_ENGINE_ACCOUNT, asset)
+            if held != locked.get(asset, 0):
+                raise errors.InvariantViolation(
+                    f"vault engine holds {held} {asset}, vault collateral sums to {locked.get(asset, 0)}"
+                )
+
     # ------------------------------------------------------------------
     def telemetry_rows(self, world, step: int) -> list[str]:
         rows = []

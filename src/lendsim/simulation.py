@@ -5,7 +5,8 @@ pools and the vault fee index, (3) distribute governance-token rewards,
 (4) agents act in an order shuffled by a seed derived from (master seed, t),
 (5) flush telemetry. Agent failures become events, never aborts. Before the
 telemetry flush, World.audit checks that no ledger checkpoint outlived the
-step; the full conservation audit runs at the end of the run.
+step and that the vault engine's ledger holdings equal the vaults' recorded
+collateral, per asset; the full conservation audit runs at the end of the run.
 
 Outputs per run directory: pools.csv, vaults.csv, events.jsonl, rewards.csv
 and summary.json (initial/final value locked per pool, liquidation count,

@@ -105,6 +105,8 @@ class World:
     # ------------------------------------------------------------------
     def audit(self) -> None:
         self.ledger.audit()
+        if self.cdp is not None:
+            self.cdp.audit(self)
 
     def charge_gas(self, account: str) -> int:
         if self.gas.asset is None or self.gas.fee == 0:

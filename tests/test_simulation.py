@@ -158,6 +158,21 @@ def test_checkpoint_left_open_fails_the_step_audit():
         engine.step(1)
 
 
+def test_vault_collateral_mismatch_fails_the_step_audit():
+    doc = empty_doc(horizon=3)
+    doc["cdp"] = {"dai_symbol": "DAI", "issuance_fractions": {"ETH": "0.66"},
+                  "stability_fee": "0", "liquidation_penalty": "0.13"}
+    engine = engine_for(doc)
+    w = engine.world
+    user(w, "owner", ETH=wad(10))
+    vid = w.cdp.open_vault("owner")
+    w.cdp.lock(w, vid, "ETH", wad(10))
+    engine.step(0)
+    w.cdp.vault(vid).collateral["ETH"] += 1  # the vault records collateral the engine never received
+    with pytest.raises(errors.InvariantViolation, match=f"holds {wad(10)} ETH, vault collateral sums to {wad(10) + 1}"):
+        engine.step(1)
+
+
 # ---------------------------------------------------------------------------
 # reward distribution
 # ---------------------------------------------------------------------------
