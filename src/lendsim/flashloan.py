@@ -9,8 +9,10 @@ either way, so a reverted plan's only surviving mutation is the gas record.
 Scanners look for two plan shapes: two-venue price-gap arbitrage (sized in
 closed form on quote venues, by ternary search on the unimodal profit curve
 when an AMM leg is involved) and liquidation of unhealthy accounts or unsafe
-vaults (profit measured exactly by running the candidate plan on a scratch
-checkpoint and rolling back).
+vaults. A liquidation candidate is sized from the account's one health report
+(or the vault's collateral), and every candidate goes through one plan
+builder: liquidate, swap the seized asset back if it differs, and measure the
+profit exactly by running the plan on a scratch checkpoint and rolling back.
 """
 
 from __future__ import annotations
