@@ -28,8 +28,8 @@ def _load_and_validate(path: str):
         raise SystemExit(EXIT_IO) from exc
     except (ParseError, ValidationError) as exc:
         # both collect field problems; a document that cannot be read at all has none
-        for line in [f"validation error: {problem}" for problem in exc.problems] or [f"parse error: {exc}"]:
-            print(line, file=sys.stderr)
+        lines = [f"validation error: {problem}" for problem in exc.problems] or [f"parse error: {exc}"]
+        print("\n".join(lines), file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION) from exc
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
