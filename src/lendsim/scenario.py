@@ -358,6 +358,11 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+def _names(value: Any, names: set[str]) -> bool:
+    """Whether a param names a member of `names`; only a string can (a list is unhashable)."""
+    return isinstance(value, str) and value in names
+
+
 def validate_scenario(sc: Scenario) -> list[str]:
     """Return warnings; raise ValidationError with every hard violation."""
     problems: list[str] = []
@@ -498,16 +503,14 @@ def validate_scenario(sc: Scenario) -> list[str]:
         cap = a.params.get("iteration_cap")
         if cap is not None and _num(cap, int, f"{where}.params.iteration_cap", problems) < 0:
             problems.append(f"{where}.params.iteration_cap: must be >= 0")
-        # names are looked up only as strings: a list or object param is unhashable
-        named = {key: value for key, value in a.params.items() if isinstance(value, str)}
         if a.kind in ("depositor", "borrow_spiral"):
-            if named.get("pool") not in pool_assets:
+            if not _names(a.params.get("pool"), pool_assets):
                 problems.append(f"{where}.params.pool: no pool for {a.params.get('pool')!r}")
         elif a.kind == "leverage_spiral":
             for key in ("collateral", "borrow"):
-                if named.get(key) not in pool_assets:
+                if not _names(a.params.get(key), pool_assets):
                     problems.append(f"{where}.params.{key}: no pool for {a.params.get(key)!r}")
-            if named.get("venue") not in venue_ids:
+            if not _names(a.params.get("venue"), venue_ids):
                 problems.append(f"{where}.params.venue: unknown venue {a.params.get('venue')!r}")
 
     if not 0 <= sc.rewards.supply_split <= WAD:
