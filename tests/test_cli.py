@@ -79,7 +79,7 @@ def _set(*path_and_value):
     return edit
 
 
-# inputs `lendsim validate` used to accept (or crash on) that crashed `lendsim run`:
+# inputs that must be rejected before a run starts, never crash one:
 # name -> (edit of table1.json, extra `run` arguments)
 REJECTED = {
     "walk_initial_zero": (_set("price_feeds", "initial", "WETH", "0"), []),
