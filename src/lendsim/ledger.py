@@ -10,7 +10,10 @@ negative balances.
 Checkpoints are strictly LIFO. A checkpoint snapshots balances and records the
 journal position; rollback restores the snapshot and truncates the journal, so
 a reverted transaction leaves no trace beyond whatever the caller appends
-afterwards (e.g. the gas-fee record of a failed flash loan).
+afterwards (e.g. the gas-fee record of a failed flash loan). Each asset also
+counts its writes; rollback leaves the count alone, so an unchanged count
+proves the asset's balances unchanged and a cache of something derived from
+them (the supply-side reward shares) stays valid.
 
 Mint/burn authority is a static per-asset whitelist fixed at world
 construction; the "genesis" authority funds initial endowments.
@@ -59,6 +62,8 @@ class Ledger:
         self._balances: dict[str, dict[str, int]] = {}  # asset -> account -> raw
         self._mint_auth: dict[str, frozenset[str]] = {}
         self._minted: dict[str, int] = {}  # net minted per asset
+        # writes per asset; never rolled back, so a reverted write still counts
+        self._writes: dict[str, int] = {}
         self.journal: list[JournalRecord] = []
         # open checkpoints: (id, journal_len, balances, minted)
         self._checkpoints: list[tuple[int, int, dict, dict]] = []
@@ -85,6 +90,7 @@ class Ledger:
         self._balances[symbol] = {}
         self._mint_auth[symbol] = frozenset(mint_authorities) | {GENESIS_AUTHORITY}
         self._minted[symbol] = 0
+        self._writes[symbol] = 0
         return symbol
 
     def has_account(self, account: str) -> bool:
@@ -120,6 +126,17 @@ class Ledger:
         except KeyError:
             raise errors.UnknownAsset(asset) from None
 
+    def writes(self, asset: str) -> int:
+        """Transfers, mints and burns of an asset so far, rolled-back ones included.
+
+        Equal counts at two points mean the asset's balances did not change
+        between them.
+        """
+        try:
+            return self._writes[asset]
+        except KeyError:
+            raise errors.UnknownAsset(asset) from None
+
     def holders(self, asset: str) -> list[tuple[str, int]]:
         """(account, balance) pairs with positive balance, sorted by account."""
         return sorted(self.iter_holders(asset))
@@ -147,6 +164,7 @@ class Ledger:
 
     def _record(self, op: str, frm: str | None, to: str | None, asset: str, amount: int, tag: str) -> None:
         self.journal.append(JournalRecord(len(self.journal), op, frm, to, asset, amount, tag))
+        self._writes[asset] += 1
 
     def transfer(self, frm: str, to: str, asset: str, amount: int, tag: str = "transfer") -> None:
         require_amount(amount)

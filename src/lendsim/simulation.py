@@ -3,10 +3,14 @@
 Each step runs a fixed phase order: (1) advance price feeds, (2) accrue all
 pools and the vault fee index, (3) distribute governance-token rewards,
 (4) agents act in an order shuffled by a seed derived from (master seed, t),
-(5) flush telemetry. Agent failures become events, never aborts. Before the
-telemetry flush, World.audit checks that no ledger checkpoint outlived the
-step and that the vault engine's ledger holdings equal the vaults' recorded
-collateral, per asset; the full conservation audit runs at the end of the run.
+(5) flush telemetry. In (3) the borrow side is paid every step, since
+accrual moves every debt; the supply side, weighted by IOU balances, is paid
+as a stream that recomputes its shares only after a ledger write of the IOU
+and is multiplied out (steps owed x share) when the reward totals are read.
+Agent failures become events, never aborts. Before the telemetry flush,
+World.audit checks that no ledger checkpoint outlived the step and that the
+vault engine's ledger holdings equal the vaults' recorded collateral, per
+asset; the full conservation audit runs at the end of the run.
 
 Outputs per run directory: pools.csv, vaults.csv, events.jsonl, rewards.csv
 and summary.json (initial/final value locked per pool, liquidation count,
@@ -28,7 +32,7 @@ from .fixed import mul_down, to_str
 from .oracle import derive_seed
 from .pool import TELEMETRY_HEADER
 from .scenario import Scenario, build_world
-from .world import RewardLedger, World
+from .world import World
 
 REWARD_DUST_ACCOUNT = "reward-dust"
 
@@ -53,18 +57,6 @@ def net_worth_usd(world: World, account: str, step: int) -> int:
                 total += world.cdp.collateral_value(world, vault, step)
                 total -= world.oracle.value_usd(world.cdp.debt_of(vault), world.cdp.dai_asset, step)
     return total
-
-
-def _pay_pro_rata(rewards: RewardLedger, tranche: int, weights: list[tuple[str, int]]) -> None:
-    """Split a tranche by weight, each share rounded down; the rest is dust."""
-    total = sum(w for _, w in weights)
-    paid = 0
-    if total:
-        for account, weight in weights:
-            share = tranche * weight // total
-            rewards.add(account, share)
-            paid += share
-    rewards.add_dust(tranche - paid)
 
 
 class SimulationEngine:
@@ -137,15 +129,14 @@ class SimulationEngine:
         emission = self.scenario.rewards.emission_per_pool
         if emission == 0:
             return
-        split = self.scenario.rewards.supply_split
+        supply_tranche = mul_down(emission, self.scenario.rewards.supply_split)
         world = self.world
         rewards = world.rewards
         for sym in self._pool_order:
             p = world.pools[sym]
-            supply_tranche = mul_down(emission, split)
-            # share values are order-independent, so unsorted iteration is fine
-            _pay_pro_rata(rewards, supply_tranche, list(world.ledger.iter_holders(p.params.iou_asset)))
-            _pay_pro_rata(rewards, emission - supply_tranche, [(a, p.debt_of(a)) for a in p.positions])
+            rewards.pay_holders(world.ledger, p.params.iou_asset, supply_tranche)
+            # accrual moves every debt each step, so the borrow side is paid eagerly
+            rewards.pay(emission - supply_tranche, [(a, p.debt_of(a)) for a in p.positions])
 
     # ------------------------------------------------------------------
     def run(self, out_dir: str | Path | None = None) -> dict:

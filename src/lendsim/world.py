@@ -6,12 +6,19 @@ protocol-module state, so a rolled-back transaction leaves the world
 bit-identical to before — the mechanism behind atomic flash loans and the
 scanner's scratch simulations. Holders of pool/vault references must re-fetch
 them after a rollback.
+
+Checkpoints do not cover the reward ledger. Rewards are paid only in phase
+(3) of a step, before any agent acts, and no checkpoint is open then: every
+checkpoint is opened and closed within the agent phase, which Ledger.audit
+checks at the end of each step. Leaving it out also spares each checkpoint a
+copy of the cached supply-side shares, one per IOU holder.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .cdp import CdpEngine
 from .ledger import Ledger
@@ -34,21 +41,99 @@ class RewardConfig:
     supply_split: int = 0  # sigma: fraction of emission to the supply side
 
 
+def _pro_rata(tranche: int, weights: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], int]:
+    """Split a tranche by weight, each share rounded down: (nonzero shares, dust)."""
+    weights = list(weights)
+    total = sum(w for _, w in weights)
+    if not total:
+        return [], tranche
+    shares = []
+    paid = 0
+    for account, weight in weights:
+        share = tranche * weight // total
+        if share:
+            shares.append((account, share))
+            paid += share
+    return shares, tranche - paid
+
+
 @dataclass
+class _Stream:
+    """One pool's supply-side payout: per-step shares and the steps owed."""
+
+    writes: int  # Ledger.writes of the IOU when the shares were computed
+    shares: list[tuple[str, int]]
+    dust: int
+    owed: int = 0  # steps paid but not yet added to the totals
+
+
 class RewardLedger:
-    """Governance-token accrual, tracked outside the asset ledger."""
+    """Governance-token accrual, tracked outside the asset ledger.
 
-    accrued: dict[str, int] = field(default_factory=dict)
-    dust: int = 0
-    distributed: int = 0
+    The supply side of a pool is paid as a stream. Its weights are IOU
+    balances, which change only through ledger writes of that IOU, so while
+    the IOU's write count stands still every step pays the same rounded-down
+    shares: a step only counts itself, and k owed steps are later added as
+    k x share and k x dust, which is exactly what k payments add. Reading
+    `accrued`, `dust` or `distributed` settles every stream first, so a
+    reader sees the exact per-step totals at any point.
+    """
 
-    def add(self, account: str, amount: int) -> None:
-        if amount:
-            self.accrued[account] = self.accrued.get(account, 0) + amount
-            self.distributed += amount
+    def __init__(self) -> None:
+        self._accrued: dict[str, int] = {}
+        self._dust = 0
+        self._distributed = 0
+        self._streams: dict[str, _Stream] = {}
 
-    def add_dust(self, amount: int) -> None:
-        self.dust += amount
+    @property
+    def accrued(self) -> dict[str, int]:
+        self._settle()
+        return self._accrued
+
+    @property
+    def dust(self) -> int:
+        self._settle()
+        return self._dust
+
+    @property
+    def distributed(self) -> int:
+        self._settle()
+        return self._distributed
+
+    def pay(self, tranche: int, weights: Iterable[tuple[str, int]]) -> None:
+        """Pay one step of a tranche pro rata to (account, weight) pairs."""
+        self._credit(*_pro_rata(tranche, weights), 1)
+
+    def pay_holders(self, ledger: Ledger, asset: str, tranche: int) -> None:
+        """Pay one step of a tranche pro rata to the holders of `asset`.
+
+        The holders are read only when the asset was written since the last
+        payment; otherwise the step is added to the stream's owed count. The
+        tranche of an asset is the same at every payment.
+        """
+        writes = ledger.writes(asset)
+        stream = self._streams.get(asset)
+        if stream is None or stream.writes != writes:
+            if stream is not None:
+                self._settle_stream(stream)
+            stream = _Stream(writes, *_pro_rata(tranche, ledger.iter_holders(asset)))
+            self._streams[asset] = stream
+        stream.owed += 1
+
+    def _credit(self, shares: list[tuple[str, int]], dust: int, steps: int) -> None:
+        for account, share in shares:
+            self._accrued[account] = self._accrued.get(account, 0) + share * steps
+            self._distributed += share * steps
+        self._dust += dust * steps
+
+    def _settle_stream(self, stream: _Stream) -> None:
+        if stream.owed:
+            self._credit(stream.shares, stream.dust, stream.owed)
+            stream.owed = 0
+
+    def _settle(self) -> None:
+        for stream in self._streams.values():
+            self._settle_stream(stream)
 
 
 @dataclass
@@ -56,7 +141,6 @@ class WorldCheckpoint:
     ledger_cp: int
     pools: dict[str, Pool]
     cdp: CdpEngine | None
-    rewards: RewardLedger
     events_len: int
 
 
@@ -88,7 +172,6 @@ class World:
             ledger_cp=self.ledger.checkpoint(),
             pools=copy.deepcopy(self.pools),
             cdp=copy.deepcopy(self.cdp),
-            rewards=copy.deepcopy(self.rewards),
             events_len=len(self.events),
         )
 
@@ -96,7 +179,6 @@ class World:
         self.ledger.rollback(cp.ledger_cp)  # raises on LIFO violation first
         self.pools = cp.pools
         self.cdp = cp.cdp
-        self.rewards = cp.rewards
         del self.events[cp.events_len :]
 
     def commit(self, cp: WorldCheckpoint) -> None:

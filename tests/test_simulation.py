@@ -5,12 +5,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lendsim import errors, liquidation
 from lendsim.agents import run_borrow_spiral, run_leverage_spiral
-from lendsim.fixed import WAD, from_str, wad
+from lendsim.fixed import WAD, from_str, mul_down, wad
 from lendsim.simulation import SimulationEngine
 from lendsim.scenario import parse_scenario, validate_scenario
+from lendsim.world import RewardLedger
 
 from conftest import build, make_doc, pool_doc, user
 
@@ -242,6 +245,78 @@ def test_reward_conservation_over_run(tmp_path):
     assert total == wad(7) * 2 * 40  # emission * pools * steps
     lines = (tmp_path / "rewards.csv").read_text().splitlines()
     assert lines[0] == "account,accrued"
+
+
+# (kind, user, other user, pool, amount in tenths of a token)
+reward_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["deposit", "redeem", "borrow", "transfer", "reverted", "step", "read"]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.sampled_from(["COL", "GLD"]),
+        st.integers(1, 400),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@given(reward_ops)
+@settings(max_examples=100, deadline=None)
+def test_reward_streams_match_eager_payment_at_every_read(ops):
+    # the supply side is paid as a stream, settled on read; an eager ledger
+    # paying both sides every step must agree with it whenever it is read
+    rated = {"slope1": "0.002", "slope2": "0.02"}
+    doc = make_doc(
+        assets=["COL", "GLD"],
+        pools=[pool_doc("COL", "cCOL", initial_cash="1000", rate_model=rated),
+               pool_doc("GLD", "aGLD", "rebasing", initial_cash="1000", rate_model=rated)],
+        prices={"COL": [[0, "1"]], "GLD": [[0, "1"]]},
+        rewards={"emission_per_pool": "7", "supply_split": "0.3"},
+        horizon=100,
+    )
+    engine = engine_for(doc)
+    w = engine.world
+    users = [user(w, f"u{i}", COL=wad(100), GLD=wad(100)) for i in range(3)]
+    emission = engine.scenario.rewards.emission_per_pool
+    supply_tranche = mul_down(emission, engine.scenario.rewards.supply_split)
+    reference = RewardLedger()
+    totals = ("accrued", "dust", "distributed")
+    t = 0
+    for kind, a, b, sym, tenths in ops:
+        amount = wad(tenths) // 10
+        p = w.pools[sym]
+        try:
+            if kind == "deposit":
+                p.deposit(w, users[a], amount)
+            elif kind == "redeem":
+                p.redeem(w, users[a], amount, t)
+            elif kind == "borrow":
+                p.borrow(w, users[a], amount, step=t)
+            elif kind == "transfer":
+                w.ledger.transfer(users[a], users[b], p.params.iou_asset, amount)
+            elif kind == "reverted":
+                # a scratch plan: the IOU is written, then the world rolls back
+                cp = w.checkpoint()
+                try:
+                    p.deposit(w, users[a], amount)
+                finally:
+                    w.rollback(cp)
+            elif kind == "step":
+                for pool_sym in sorted(w.pools):
+                    w.pools[pool_sym].accrue(w, 1)
+                for pool_sym in sorted(w.pools):
+                    pool = w.pools[pool_sym]
+                    reference.pay(supply_tranche, w.ledger.holders(pool.params.iou_asset))
+                    reference.pay(emission - supply_tranche, [(x, pool.debt_of(x)) for x in pool.positions])
+                engine.distribute_rewards(t)
+                t += 1
+            else:
+                # one total alone: reading it must settle what it reports
+                assert getattr(w.rewards, totals[a]) == getattr(reference, totals[a])
+        except errors.SimError:
+            pass
+    assert [getattr(w.rewards, name) for name in totals] == [getattr(reference, name) for name in totals]
 
 
 # ---------------------------------------------------------------------------
