@@ -85,21 +85,22 @@ class CdpEngine:
     def debt_of(self, vault: Vault) -> int:
         return mul_up(vault.debt_scaled, self.fee_index)
 
+    def _valuation(self, world, vault: Vault, step: int) -> tuple[int, int]:
+        """One walk over a vault's collateral: (USD value, issuance bound)."""
+        value = bound = 0
+        for asset, amt in vault.collateral.items():
+            if amt:
+                asset_value = world.oracle.value_usd(amt, asset, step)
+                value += asset_value
+                bound += mul_down(asset_value, self.issuance_fraction.get(asset, 0))
+        return value, bound
+
     def collateral_value(self, world, vault: Vault, step: int) -> int:
-        return sum(
-            world.oracle.value_usd(amt, asset, step)
-            for asset, amt in vault.collateral.items()
-            if amt
-        )
+        return self._valuation(world, vault, step)[0]
 
     def issuance_bound(self, world, vault: Vault, step: int) -> int:
         """Max debt (stablecoin units at the 1 USD target) the vault supports."""
-        bound = 0
-        for asset, amt in vault.collateral.items():
-            if amt:
-                value = world.oracle.value_usd(amt, asset, step)
-                bound += mul_down(value, self.issuance_fraction.get(asset, 0))
-        return bound
+        return self._valuation(world, vault, step)[1]
 
     def is_unsafe(self, world, vault: Vault, step: int) -> bool:
         return self.debt_of(vault) > self.issuance_bound(world, vault, step)
@@ -236,9 +237,8 @@ class CdpEngine:
         rows = []
         for vault_id in sorted(self.vaults):
             vault = self.vaults[vault_id]
-            value = self.collateral_value(world, vault, step)
+            value, bound = self._valuation(world, vault, step)
             debt = self.debt_of(vault)
-            bound = self.issuance_bound(world, vault, step)
             rows.append(
                 ",".join(
                     (
