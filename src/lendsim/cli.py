@@ -54,6 +54,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         print(json.dumps({"events": engine.world.events[-20:]}, default=str), file=sys.stderr)
         return EXIT_RUNTIME
+    except errors.WalkOverflow as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -75,6 +78,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         found += flashloan.scan_liquidations(engine.world, args.step)
     except errors.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except errors.WalkOverflow as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     for opp in found:
         print(json.dumps(opp.to_record(args.step), sort_keys=True))

@@ -4,7 +4,8 @@ SimError covers recoverable transaction failures: every guard that rejects an
 operation raises one of these *before* mutating state, so callers (and the
 agent harness, which logs them as events) can always continue. Invariant
 violations are a separate class because they mean the engine itself is broken
-and the run must abort.
+and the run must abort. A walk overflow aborts the run too: the scenario asked
+for a price path the float walk cannot represent.
 """
 
 
@@ -14,6 +15,10 @@ class SimError(Exception):
 
 class InvariantViolation(Exception):
     """Internal consistency check failed; the world is corrupt."""
+
+
+class WalkOverflow(Exception):
+    """A walk feed's price left the float range: the scenario cannot run that far."""
 
 
 # ledger

@@ -110,7 +110,12 @@ class PriceOracle:
         while len(path) <= step:
             z = rng.gauss(0.0, 1.0)
             factor = math.exp(self.walk.drift + self.walk.volatility * z)
-            path.append(max(1, int(path[-1] * factor)))
+            try:
+                path.append(max(1, int(path[-1] * factor)))
+            except OverflowError:
+                raise errors.WalkOverflow(
+                    f"walk price of {asset} leaves the float range at step {len(path)}"
+                ) from None
         return path
 
 

@@ -115,6 +115,21 @@ def test_bad_input_is_a_validation_error_for_validate_and_run(name, tmp_path, ca
         assert any(line.startswith("validation error: ") for line in err.splitlines()), err
 
 
+def test_walk_overflow_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):
+    # drift is inside its validated bound, but 900 steps of it leave the float range
+    doc = json.loads((SCENARIOS / "table1.json").read_text())
+    doc["price_feeds"]["drift"] = "0.9"
+    doc["horizon"] = 900
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["run", "--out", str(tmp_path / "out")], ["scan", "--step", "899"]):
+        assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "runtime error: walk price of WBTC leaves the float range at step 731\n", err
+
+
 def test_run_writes_output_contract(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--scenario", str(SCENARIOS / "table1.json"), "--out", str(out)]) == 0
