@@ -3,9 +3,12 @@
 Five agent kinds: plain depositors, borrow-spiral reward farmers (borrow,
 re-deposit, borrow again against the same pool), leverage-spiral traders
 (borrow stablecoin, swap into the collateral asset, re-deposit, borrow more),
-liquidators, and arbitrageurs. Spirals stop when the marginal borrow falls
-below the agent's minimum action size or the iteration cap is hit; protocol
-errors end a spiral gracefully and are reported, never raised.
+liquidators, and arbitrageurs. Both spirals run one loop, `_spiral`, whose
+conversion of a borrow into collateral is the identity for a borrow spiral and
+the venue's `convert` for a leverage spiral. Spirals stop when the marginal
+borrow (or what it converts into) falls below the agent's minimum action size
+or the iteration cap is hit; protocol errors end a spiral gracefully and are
+reported, never raised.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 from . import errors, flashloan, liquidation
 from .fixed import div_down, from_str, mul_down
 from .scenario import AgentSpec
-from .venues import AmmVenue, QuoteVenue
 from .world import World
 
 DEFAULT_MIN_ACTION = from_str("0.000001")
@@ -41,83 +43,29 @@ def _headroom(world: World, account: str, asset: str, step: int) -> int:
     return div_down(totals.borrowing_power - totals.debt_value, world.oracle.price_at(asset, step))
 
 
-def run_borrow_spiral(
-    world: World,
-    account: str,
-    asset: str,
-    amount: int,
-    step: int,
-    *,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
-    min_action: int = DEFAULT_MIN_ACTION,
-    buffer: int = 0,
-) -> SpiralReport:
-    """Deposit, then repeatedly borrow against the latest deposit and re-deposit."""
-    pool = world.pools[asset]
-    report = SpiralReport()
-    factor = max(pool.params.collateral_factor - buffer, 0)
-    try:
-        pool.deposit(world, account, amount)
-    except errors.SimError:
-        report.stopped_by = "error"
-        return report
-    report.total_deposited += amount
-    report.deposits.append(amount)
-    latest = amount
-    while report.iterations < iteration_cap:
-        want = min(mul_down(latest, factor), _headroom(world, account, asset, step))
-        if want < min_action:
-            report.stopped_by = "min-action"
-            break
-        try:
-            pool.borrow(world, account, want, step=step)
-            pool.deposit(world, account, want)
-        except errors.SimError:
-            report.stopped_by = "error"
-            break
-        report.iterations += 1
-        report.total_borrowed += want
-        report.total_deposited += want
-        report.borrows.append(want)
-        report.deposits.append(want)
-        latest = want
-    else:
-        report.stopped_by = "iteration-cap"
-    return report
-
-
-def _swap_to(world: World, account: str, venue_id: str, asset_in: str, asset_out: str, amount: int) -> int:
-    venue = world.venues[venue_id]
-    if isinstance(venue, AmmVenue):
-        return venue.swap(world, account, asset_in, amount)
-    if isinstance(venue, QuoteVenue):
-        if asset_out == venue.numeraire:
-            return venue.sell(world, account, asset_in, amount)
-        if asset_in == venue.numeraire:
-            # spend `amount` numeraire on as much asset_out as it buys
-            bought = venue.buy_amount_for(asset_out, amount)
-            if bought:
-                venue.buy(world, account, asset_out, bought)
-            return bought
-    raise errors.UnknownVenue(venue_id)
-
-
-def run_leverage_spiral(
+def _spiral(
     world: World,
     account: str,
     collateral_asset: str,
     borrow_asset: str,
-    venue_id: str,
     amount: int,
     step: int,
+    borrow_for,
+    convert,
     *,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
     min_action: int = DEFAULT_MIN_ACTION,
     buffer: int = 0,
 ) -> SpiralReport:
-    """Deposit collateral, then loop borrow -> swap -> re-deposit for leverage."""
-    coll_pool = world.pools[collateral_asset]
-    borrow_pool = world.pools[borrow_asset]
+    """Deposit, then loop borrow -> convert -> re-deposit.
+
+    `borrow_for(latest, factor)` sizes the next borrow from the latest deposit
+    and the buffered collateral factor (remaining headroom caps it too), and
+    `convert(borrowed)` turns the borrow into collateral to deposit. A borrow
+    is reported as soon as it lands.
+    """
+    coll_pool, borrow_pool = world.pools[collateral_asset], world.pools[borrow_asset]
+    factor = max(coll_pool.params.collateral_factor - buffer, 0)
     report = SpiralReport()
     try:
         coll_pool.deposit(world, account, amount)
@@ -126,37 +74,55 @@ def run_leverage_spiral(
         return report
     report.total_deposited += amount
     report.deposits.append(amount)
-    report.exposure = amount
-    factor = max(coll_pool.params.collateral_factor - buffer, 0)
-    latest_value = world.oracle.value_usd(amount, collateral_asset, step)
-    price_borrow = world.oracle.price_at(borrow_asset, step)
+    latest = amount
     while report.iterations < iteration_cap:
-        want = min(
-            div_down(mul_down(latest_value, factor), price_borrow),
-            _headroom(world, account, borrow_asset, step),
-        )
+        want = min(borrow_for(latest, factor), _headroom(world, account, borrow_asset, step))
         if want < min_action:
-            report.stopped_by = "min-action"
-            break
+            break  # stopped_by keeps its "min-action" default
         try:
             borrow_pool.borrow(world, account, want, step=step)
-            acquired = _swap_to(world, account, venue_id, borrow_asset, collateral_asset, want)
+            report.total_borrowed += want
+            report.borrows.append(want)
+            acquired = convert(want)
             if acquired < min_action:
-                report.stopped_by = "min-action"
                 break
             coll_pool.deposit(world, account, acquired)
         except errors.SimError:
             report.stopped_by = "error"
             break
         report.iterations += 1
-        report.total_borrowed += want
         report.total_deposited += acquired
-        report.borrows.append(want)
         report.deposits.append(acquired)
-        report.exposure += acquired
-        latest_value = world.oracle.value_usd(acquired, collateral_asset, step)
+        latest = acquired
     else:
         report.stopped_by = "iteration-cap"
+    return report
+
+
+def run_borrow_spiral(world: World, account: str, asset: str, amount: int, step: int, **limits) -> SpiralReport:
+    """Deposit, then repeatedly borrow against the latest deposit and re-deposit.
+
+    `limits` are `_spiral`'s keywords: iteration_cap, min_action and buffer.
+    """
+    return _spiral(world, account, asset, asset, amount, step, mul_down, lambda borrowed: borrowed, **limits)
+
+
+def run_leverage_spiral(
+    world: World, account: str, collateral_asset: str, borrow_asset: str, venue_id: str, amount: int, step: int,
+    **limits,
+) -> SpiralReport:
+    """Deposit collateral, then loop borrow -> venue convert -> re-deposit for leverage."""
+    venue = world.venues[venue_id]
+    price_borrow = world.oracle.price_at(borrow_asset, step)
+
+    def borrow_for(latest: int, factor: int) -> int:
+        return div_down(mul_down(world.oracle.value_usd(latest, collateral_asset, step), factor), price_borrow)
+
+    def convert(borrowed: int) -> int:
+        return venue.convert(world, account, borrow_asset, collateral_asset, borrowed)
+
+    report = _spiral(world, account, collateral_asset, borrow_asset, amount, step, borrow_for, convert, **limits)
+    report.exposure = report.total_deposited
     return report
 
 

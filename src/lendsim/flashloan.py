@@ -1,27 +1,31 @@
 """Atomic flash loans: uncollateralized borrow + plan + repay in one transaction.
 
-A plan is a straight-line program over venue trades and liquidations. execute()
+A plan is a straight-line program of three step kinds: `SellStep` (exact-in
+sell of an asset on a venue, or of the borrower's whole balance), `BuyStep`
+(exact-out buy, its cost computed when the step runs) and `LiquidateStep` (a
+pool or vault liquidation; seized IOU is redeemed to underlying). execute()
 checkpoints the world, wires the loan out of the pool, runs the steps, then
 repays principal plus the pool's flash fee (credited to reserves). Any failure
 rolls the world back to the checkpoint; the configured gas fee is charged
 either way, so a reverted plan's only surviving mutation is the gas record.
 
 Scanners look for two plan shapes: two-venue price-gap arbitrage (sized in
-closed form on quote venues, by ternary search on the unimodal profit curve
-when an AMM leg is involved) and liquidation of unhealthy accounts or unsafe
+closed form when both venues are `linear`, by ternary search on the unimodal
+profit curve otherwise) and liquidation of unhealthy accounts or unsafe
 vaults. A liquidation candidate is sized from the account's one health report
 (or the vault's collateral), and every candidate goes through one plan
-builder: liquidate, swap the seized asset back if it differs, and measure the
+builder: liquidate, sell the seized asset back if it differs, and measure the
 profit exactly by running the plan on a scratch checkpoint and rolling back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import errors, liquidation
 from .fixed import WAD, div_down, mul_down, mul_up, to_str
-from .venues import AmmVenue, QuoteVenue, amm_in_given_out
+from .venues import amm_in_given_out  # noqa: F401 -- kept importable: perfbench's tracer hooks it here
 from .world import SCANNER_ACCOUNT, World
 
 
@@ -43,13 +47,6 @@ class BuyStep:
 
 
 @dataclass
-class SwapStep:
-    venue_id: str
-    asset_in: str
-    amount: int | None = None  # None swaps the borrower's full balance
-
-
-@dataclass
 class LiquidateStep:
     target: str
     repay_asset: str
@@ -58,7 +55,7 @@ class LiquidateStep:
     vault_id: int | None = None  # set for CDP vault liquidations
 
 
-PlanStep = SellStep | BuyStep | SwapStep | LiquidateStep
+PlanStep = SellStep | BuyStep | LiquidateStep
 
 
 @dataclass
@@ -129,23 +126,15 @@ def run_liquidation(world: World, liquidator: str, item: LiquidateStep, step: in
 
 def _run_step(world: World, borrower: str, step_item: PlanStep, step: int) -> None:
     if isinstance(step_item, SellStep):
-        venue = _venue(world, step_item.venue_id)
         amount = step_item.amount
         if amount is None:
             amount = world.ledger.balance(borrower, step_item.asset)
-        venue.sell(world, borrower, step_item.asset, amount)
+        _venue(world, step_item.venue_id).sell(world, borrower, step_item.asset, amount)
     elif isinstance(step_item, BuyStep):
-        venue = _venue(world, step_item.venue_id)
-        venue.buy(world, borrower, step_item.asset, step_item.amount)
-    elif isinstance(step_item, SwapStep):
-        venue = _venue(world, step_item.venue_id)
-        amount = step_item.amount
-        if amount is None:
-            amount = world.ledger.balance(borrower, step_item.asset_in)
-        venue.swap(world, borrower, step_item.asset_in, amount)
+        _venue(world, step_item.venue_id).buy(world, borrower, step_item.asset, step_item.amount)
     elif isinstance(step_item, LiquidateStep):
         # pool liquidations pay the seized claim in IOU (vault ones pay the
-        # underlying): redeem what arrived so a swap leg can use it
+        # underlying): redeem what arrived so a sell leg can use it
         seize_pool = world.pools.get(step_item.seize_asset)
         if seize_pool is None:
             run_liquidation(world, borrower, step_item, step)
@@ -196,66 +185,12 @@ def execute(world: World, plan: FlashPlan, step: int) -> Outcome:
 # ---------------------------------------------------------------------------
 # arbitrage scanner
 # ---------------------------------------------------------------------------
-class _Leg:
-    """Uniform sell/buy arithmetic over one venue for one (asset, numeraire)."""
-
-    def __init__(self, world: World, venue, asset: str, numeraire: str):
-        self.world = world
-        self.venue = venue
-        self.asset = asset
-        self.numeraire = numeraire
-        self.is_amm = isinstance(venue, AmmVenue)
-
-    def sell_out(self, amount: int) -> int:
-        if self.is_amm:
-            return self.venue.swap_quote(self.world, self.asset, amount)
-        return self.venue.sell_quote(self.asset, amount)
-
-    def buy_cost(self, amount: int) -> int | None:
-        if self.is_amm:
-            reserve_in, reserve_out = self.venue.reserves(self.world, self.numeraire)
-            if amount >= reserve_out:
-                return None
-            return amm_in_given_out(reserve_in, reserve_out, amount, self.venue.fee_bps)
-        if amount > self.venue.max_buy(self.world, self.asset):
-            return None
-        return self.venue.buy_quote(self.asset, amount)
-
-    def max_sell(self) -> int | None:
-        if self.is_amm:
-            return None  # slippage-limited, no hard cap
-        return self.venue.max_sell(self.world, self.asset)
-
-    def max_buy(self) -> int | None:
-        if self.is_amm:
-            asset_reserve = self.venue.reserves(self.world, self.numeraire)[1]
-            return max(asset_reserve - 1, 0)
-        return self.venue.max_buy(self.world, self.asset)
-
-    def sell_step(self, amount: int) -> PlanStep:
-        if self.is_amm:
-            return SwapStep(self.venue.venue_id, asset_in=self.asset, amount=amount)
-        return SellStep(self.venue.venue_id, self.asset, amount)
-
-    def buy_step(self, amount: int) -> PlanStep:
-        if self.is_amm:
-            reserve_in, reserve_out = self.venue.reserves(self.world, self.numeraire)
-            cost = amm_in_given_out(reserve_in, reserve_out, amount, self.venue.fee_bps)
-            return SwapStep(self.venue.venue_id, asset_in=self.numeraire, amount=cost)
-        return BuyStep(self.venue.venue_id, self.asset, amount)
-
-
 def _venue_markets(world: World) -> dict[tuple[str, str], list]:
     """Group venues by (asset, numeraire) market they can trade."""
     markets: dict[tuple[str, str], list] = {}
     for venue in world.venues.values():
-        if isinstance(venue, QuoteVenue):
-            for asset in venue.quotes:
-                markets.setdefault((asset, venue.numeraire), []).append(venue)
-        elif isinstance(venue, AmmVenue):
-            a, b = venue.pair
-            markets.setdefault((a, b), []).append(venue)
-            markets.setdefault((b, a), []).append(venue)
+        for market in venue.markets():
+            markets.setdefault(market, []).append(venue)
     return markets
 
 
@@ -263,38 +198,38 @@ def _gas_in(world: World, asset: str) -> int:
     return world.gas.fee if world.gas.asset == asset else 0
 
 
-def _arb_profit(world: World, sell_leg: _Leg, buy_leg: _Leg, flash_fee: int, size: int) -> int | None:
+def _arb_profit(world: World, seller, buyer, asset: str, flash_fee: int, size: int) -> int | None:
     if size <= 0:
         return None
-    max_sell = sell_leg.max_sell()
+    max_sell = seller.max_sell(world, asset)
     if max_sell is not None and size > max_sell:
         return None
-    buy_amount = size + mul_up(size, flash_fee)
-    cost = buy_leg.buy_cost(buy_amount)
+    cost = buyer.buy_cost(world, asset, size + mul_up(size, flash_fee))
     if cost is None:
         return None
-    return sell_leg.sell_out(size) - cost
+    return seller.sell_out(world, asset, size) - cost
 
 
-def _best_size(world: World, sell_leg: _Leg, buy_leg: _Leg, flash_fee: int, cap: int) -> tuple[int, int] | None:
+def _best_size(world: World, seller, buyer, asset: str, flash_fee: int, cap: int) -> tuple[int, int] | None:
     """Maximize arbitrage profit over sizes in [1, cap]."""
     if cap < 1:
         return None
-    if not (sell_leg.is_amm or buy_leg.is_amm):
-        profit = _arb_profit(world, sell_leg, buy_leg, flash_fee, cap)
+    profit_at = partial(_arb_profit, world, seller, buyer, asset, flash_fee)
+    if seller.linear and buyer.linear:
+        profit = profit_at(cap)
         return (cap, profit) if profit is not None else None
     # profit is concave through the origin, so an unprofitable small probe
     # (and cap) means nothing above dust is profitable: skip the search
-    probe = _arb_profit(world, sell_leg, buy_leg, flash_fee, min(cap, WAD))
-    at_cap = _arb_profit(world, sell_leg, buy_leg, flash_fee, cap)
+    probe = profit_at(min(cap, WAD))
+    at_cap = profit_at(cap)
     if (probe is None or probe <= 0) and (at_cap is None or at_cap <= 0):
         return None
     lo, hi = 1, cap
     while hi - lo > 4:
         m1 = lo + (hi - lo) // 3
         m2 = hi - (hi - lo) // 3
-        p1 = _arb_profit(world, sell_leg, buy_leg, flash_fee, m1)
-        p2 = _arb_profit(world, sell_leg, buy_leg, flash_fee, m2)
+        p1 = profit_at(m1)
+        p2 = profit_at(m2)
         if p1 is None:
             hi = m1 - 1
         elif p2 is None:
@@ -305,7 +240,7 @@ def _best_size(world: World, sell_leg: _Leg, buy_leg: _Leg, flash_fee: int, cap:
             hi = m2
     best = None
     for size in range(max(lo, 1), hi + 1):
-        profit = _arb_profit(world, sell_leg, buy_leg, flash_fee, size)
+        profit = profit_at(size)
         if profit is not None and (best is None or profit > best[1]):
             best = (size, profit)
     return best
@@ -321,17 +256,15 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
             continue
         flash_fee = pool.params.flash_fee
         pool_cash = pool.cash(world)
-        for sell_venue in venues:
-            for buy_venue in venues:
-                if sell_venue is buy_venue:
+        for seller in venues:
+            for buyer in venues:
+                if seller is buyer:
                     continue
-                sell_leg = _Leg(world, sell_venue, asset, numeraire)
-                buy_leg = _Leg(world, buy_venue, asset, numeraire)
-                cap = pool_cash
-                for bound in (sell_leg.max_sell(), buy_leg.max_buy()):
-                    if bound is not None:
-                        cap = min(cap, bound)
-                best = _best_size(world, sell_leg, buy_leg, flash_fee, cap)
+                cap = min(pool_cash, buyer.max_buy(world, asset))
+                max_sell = seller.max_sell(world, asset)
+                if max_sell is not None:
+                    cap = min(cap, max_sell)
+                best = _best_size(world, seller, buyer, asset, flash_fee, cap)
                 if best is None:
                     continue
                 size, profit = best
@@ -343,7 +276,7 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
                     borrower=borrower,
                     asset=asset,
                     amount=size,
-                    steps=[sell_leg.sell_step(size), buy_leg.buy_step(buy_amount)],
+                    steps=[SellStep(seller.venue_id, asset, size), BuyStep(buyer.venue_id, asset, buy_amount)],
                     profit_asset=numeraire,
                 )
                 opportunities.append(
@@ -352,7 +285,7 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
                         plan=plan,
                         expected_profit=profit,
                         computed_at_step=step,
-                        venue_or_target=f"{sell_venue.venue_id}->{buy_venue.venue_id}",
+                        venue_or_target=f"{seller.venue_id}->{buyer.venue_id}",
                     )
                 )
     opportunities.sort(key=lambda o: (-o.expected_profit, o.venue_or_target))
@@ -362,16 +295,6 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
 # ---------------------------------------------------------------------------
 # liquidation scanner
 # ---------------------------------------------------------------------------
-def _swap_leg(world: World, asset_from: str, asset_to: str) -> PlanStep | None:
-    """A one-venue conversion of the borrower's full asset_from balance."""
-    for venue in world.venues.values():
-        if isinstance(venue, AmmVenue) and set(venue.pair) == {asset_from, asset_to}:
-            return SwapStep(venue.venue_id, asset_in=asset_from, amount=None)
-        if isinstance(venue, QuoteVenue) and venue.numeraire == asset_to and asset_from in venue.quotes:
-            return SellStep(venue.venue_id, asset_from, amount=None)
-    return None
-
-
 def _try_plan(world: World, plan: FlashPlan, step: int) -> int | None:
     cp = world.checkpoint()
     try:
@@ -429,14 +352,16 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
                 candidates.append(LiquidateStep(f"vault:{vault_id}", cdp.dai_asset, seize_asset, repay_amt, vault_id))
 
     # every candidate is sized on the same state: scratch runs roll back exactly
+    markets = _venue_markets(world)
     opportunities = []
     for item in candidates:
         steps: list[PlanStep] = [item]
         if item.seize_asset != item.repay_asset:
-            leg = _swap_leg(world, item.seize_asset, item.repay_asset)
-            if leg is None:
+            venues = markets.get((item.seize_asset, item.repay_asset))
+            if not venues:
                 continue
-            steps.append(leg)
+            # sell all that was seized on the first venue trading that market
+            steps.append(SellStep(venues[0].venue_id, item.seize_asset, amount=None))
         plan = FlashPlan(borrower, item.repay_asset, item.amount, steps, profit_asset=item.repay_asset)
         profit = _try_plan(world, plan, step)
         if profit is not None:

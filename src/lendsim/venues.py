@@ -6,8 +6,13 @@ trade any quoted asset against a single numeraire asset at an exogenous price
 (fees in basis points); the AMM trades one pair with x*y=k pricing where the
 fee stays in the reserves, so the product never decreases.
 
-The *_quote helpers are pure and shared with the flash-loan scanner, which
-guarantees scanner arithmetic matches execution exactly.
+Both kinds share one leg interface keyed by the asset traded, whose numeraire
+is a quote venue's `numeraire` or an AMM's `other(asset)`: `markets()` lists
+the (asset, numeraire) pairs; `sell_out`/`buy_cost` quote an exact-in sell and
+an exact-out buy (None past inventory or reserve) that `sell`/`buy` trade at;
+`max_sell` (None on an AMM)/`max_buy` bound a leg; `convert` spends an exact
+input on the other asset; `linear` (proceeds proportional to size) lets the
+arbitrage scanner size a trade in closed form.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .fixed import BPS_DENOM, WAD, ceil_div, require_amount
 
 @dataclass
 class QuoteVenue:
+    linear = True  # proceeds scale with size up to the inventory bound
+
     venue_id: str
     numeraire: str
     quotes: dict[str, int]  # asset -> wad price in numeraire per whole unit
@@ -40,6 +47,9 @@ class QuoteVenue:
             return self.quotes[asset]
         except KeyError:
             raise errors.UnknownAsset(f"{self.venue_id} does not quote {asset}") from None
+
+    def markets(self) -> list[tuple[str, str]]:
+        return [(asset, self.numeraire) for asset in self.quotes]
 
     # pure pricing -----------------------------------------------------
     def sell_quote(self, asset: str, amount: int) -> int:
@@ -65,6 +75,14 @@ class QuoteVenue:
     def max_buy(self, world, asset: str) -> int:
         return world.ledger.balance(self.account, asset)
 
+    def sell_out(self, world, asset: str, amount: int) -> int:
+        return self.sell_quote(asset, amount)
+
+    def buy_cost(self, world, asset: str, amount: int) -> int | None:
+        if amount > self.max_buy(world, asset):
+            return None
+        return self.buy_quote(asset, amount)
+
     # execution ----------------------------------------------------------
     def sell(self, world, account: str, asset: str, amount: int) -> int:
         require_amount(amount)
@@ -83,6 +101,17 @@ class QuoteVenue:
         world.ledger.transfer(account, self.account, self.numeraire, cost, tag="venue-buy")
         world.ledger.transfer(self.account, account, asset, amount, tag="venue-buy")
         return cost
+
+    def convert(self, world, account: str, asset_in: str, asset_out: str, amount: int) -> int:
+        """Spend `amount` of asset_in on asset_out; returns the asset_out received."""
+        if asset_out == self.numeraire:
+            return self.sell(world, account, asset_in, amount)
+        if asset_in != self.numeraire:
+            raise errors.UnknownAsset(f"{self.venue_id} does not trade {asset_in} for {asset_out}")
+        bought = self.buy_amount_for(asset_out, amount)
+        if bought:
+            self.buy(world, account, asset_out, bought)
+        return bought
 
 
 def amm_out_given_in(reserve_in: int, reserve_out: int, amount_in: int, fee_bps: int) -> int:
@@ -103,6 +132,8 @@ def amm_in_given_out(reserve_in: int, reserve_out: int, amount_out: int, fee_bps
 
 @dataclass
 class AmmVenue:
+    linear = False  # slippage makes proceeds concave in size
+
     venue_id: str
     pair: tuple[str, str]
     fee_bps: int = 30
@@ -122,6 +153,10 @@ class AmmVenue:
         if asset == self.pair[1]:
             return self.pair[0]
         raise errors.UnknownAsset(f"{self.venue_id} does not trade {asset}")
+
+    def markets(self) -> list[tuple[str, str]]:
+        a, b = self.pair
+        return [(a, b), (b, a)]
 
     def reserves(self, world, asset_in: str) -> tuple[int, int]:
         asset_out = self.other(asset_in)
@@ -143,3 +178,36 @@ class AmmVenue:
         world.ledger.transfer(account, self.account, asset_in, amount_in, tag="amm-swap")
         world.ledger.transfer(self.account, account, asset_out, out, tag="amm-swap")
         return out
+
+    def sell_out(self, world, asset: str, amount: int) -> int:
+        return self.swap_quote(world, asset, amount)
+
+    def buy_cost(self, world, asset: str, amount: int) -> int | None:
+        reserve_in, reserve_out = self.reserves(world, self.other(asset))
+        if amount >= reserve_out:
+            return None
+        return amm_in_given_out(reserve_in, reserve_out, amount, self.fee_bps)
+
+    def max_sell(self, world, asset: str) -> None:
+        return None  # slippage-limited, no hard cap
+
+    def max_buy(self, world, asset: str) -> int:
+        return max(world.ledger.balance(self.account, asset) - 1, 0)
+
+    def sell(self, world, account: str, asset: str, amount: int) -> int:
+        return self.swap(world, account, asset, amount)
+
+    def buy(self, world, account: str, asset: str, amount: int) -> int:
+        """Receive exactly `amount` of asset for the smallest input that pays for it."""
+        require_amount(amount)
+        asset_in = self.other(asset)
+        cost = amm_in_given_out(*self.reserves(world, asset_in), amount, self.fee_bps)
+        world.ledger.transfer(account, self.account, asset_in, cost, tag="amm-swap")
+        world.ledger.transfer(self.account, account, asset, amount, tag="amm-swap")
+        return cost
+
+    def convert(self, world, account: str, asset_in: str, asset_out: str, amount: int) -> int:
+        """Swap `amount` of asset_in for asset_out; returns the asset_out received."""
+        if self.other(asset_in) != asset_out:
+            raise errors.UnknownAsset(f"{self.venue_id} does not trade {asset_in} for {asset_out}")
+        return self.swap(world, account, asset_in, amount)

@@ -267,11 +267,11 @@ def amm_vs_quote_world(amm_reserves=("10000", "90000"), quote_price="10"):
     return build(doc)
 
 
-def grid_best_profit(w, sell_leg, buy_leg, flash_fee, cap, samples=10_000):
+def grid_best_profit(w, seller, buyer, asset, flash_fee, cap, samples=10_000):
     best = 0
     step = max(cap // samples, 1)
     for size in range(step, cap + 1, step):
-        p = flashloan._arb_profit(w, sell_leg, buy_leg, flash_fee, size)
+        p = flashloan._arb_profit(w, seller, buyer, asset, flash_fee, size)
         if p is not None and p > best:
             best = p
     return best
@@ -283,10 +283,8 @@ def test_amm_sizing_matches_grid_search_within_tenth_percent():
     found = flashloan.scan_arbitrage(w, 0)
     assert found, "expected an opportunity"
     opp = found[0]
-    sell_leg = flashloan._Leg(w, w.venues["Q"], "XYZ", "USD")
-    buy_leg = flashloan._Leg(w, w.venues["amm1"], "XYZ", "USD")
     cap = w.pools["XYZ"].cash(w)
-    best = grid_best_profit(w, sell_leg, buy_leg, 0, cap)
+    best = grid_best_profit(w, w.venues["Q"], w.venues["amm1"], "XYZ", 0, cap)
     assert opp.expected_profit >= best * 999 // 1000
     outcome = flashloan.execute(w, opp.plan, 0)
     assert isinstance(outcome, Committed)

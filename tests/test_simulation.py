@@ -374,7 +374,7 @@ def test_zero_collateral_factor_yields_single_deposit():
 # ---------------------------------------------------------------------------
 # leverage spiral
 # ---------------------------------------------------------------------------
-def leverage_world(fee_bps=0, eth_path=((0, "1"),)):
+def leverage_world(fee_bps=0, eth_path=((0, "1"),), eth_quote="1"):
     doc = make_doc(
         assets=["ETH", "DAI"],
         pools=[
@@ -383,7 +383,7 @@ def leverage_world(fee_bps=0, eth_path=((0, "1"),)):
             pool_doc("DAI", "aDAI", "rebasing", collateral_factor="0.7",
                      liquidation_threshold="0.8", initial_cash="100000"),
         ],
-        venues=[{"kind": "quote", "id": "fx", "numeraire": "DAI", "quotes": {"ETH": "1"},
+        venues=[{"kind": "quote", "id": "fx", "numeraire": "DAI", "quotes": {"ETH": eth_quote},
                  "fee_bps": fee_bps, "inventory": {"ETH": "100000", "DAI": "100000"}}],
         prices={"ETH": [[s, p] for s, p in eth_path], "DAI": [[0, "1"]]},
         horizon=10,
@@ -398,6 +398,17 @@ def test_leverage_matches_borrow_spiral_geometry_at_unit_prices():
                                  min_action=from_str("0.000001"))
     assert abs(report.exposure - wad(400)) <= wad(400) * Fraction(1, 10**6)
     assert abs(report.total_borrowed - wad(300)) <= wad(300) * Fraction(1, 10**6)
+
+
+def test_leverage_spiral_reports_its_last_borrow():
+    # at 2,000 DAI per ETH the last borrow buys less ETH than min_action, so
+    # the spiral stops with that borrow taken but not re-deposited
+    w = leverage_world(eth_path=((0, "2000"),), eth_quote="2000")
+    user(w, "trader", ETH=wad(10))
+    report = run_leverage_spiral(w, "trader", "ETH", "DAI", "fx", wad(10), 0)
+    assert report.stopped_by == "min-action"
+    assert report.total_borrowed == sum(report.borrows) == w.pools["DAI"].debt_of("trader")
+    assert report.exposure == report.total_deposited == sum(report.deposits)
 
 
 def test_venue_fee_strictly_reduces_exposure():

@@ -181,3 +181,95 @@ def test_venue_trades_conserve_assets():
     w.venues["amm1"].swap(w, "alice", "XYZ", wad(40))
     w.venues["amm1"].swap(w, "alice", "USD", wad(100))
     w.ledger.full_audit()
+
+
+# ---------------------------------------------------------------------------
+# the leg interface both venue kinds share
+# ---------------------------------------------------------------------------
+LEGS = [("A", "XYZ"), ("amm1", "XYZ"), ("amm1", "USD")]  # (venue, asset traded)
+
+
+def test_markets_name_each_asset_with_its_numeraire():
+    w = venue_world()
+    assert w.venues["A"].markets() == [("XYZ", "USD")]
+    assert w.venues["amm1"].markets() == [("XYZ", "USD"), ("USD", "XYZ")]
+    assert w.venues["A"].linear and not w.venues["amm1"].linear
+
+
+@given(
+    st.sampled_from(LEGS),
+    st.integers(min_value=1, max_value=wad(200_000)),
+    st.integers(min_value=0, max_value=100),
+)
+@settings(max_examples=200, deadline=None)
+def test_sell_pays_exactly_sell_out(leg, amount, fee_bps):
+    w = venue_world(fee_bps=fee_bps, amm_fee_bps=fee_bps)
+    venue_id, asset = leg
+    venue = w.venues[venue_id]
+    numeraire = dict(venue.markets())[asset]
+    user(w, "alice", **{asset: amount})
+    quoted = venue.sell_out(w, asset, amount)
+    max_sell = venue.max_sell(w, asset)
+    if max_sell is not None and amount > max_sell:
+        with pytest.raises(errors.InsufficientInventory):
+            venue.sell(w, "alice", asset, amount)
+        return
+    assert venue.sell(w, "alice", asset, amount) == quoted
+    assert w.ledger.balance("alice", numeraire) == quoted
+    assert w.ledger.balance("alice", asset) == 0
+
+
+@given(
+    st.sampled_from(LEGS),
+    st.integers(min_value=0, max_value=wad(20_000)),
+    st.integers(min_value=0, max_value=100),
+)
+@settings(max_examples=200, deadline=None)
+def test_buy_charges_exactly_buy_cost(leg, amount, fee_bps):
+    w = venue_world(fee_bps=fee_bps, amm_fee_bps=fee_bps)
+    venue_id, asset = leg
+    venue = w.venues[venue_id]
+    numeraire = dict(venue.markets())[asset]
+    funds = wad(10**12)
+    user(w, "alice", **{numeraire: funds})
+    cost = venue.buy_cost(w, asset, amount)
+    assert (cost is None) == (amount > venue.max_buy(w, asset))
+    if cost is None:
+        with pytest.raises(errors.InsufficientInventory):
+            venue.buy(w, "alice", asset, amount)
+        return
+    assert venue.buy(w, "alice", asset, amount) == cost
+    assert w.ledger.balance("alice", asset) == amount
+    assert w.ledger.balance("alice", numeraire) == funds - cost
+    w.ledger.full_audit()
+
+
+@given(
+    st.sampled_from([("A", "USD", "XYZ"), ("A", "XYZ", "USD"), ("amm1", "USD", "XYZ"), ("amm1", "XYZ", "USD")]),
+    st.integers(min_value=1, max_value=wad(1_000)),
+    st.integers(min_value=0, max_value=100),
+)
+@settings(max_examples=200, deadline=None)
+def test_convert_spends_its_input_on_the_other_asset(route, amount, fee_bps):
+    w = venue_world(fee_bps=fee_bps, amm_fee_bps=fee_bps)
+    venue_id, asset_in, asset_out = route
+    venue = w.venues[venue_id]
+    user(w, "alice", **{asset_in: amount})
+    if route[:2] == ("A", "USD"):
+        # the most asset_out the budget buys; the change stays with the buyer
+        expected = venue.buy_amount_for(asset_out, amount)
+        change = amount - venue.buy_quote(asset_out, expected)
+    else:
+        expected, change = venue.sell_out(w, asset_in, amount), 0
+    assert venue.convert(w, "alice", asset_in, asset_out, amount) == expected
+    assert w.ledger.balance("alice", asset_out) == expected
+    assert w.ledger.balance("alice", asset_in) == change
+
+
+def test_convert_rejects_an_untraded_route():
+    w = venue_world()
+    user(w, "alice", XYZ=wad(1))
+    with pytest.raises(errors.UnknownAsset):
+        w.venues["A"].convert(w, "alice", "XYZ", "XYZ", wad(1))
+    with pytest.raises(errors.UnknownAsset):
+        w.venues["amm1"].convert(w, "alice", "XYZ", "XYZ", wad(1))
