@@ -11,6 +11,9 @@ driven by a pluggable policy (constant by default, with a proportional
 controller available) consulted once per step with the stablecoin's oracle
 price. Debt issuance treats one stablecoin as one USD regardless of its
 market price; the market price only matters to traders and the fee policy.
+
+Every write to the engine's state first records the old value in its undo log
+(the world's, once bound), so a world rollback restores it in place.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Callable
 
 from . import errors
 from .fixed import WAD, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .ledger import UndoLog
 from .liquidation import seize_split
 
 VAULT_ENGINE_ACCOUNT = "vault-engine"
@@ -69,10 +73,13 @@ class CdpEngine:
         self.fee_index = WAD
         self.vaults: dict[int, Vault] = {}
         self._next_vault = 0
+        self.undo = UndoLog()  # records nothing until a World binds its ledger's log
 
     # ------------------------------------------------------------------
     def open_vault(self, owner: str) -> int:
+        self.undo.save_attrs(self, "_next_vault")
         self._next_vault += 1
+        self.undo.save_items(self.vaults, self._next_vault)
         self.vaults[self._next_vault] = Vault(self._next_vault, owner)
         return self._next_vault
 
@@ -112,6 +119,7 @@ class CdpEngine:
         if asset not in self.issuance_fraction:
             raise errors.UnknownAsset(f"{asset} is not accepted vault collateral")
         world.ledger.transfer(vault.owner, VAULT_ENGINE_ACCOUNT, asset, amount, tag="vault-lock")
+        self.undo.save_items(vault.collateral, asset)
         vault.collateral[asset] = vault.collateral.get(asset, 0) + amount
 
     def free(self, world, vault_id: int, asset: str, amount: int, step: int) -> None:
@@ -127,6 +135,7 @@ class CdpEngine:
             )
             if self.debt_of(vault) > self.issuance_bound(world, vault, step) - removed:
                 raise errors.WouldBreachIssuanceBound(f"vault {vault_id}")
+        self.undo.save_items(vault.collateral, asset)
         vault.collateral[asset] = held - amount
         world.ledger.transfer(VAULT_ENGINE_ACCOUNT, vault.owner, asset, amount, tag="vault-free")
 
@@ -140,6 +149,7 @@ class CdpEngine:
             raise errors.ExceedsIssuanceBound(
                 f"vault {vault_id}: debt {new_debt} > bound {self.issuance_bound(world, vault, step)}"
             )
+        self.undo.save_attrs(vault, "debt_scaled")
         vault.debt_scaled += div_up(amount, self.fee_index)
         world.ledger.mint(vault.owner, self.dai_asset, amount, CDP_AUTHORITY, tag="dai-draw")
 
@@ -156,6 +166,7 @@ class CdpEngine:
 
     def _reduce_debt(self, vault: Vault, applied: int) -> None:
         """Book a repayment of at most the vault's debt; the whole debt clears it."""
+        self.undo.save_attrs(vault, "debt_scaled")
         if applied >= self.debt_of(vault):
             vault.debt_scaled = 0
         else:
@@ -163,6 +174,7 @@ class CdpEngine:
 
     # ------------------------------------------------------------------
     def accrue(self, world, step: int, dt: int = 1) -> None:
+        self.undo.save_attrs(self, "stability_fee", "fee_index")
         for _ in range(dt):
             if self.fee_policy is not None:
                 self.stability_fee = self.fee_policy(world.oracle.price_at(self.dai_asset, step))
@@ -171,6 +183,7 @@ class CdpEngine:
     def set_fee(self, fee: int) -> None:
         if fee < 0:
             raise ValueError("stability fee must be >= 0")
+        self.undo.save_attrs(self, "stability_fee")
         self.stability_fee = fee
 
     # ------------------------------------------------------------------
@@ -202,6 +215,7 @@ class CdpEngine:
 
         world.ledger.burn(liquidator, self.dai_asset, applied, CDP_AUTHORITY, tag="vault-liquidation-repay")
         self._reduce_debt(vault, applied)
+        self.undo.save_items(vault.collateral, seize_asset)
         vault.collateral[seize_asset] = held - seized
         world.ledger.transfer(VAULT_ENGINE_ACCOUNT, liquidator, seize_asset, seized, tag="vault-liquidation-seize")
 

@@ -169,9 +169,8 @@ def execute(world: World, plan: FlashPlan, step: int) -> Outcome:
         world.ledger.transfer(source.account, plan.borrower, plan.asset, plan.amount, tag="flash-borrow")
         for item in plan.steps:
             _run_step(world, plan.borrower, item, step)
-        source = world.pools[plan.asset]  # re-fetch: steps may have replaced pool objects
         world.ledger.transfer(plan.borrower, source.account, plan.asset, plan.amount + fee, tag="flash-repay")
-        source.reserves += fee
+        source.credit_flash_fee(fee)
         world.charge_gas(plan.borrower)
         world.commit(cp)
     except errors.SimError:

@@ -7,13 +7,19 @@ rolled back. full_audit(), run at the end of a simulation, recomputes every
 asset's balance sum, which must equal net minted supply exactly, and rejects
 negative balances.
 
-Checkpoints are strictly LIFO. A checkpoint snapshots balances and records the
-journal position; rollback restores the snapshot and truncates the journal, so
-a reverted transaction leaves no trace beyond whatever the caller appends
-afterwards (e.g. the gas-fee record of a failed flash loan). Each asset also
-counts its writes; rollback leaves the count alone, so an unchanged count
-proves the asset's balances unchanged and a cache of something derived from
-them (the supply-side reward shares) stays valid.
+Checkpoints are strictly LIFO and copy nothing. While one is open, every
+write first records the value it overwrites in the ledger's undo log: each
+balance entry and net-minted entry here, and the protocol state of the pools
+and the CDP engine bound to the same log (see world.py). A checkpoint keeps
+only the log and journal lengths; rollback undoes the log back to its length,
+newest record first, and truncates the journal, so it costs O(writes since the
+checkpoint) and a reverted transaction leaves no trace beyond whatever the
+caller appends afterwards (e.g. the gas-fee record of a failed flash loan).
+An entry the transaction created is deleted again, not left at zero. Commit
+keeps the records for an enclosing checkpoint. Each asset also counts its
+writes; rollback leaves the count alone, so an unchanged count proves the
+asset's balances unchanged and a cache of something derived from them (the
+supply-side reward shares) stays valid.
 
 Mint/burn authority is a static per-asset whitelist fixed at world
 construction; the "genesis" authority funds initial endowments.
@@ -56,6 +62,57 @@ class JournalRecord(NamedTuple):
         )
 
 
+def _reinsert(table: dict, index: int, key, value) -> None:
+    """Put a deleted key back at its old position in the dict's order."""
+    items = list(table.items())
+    items.insert(index, (key, value))
+    table.clear()
+    table.update(items)
+
+
+class UndoLog:
+    """Previous values of state overwritten while a checkpoint is open.
+
+    Each record is a (restore, args) pair; `restore(*args)` puts one value
+    back. With no checkpoint open (depth 0) the helpers record nothing.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[tuple] = []
+        self.depth = 0  # open checkpoints
+
+    def save_attrs(self, obj, *names: str) -> None:
+        """Record obj's current values of the named attributes, before they are overwritten."""
+        if self.depth:
+            for name in names:
+                self.records.append((setattr, (obj, name, getattr(obj, name))))
+
+    def save_items(self, table: dict, *keys) -> None:
+        """Record each key's value in table, or its absence, before it is set.
+
+        A key may repeat (a transfer to oneself): restoring it twice is harmless.
+        """
+        if self.depth:
+            for key in keys:
+                if key in table:
+                    self.records.append((dict.__setitem__, (table, key, table[key])))
+                else:
+                    self.records.append((dict.pop, (table, key, None)))
+
+    def del_item(self, table: dict, key) -> None:
+        """del table[key], recording its value and its place in the dict's order."""
+        if self.depth:
+            self.records.append((_reinsert, (table, list(table).index(key), key, table[key])))
+        del table[key]
+
+    def undo_to(self, mark: int) -> None:
+        """Undo every record past `mark`, newest first."""
+        records = self.records
+        while len(records) > mark:
+            restore, args = records.pop()
+            restore(*args)
+
+
 class Ledger:
     def __init__(self) -> None:
         self._accounts: dict[str, str] = {}  # id -> kind
@@ -65,8 +122,10 @@ class Ledger:
         # writes per asset; never rolled back, so a reverted write still counts
         self._writes: dict[str, int] = {}
         self.journal: list[JournalRecord] = []
-        # open checkpoints: (id, journal_len, balances, minted)
-        self._checkpoints: list[tuple[int, int, dict, dict]] = []
+        # shared with the world's pools and CDP engine, so one rollback undoes them all
+        self.undo = UndoLog()
+        # open checkpoints: (id, journal_len, undo log length)
+        self._checkpoints: list[tuple[int, int, int]] = []
         self._cp_counter = 0
 
     # ------------------------------------------------------------------
@@ -95,12 +154,6 @@ class Ledger:
 
     def has_account(self, account: str) -> bool:
         return account in self._accounts
-
-    def account_kind(self, account: str) -> str:
-        try:
-            return self._accounts[account]
-        except KeyError:
-            raise errors.UnknownAccount(account) from None
 
     def accounts(self) -> list[str]:
         return list(self._accounts)
@@ -171,6 +224,8 @@ class Ledger:
         table = self._check_parties(asset, frm, to)
         if table.get(frm, 0) < amount:
             raise errors.InsufficientBalance(f"{frm} holds {table.get(frm, 0)} {asset}, needs {amount}")
+        if self.undo.depth:  # a write pays only this check while no checkpoint is open
+            self.undo.save_items(table, frm, to)
         table[frm] = table.get(frm, 0) - amount
         table[to] = table.get(to, 0) + amount
         self._record("transfer", frm, to, asset, amount, tag)
@@ -180,6 +235,9 @@ class Ledger:
         table = self._check_parties(asset, to)
         if authority not in self._mint_auth[asset]:
             raise errors.Unauthorized(f"{authority!r} may not mint {asset}")
+        if self.undo.depth:
+            self.undo.save_items(table, to)
+            self.undo.save_items(self._minted, asset)
         table[to] = table.get(to, 0) + amount
         self._minted[asset] += amount
         self._record("mint", None, to, asset, amount, tag)
@@ -191,6 +249,9 @@ class Ledger:
             raise errors.Unauthorized(f"{authority!r} may not burn {asset}")
         if table.get(frm, 0) < amount:
             raise errors.InsufficientBalance(f"{frm} holds {table.get(frm, 0)} {asset}, needs {amount}")
+        if self.undo.depth:
+            self.undo.save_items(table, frm)
+            self.undo.save_items(self._minted, asset)
         table[frm] = table.get(frm, 0) - amount
         self._minted[asset] -= amount
         self._record("burn", frm, None, asset, amount, tag)
@@ -200,32 +261,30 @@ class Ledger:
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:
         self._cp_counter += 1
-        snapshot = (
-            self._cp_counter,
-            len(self.journal),
-            {asset: dict(table) for asset, table in self._balances.items()},
-            dict(self._minted),
-        )
-        self._checkpoints.append(snapshot)
+        self._checkpoints.append((self._cp_counter, len(self.journal), len(self.undo.records)))
+        self.undo.depth = len(self._checkpoints)
         return self._cp_counter
 
-    def _pop_checkpoint(self, cp: int) -> tuple[int, int, dict, dict]:
+    def _pop_checkpoint(self, cp: int) -> tuple[int, int, int]:
         if not self._checkpoints:
             raise errors.CheckpointOrderViolation(f"no open checkpoint for id {cp}")
         if self._checkpoints[-1][0] != cp:
             raise errors.CheckpointOrderViolation(
                 f"checkpoint {cp} is not the most recent open checkpoint"
             )
-        return self._checkpoints.pop()
+        popped = self._checkpoints.pop()
+        self.undo.depth = len(self._checkpoints)
+        return popped
 
     def rollback(self, cp: int) -> None:
-        _, journal_len, balances, minted = self._pop_checkpoint(cp)
-        self._balances = balances
-        self._minted = minted
+        _, journal_len, undo_len = self._pop_checkpoint(cp)
+        self.undo.undo_to(undo_len)
         del self.journal[journal_len:]
 
     def commit(self, cp: int) -> None:
         self._pop_checkpoint(cp)
+        if not self._checkpoints:  # no enclosing checkpoint needs the records
+            self.undo.records.clear()
 
     def open_checkpoints(self) -> int:
         return len(self._checkpoints)

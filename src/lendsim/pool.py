@@ -18,7 +18,9 @@ Borrow positions are variable (indexed against borrow_index) or stable
 (principal compounded at a per-position snapshot rate of r_b + premium, never
 rebalanced). Positions may switch modes at any time with continuous debt value.
 All cash lives in the pool's ledger account, so pool cash can never drift
-from the balance sheet.
+from the balance sheet. Every write to the pool's own state first records the
+old value in its undo log (the world's, once bound), so a world rollback
+restores it in place.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 from . import errors, liquidation
 from .fixed import WAD, ceil_div, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .ledger import UndoLog
 
 EXCHANGE_RATE = "exchange-rate"
 REBASING = "rebasing"
@@ -126,6 +129,7 @@ class Pool:
         self.positions: dict[str, BorrowPosition] = {}
         self.collateral_on: dict[str, bool] = {}
         self.paused = False
+        self.undo = UndoLog()  # records nothing until a World binds its ledger's log
 
     # ------------------------------------------------------------------
     # state views
@@ -195,6 +199,7 @@ class Pool:
             raise ValueError("dt must be >= 1")
         model = self.params.rate_model
         cash = self.cash(world)  # constant across accrual steps
+        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves")
         for _ in range(dt):
             borrows = self.total_borrows
             total = cash + borrows
@@ -207,6 +212,7 @@ class Pool:
             self.reserves += ceil_div(borrows * r_b * model.reserve_factor, WAD * WAD)
             for pos in self.positions.values():
                 if pos.rate_mode == STABLE and pos.stable_principal:
+                    self.undo.save_attrs(pos, "stable_principal")
                     pos.stable_principal = mul_up(pos.stable_principal, WAD + pos.stable_rate)
 
     # ------------------------------------------------------------------
@@ -219,6 +225,7 @@ class Pool:
         minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
         world.ledger.mint(account, self.params.iou_asset, minted, self.authority, tag="deposit-iou")
+        self.undo.save_items(self.collateral_on, account)
         self.collateral_on.setdefault(account, True)
         return minted
 
@@ -251,6 +258,7 @@ class Pool:
         """Hand `underlying` worth of the target's IOU to a liquidator."""
         units = self.units_for(world, underlying)
         world.ledger.transfer(target, liquidator, self.params.iou_asset, units, tag="liquidation-seize")
+        self.undo.save_items(self.collateral_on, liquidator)
         self.collateral_on.setdefault(liquidator, True)
 
     def _require_health_after_withdrawal(self, world, account: str, underlying_out: int, step: int) -> None:
@@ -269,6 +277,7 @@ class Pool:
             claim = self.underlying_claim(world, account)
             if claim:
                 self._require_health_after_withdrawal(world, account, claim, step)
+        self.undo.save_items(self.collateral_on, account)
         self.collateral_on[account] = on
 
     # ------------------------------------------------------------------
@@ -289,12 +298,15 @@ class Pool:
         pos = self.positions.get(account)
         if pos is None:
             pos = BorrowPosition(account=account, rate_mode=mode)
+            self.undo.save_items(self.positions, account)
             self.positions[account] = pos
         elif pos.rate_mode != mode:
             raise errors.RateModeMismatch(
                 f"{account} already borrows {self.params.asset} at {pos.rate_mode}; switch first"
             )
         # move funds first: stable snapshots price the post-trade utilization
+        self.undo.save_attrs(self, "total_borrows")
+        self.undo.save_attrs(pos, "scaled", "stable_principal", "stable_rate")
         self.total_borrows += amount
         world.ledger.transfer(self.account, account, self.params.asset, amount, tag="borrow")
         if mode == VARIABLE:
@@ -324,6 +336,8 @@ class Pool:
     def reduce_debt(self, account: str, applied: int) -> None:
         """Book a repayment, already in the pool's cash, of at most the account's debt."""
         pos = self.positions[account]
+        self.undo.save_attrs(self, "total_borrows")
+        self.undo.save_attrs(pos, "scaled", "stable_principal")
         if pos.rate_mode == VARIABLE:
             if applied >= self.debt_of(account):
                 pos.scaled = 0
@@ -333,13 +347,19 @@ class Pool:
             pos.stable_principal = max(0, pos.stable_principal - applied)
         self.total_borrows = max(0, self.total_borrows - applied)
         if pos.scaled == 0 and pos.stable_principal == 0:
-            del self.positions[account]
+            self.undo.del_item(self.positions, account)
+
+    def credit_flash_fee(self, fee: int) -> None:
+        """Book a flash loan's fee, already in the pool's cash, to reserves."""
+        self.undo.save_attrs(self, "reserves")
+        self.reserves += fee
 
     def switch_rate_mode(self, world, account: str) -> None:
         pos = self.positions.get(account)
         debt = self.debt_of(account)
         if pos is None or debt == 0:
             raise errors.NoDebt(f"{account} owes nothing in {self.params.asset}")
+        self.undo.save_attrs(pos, "rate_mode", "scaled", "stable_principal", "stable_rate")
         if pos.rate_mode == VARIABLE:
             pos.rate_mode = STABLE
             pos.stable_principal = debt

@@ -1,22 +1,27 @@
 """The mutable world: ledger + oracle + markets wired together.
 
-A world is mutated by exactly one logical thread. World-level checkpoints wrap
-a ledger checkpoint (balances + journal truncation) with deep copies of all
-protocol-module state, so a rolled-back transaction leaves the world
-bit-identical to before — the mechanism behind atomic flash loans and the
-scanner's scratch simulations. Holders of pool/vault references must re-fetch
-them after a rollback.
+A world is mutated by exactly one logical thread. It binds its pools and CDP
+engine to the ledger's undo log, so a write to their protocol state while a
+checkpoint is open (pool scalars, borrow positions, collateral flags, the fee
+index, vaults and their collateral) records the value it overwrites, as a
+balance write does. A world checkpoint is a ledger checkpoint plus the length
+of the event list; rollback undoes the log and truncates the journal and the
+events, so a rolled-back transaction leaves the world bit-identical to before
+— the mechanism behind atomic flash loans and the scanner's scratch
+simulations. Its cost follows the writes made since the checkpoint, not the
+size of the world. Rollback restores values in place: every pool, position,
+vault and dict stays the same object, so references held across a rollback
+stay valid.
 
 Checkpoints do not cover the reward ledger. Rewards are paid only in phase
 (3) of a step, before any agent acts, and no checkpoint is open then: every
 checkpoint is opened and closed within the agent phase, which Ledger.audit
-checks at the end of each step. Leaving it out also spares each checkpoint a
-copy of the cached supply-side shares, one per IOU holder.
+checks at the end of each step. Nor do they cover account registration or
+`Pool.paused`, which nothing writes while a checkpoint is open.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -139,8 +144,6 @@ class RewardLedger:
 @dataclass
 class WorldCheckpoint:
     ledger_cp: int
-    pools: dict[str, Pool]
-    cdp: CdpEngine | None
     events_len: int
 
 
@@ -159,6 +162,9 @@ class World:
         self.pools = pools
         self.venues = venues
         self.cdp = cdp
+        for market in (*pools.values(), cdp):
+            if market is not None:
+                market.undo = ledger.undo
         self.gas = gas or GasConfig()
         self.rewards = RewardLedger()
         self.events: list[dict] = []
@@ -168,17 +174,10 @@ class World:
 
     # ------------------------------------------------------------------
     def checkpoint(self) -> WorldCheckpoint:
-        return WorldCheckpoint(
-            ledger_cp=self.ledger.checkpoint(),
-            pools=copy.deepcopy(self.pools),
-            cdp=copy.deepcopy(self.cdp),
-            events_len=len(self.events),
-        )
+        return WorldCheckpoint(ledger_cp=self.ledger.checkpoint(), events_len=len(self.events))
 
     def rollback(self, cp: WorldCheckpoint) -> None:
         self.ledger.rollback(cp.ledger_cp)  # raises on LIFO violation first
-        self.pools = cp.pools
-        self.cdp = cp.cdp
         del self.events[cp.events_len :]
 
     def commit(self, cp: WorldCheckpoint) -> None:

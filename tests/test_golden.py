@@ -5,12 +5,16 @@ and (in test_acceptance) the desk run's summary are pinned by sha256, so a
 change that alters any output byte fails here and has to say why. The bundled
 scenarios liquidate nothing, so the fixture below drives every liquidation
 path: pool liquidations seizing from an exchange-rate and from a rebasing
-pool, vault liquidations, and flash loans that redeem the seized claim.
+pool, vault liquidations, and flash loans that redeem the seized claim. The
+benchmark's cascade workload, on a short horizon, pins the same paths on a
+world of 253 accounts, where the liquidation scanner prices every candidate
+on a scratch checkpoint that it rolls back.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,8 @@ from lendsim.fixed import wad
 from lendsim.scenario import parse_scenario, validate_scenario
 from lendsim.simulation import SimulationEngine
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 SCENARIO_DIGESTS = {
     "table1": "571487eeea81f759c6a2f3ceb3aad3dec8847a555afc0536a23af86d9d9f5984",
@@ -29,10 +34,13 @@ SCENARIO_DIGESTS = {
     "crash_flash2": "4995e88144d9d0a38b075492823073095863ecd98d41fadbf47d2df149a3e71e",
 }
 FIXTURE_DIGEST = "cbbd36b9c18aee977389c2a6839a1f277bb1a8f92f3a7f86818aeca8de2367fe"
+CASCADE_DIGEST = "f942c7d47e3291cf6a70eb59d0aef6a1087e6fe4bd1271a952ba7b333e5ef30f"
 
 FIXTURE_HORIZON = 80
 FIXTURE_CRASH_STEP = 50
 FIXTURE_VAULTS = 6
+CASCADE_SEED = 1
+CASCADE_HORIZON = 200
 
 
 def dir_digest(directory: Path) -> str:
@@ -144,3 +152,24 @@ def test_liquidation_fixture_outputs_pinned(tmp_path):
     assert any(e["kind"] == "vault-liquidation" for e in world.events)
     assert any(e["kind"] == "flash" and e["outcome"] == "committed" for e in world.events)
     assert dir_digest(tmp_path) == FIXTURE_DIGEST
+
+
+def perfbench_workloads():
+    """The benchmark's workload builders, loaded from their file (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cascade_workload_outputs_pinned(tmp_path):
+    workloads = perfbench_workloads()
+    sc = parse_scenario(workloads.cascade(CASCADE_SEED, CASCADE_HORIZON))
+    validate_scenario(sc)
+    engine = SimulationEngine(sc)
+    workloads.open_vaults(engine.world, CASCADE_SEED)
+    engine.run(out_dir=tmp_path)
+    events = engine.world.events
+    assert any(e["kind"] == "flash" and e["plan"] == "liquidation" and e["outcome"] == "committed" for e in events)
+    assert any(e["kind"] == "vault-liquidation" for e in events)
+    assert dir_digest(tmp_path) == CASCADE_DIGEST
