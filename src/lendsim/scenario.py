@@ -363,6 +363,21 @@ def _names(value: Any, names: set[str]) -> bool:
     return isinstance(value, str) and value in names
 
 
+def _converts(venue: VenueSpec, asset_in: str, asset_out: str) -> bool:
+    """Whether the venue's `convert` turns asset_in into asset_out.
+
+    An AMM converts within its pair; a quote venue between its numeraire and
+    one of its quoted assets, either way.
+    """
+    if asset_in == asset_out:
+        return False
+    if venue.kind == "amm":
+        return asset_in in venue.pair and asset_out in venue.pair
+    if asset_in == venue.numeraire:
+        return asset_out in venue.quotes
+    return asset_out == venue.numeraire and asset_in in venue.quotes
+
+
 def validate_scenario(sc: Scenario) -> list[str]:
     """Return warnings; raise ValidationError with every hard violation."""
     problems: list[str] = []
@@ -400,12 +415,12 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if spec.initial_cash < 0:
             problems.append(f"{where}.initial_cash: must be >= 0")
 
-    venue_ids = set()
+    venues: dict[str, VenueSpec] = {}
     for i, v in enumerate(sc.venues):
         where = f"venues[{i}]"
-        if v.venue_id in venue_ids:
+        if v.venue_id in venues:
             problems.append(f"{where}.id: duplicate venue id {v.venue_id!r}")
-        venue_ids.add(v.venue_id)
+        venues.setdefault(v.venue_id, v)
         if v.kind == "quote":
             if v.numeraire not in assets:
                 problems.append(f"{where}.numeraire: undefined asset {v.numeraire!r}")
@@ -510,8 +525,13 @@ def validate_scenario(sc: Scenario) -> list[str]:
             for key in ("collateral", "borrow"):
                 if not _names(a.params.get(key), pool_assets):
                     problems.append(f"{where}.params.{key}: no pool for {a.params.get(key)!r}")
-            if not _names(a.params.get("venue"), venue_ids):
-                problems.append(f"{where}.params.venue: unknown venue {a.params.get('venue')!r}")
+            venue_id, borrow, collateral = a.params.get("venue"), a.params.get("borrow"), a.params.get("collateral")
+            if not _names(venue_id, venues):
+                problems.append(f"{where}.params.venue: unknown venue {venue_id!r}")
+            elif _names(borrow, pool_assets) and _names(collateral, pool_assets) and not _converts(
+                venues[venue_id], borrow, collateral
+            ):
+                problems.append(f"{where}.params.venue: venue {venue_id!r} does not trade {borrow} for {collateral}")
 
     if not 0 <= sc.rewards.supply_split <= WAD:
         problems.append("rewards.supply_split: must lie in [0, 1]")

@@ -141,6 +141,41 @@ def test_agent_params_must_reference_defined_pools_and_venues():
     assert "params.pool" in text and "params.venue" in text
 
 
+def test_leverage_spiral_venue_must_trade_borrow_for_collateral():
+    doc = make_doc(
+        assets=["ETH", "DAI", "BTC"],
+        pools=[pool_doc("ETH", "cETH"), pool_doc("DAI", "cDAI"), pool_doc("BTC", "cBTC")],
+        prices={"ETH": [[0, "2000"]], "DAI": [[0, "1"]], "BTC": [[0, "50000"]]},
+        venues=[
+            {"kind": "amm", "id": "eth_amm", "pair": ["ETH", "DAI"], "reserves": ["10", "20000"]},
+            {"kind": "amm", "id": "btc_amm", "pair": ["BTC", "DAI"], "reserves": ["1", "50000"]},
+            {"kind": "quote", "id": "q1", "numeraire": "DAI", "quotes": {"BTC": "50000"}},
+        ],
+    )
+
+    def spiral(agent_id, venue, collateral="ETH", borrow="DAI"):
+        return {"id": agent_id, "kind": "leverage_spiral", "endowment": {},
+                "params": {"collateral": collateral, "borrow": borrow, "venue": venue}}
+
+    doc["agents"] = [
+        spiral("ok_amm", "eth_amm"),
+        spiral("ok_quote", "q1", collateral="BTC"),
+        spiral("ok_quote_sell", "q1", collateral="DAI", borrow="BTC"),
+        spiral("other_pair", "btc_amm"),
+        spiral("unquoted", "q1"),
+        spiral("no_numeraire", "q1", collateral="BTC", borrow="ETH"),
+        spiral("same_asset", "eth_amm", collateral="DAI"),
+    ]
+    with pytest.raises(ValidationError) as info:
+        check(doc)
+    assert info.value.problems == [
+        "agents[3].params.venue: venue 'btc_amm' does not trade DAI for ETH",
+        "agents[4].params.venue: venue 'q1' does not trade DAI for ETH",
+        "agents[5].params.venue: venue 'q1' does not trade ETH for BTC",
+        "agents[6].params.venue: venue 'eth_amm' does not trade DAI for DAI",
+    ]
+
+
 def test_amm_with_zero_reserves_rejected():
     doc = base_doc()
     doc["venues"] = [{"kind": "amm", "id": "amm1", "pair": ["ETH", "DAI"], "reserves": ["0", "10"]}]
