@@ -14,14 +14,14 @@ reported, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import errors, flashloan, liquidation
 from .fixed import div_down, from_str, mul_down
-from .scenario import AgentSpec
 from .world import World
 
-DEFAULT_MIN_ACTION = from_str("0.000001")
-DEFAULT_ITERATION_CAP = 10_000
+if TYPE_CHECKING:
+    from .scenario import AgentSpec
 
 
 @dataclass
@@ -53,8 +53,8 @@ def _spiral(
     borrow_for,
     convert,
     *,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
-    min_action: int = DEFAULT_MIN_ACTION,
+    iteration_cap: int = 10_000,
+    min_action: int = from_str("0.000001"),
     buffer: int = 0,
 ) -> SpiralReport:
     """Deposit, then loop borrow -> convert -> re-deposit.
@@ -141,14 +141,9 @@ class BaseAgent:
         raise NotImplementedError
 
     def _spiral_limits(self) -> dict[str, int]:
-        """The run_*_spiral keyword limits, read from the agent's params."""
+        """The run_*_spiral keyword limits the agent's params set, already in raw units."""
         params = self.spec.params
-        min_action, buffer, cap = params.get("min_action"), params.get("buffer"), params.get("iteration_cap")
-        return {
-            "iteration_cap": DEFAULT_ITERATION_CAP if cap is None else int(cap),
-            "min_action": DEFAULT_MIN_ACTION if min_action is None else from_str(str(min_action)),
-            "buffer": 0 if buffer is None else from_str(str(buffer)),
-        }
+        return {key: params[key] for key in ("iteration_cap", "min_action", "buffer") if params.get(key) is not None}
 
     def _execute(self, world: World, best: flashloan.Opportunity, t: int) -> None:
         outcome = flashloan.execute(world, best.plan, t)
@@ -230,7 +225,7 @@ class LeverageSpiralAgent(BaseAgent):
 
 class LiquidatorAgent(BaseAgent):
     def act(self, world: World, t: int) -> None:
-        use_flash = bool(self.spec.params.get("use_flashloan", True))
+        use_flash = self.spec.params.get("use_flashloan", True)
         found = flashloan.scan_liquidations(world, t, borrower=self.account)
         if not found:
             return

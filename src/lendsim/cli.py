@@ -54,7 +54,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         print(json.dumps({"events": engine.world.events[-20:]}, default=str), file=sys.stderr)
         return EXIT_RUNTIME
-    except errors.WalkOverflow as exc:
+    except errors.Overflow as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:
@@ -79,7 +79,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except errors.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except errors.WalkOverflow as exc:
+    except errors.Overflow as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     for opp in found:

@@ -4,8 +4,9 @@ SimError covers recoverable transaction failures: every guard that rejects an
 operation raises one of these *before* mutating state, so callers (and the
 agent harness, which logs them as events) can always continue. Invariant
 violations are a separate class because they mean the engine itself is broken
-and the run must abort. A walk overflow aborts the run too: the scenario asked
-for a price path the float walk cannot represent.
+and the run must abort. An overflow aborts the run too: the scenario drove a
+value out of what the engine can represent, a walk price out of the float
+range or a number too long to render as a decimal string.
 """
 
 
@@ -17,8 +18,8 @@ class InvariantViolation(Exception):
     """Internal consistency check failed; the world is corrupt."""
 
 
-class WalkOverflow(Exception):
-    """A walk feed's price left the float range: the scenario cannot run that far."""
+class Overflow(Exception):
+    """A value left the representable range: the scenario cannot run that far."""
 
 
 # ledger

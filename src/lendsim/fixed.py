@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 
+from .errors import Overflow
+
 WAD = 10**18
 BPS_DENOM = 10_000
+MAX_AMOUNT = 2**256 - 1  # raw units: the uint256 range of an ERC-20 balance
+_MAX_DECIMAL = Decimal(f"{MAX_AMOUNT}e-18")
 
 
 class AmountError(ValueError):
@@ -50,33 +54,39 @@ def wad(units: int | str) -> int:
 
 
 def from_str(text: str) -> int:
-    """Parse a decimal string ("1.5", "0.000000000000000001") to raw units."""
+    """Parse a decimal string ("1.5", "0.000000000000000001") to raw units.
+
+    The magnitude is bounded before any exact arithmetic, so a huge exponent
+    fails at once instead of building a huge power of ten.
+    """
     try:
         dec = Decimal(text)
     except InvalidOperation as exc:
         raise AmountError(f"not a decimal literal: {text!r}") from exc
-    sign, digits, exp = dec.as_tuple()
-    if not isinstance(exp, int):
+    if not dec.is_finite():
         raise AmountError(f"not a finite decimal: {text!r}")
-    magnitude = int("".join(map(str, digits)) or "0")
-    shift = exp + 18  # context-free scaling keeps arbitrary precision exact
-    if shift >= 0:
-        raw = magnitude * 10**shift
-    else:
-        scale = 10**-shift
-        if magnitude % scale:
-            raise AmountError(f"more than 18 decimal places: {text!r}")
-        raw = magnitude // scale
-    return -raw if sign else raw
+    if dec.copy_abs() > _MAX_DECIMAL:  # Decimal comparisons are exact
+        raise AmountError(f"exceeds 2**256 - 1 raw units: {text!r}")
+    if not dec.is_zero() and dec.adjusted() < -18:  # leading digit below 1e-18
+        raise AmountError(f"more than 18 decimal places: {text!r}")
+    numerator, denominator = dec.as_integer_ratio()
+    raw, rest = divmod(numerator * WAD, denominator)
+    if rest:
+        raise AmountError(f"more than 18 decimal places: {text!r}")
+    return raw
 
 
 def to_str(raw: int) -> str:
     """Exact decimal rendering of a raw value; inverse of from_str."""
     sign = "-" if raw < 0 else ""
     whole, frac = divmod(abs(raw), WAD)
+    try:
+        text = f"{sign}{whole}"
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        raise Overflow(f"a value of {raw.bit_length()} bits is too long to render") from None
     if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}." + f"{frac:018d}".rstrip("0")
+        return text
+    return f"{text}." + f"{frac:018d}".rstrip("0")
 
 
 def require_amount(raw: object) -> int:

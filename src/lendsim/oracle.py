@@ -113,7 +113,7 @@ class PriceOracle:
             try:
                 path.append(max(1, int(path[-1] * factor)))
             except OverflowError:
-                raise errors.WalkOverflow(
+                raise errors.Overflow(
                     f"walk price of {asset} leaves the float range at step {len(path)}"
                 ) from None
         return path

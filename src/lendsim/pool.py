@@ -53,16 +53,6 @@ class RateModelParams:
     kink: int  # utilization in (0, 1)
     reserve_factor: int  # in [0, 1)
 
-    def validate(self) -> list[str]:
-        problems = []
-        if min(self.base_rate, self.slope1, self.slope2) < 0:
-            problems.append("rate model parameters must be >= 0")
-        if not 0 < self.kink < WAD:
-            problems.append("kink must lie strictly between 0 and 1")
-        if not 0 <= self.reserve_factor < WAD:
-            problems.append("reserve_factor must lie in [0, 1)")
-        return problems
-
     def borrow_rate(self, utilization: int) -> int:
         if utilization <= self.kink:
             return self.base_rate + mul_down(self.slope1, div_down(utilization, self.kink))
@@ -75,6 +65,8 @@ class RateModelParams:
 
 @dataclass
 class PoolParams:
+    """A market's risk parameters; `scenario.validate_scenario` checks the bounds noted here."""
+
     asset: str
     iou_asset: str
     iou_mode: str
@@ -85,27 +77,6 @@ class PoolParams:
     rate_model: RateModelParams
     flash_fee: int = 0
     stable_rate_premium: int = 0
-
-    def validate(self) -> tuple[list[str], list[str]]:
-        problems = list(self.rate_model.validate())
-        warnings = []
-        if self.iou_mode not in (EXCHANGE_RATE, REBASING):
-            problems.append(f"unknown iou_mode {self.iou_mode!r}")
-        if not 0 <= self.collateral_factor < WAD:
-            problems.append("collateral_factor must lie in [0, 1)")
-        if not self.collateral_factor < self.liquidation_threshold <= WAD:
-            problems.append("liquidation_threshold must lie in (collateral_factor, 1]")
-        if self.liquidation_bonus < 0:
-            problems.append("liquidation_bonus must be >= 0")
-        if not 0 < self.close_factor <= WAD:
-            problems.append("close_factor must lie in (0, 1]")
-        if self.flash_fee < 0 or self.stable_rate_premium < 0:
-            problems.append("flash_fee and stable_rate_premium must be >= 0")
-        if mul_down(self.liquidation_threshold, WAD + self.liquidation_bonus) >= WAD:
-            warnings.append(
-                "liquidation_threshold*(1+bonus) >= 1: liquidation may not improve health"
-            )
-        return problems, warnings
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 A scenario is one JSON document (schema_version 1). All amounts, prices,
 rates and fractions are decimal strings so no precision is lost in transit.
-Validation collects *every* violation instead of stopping at the first, and
-separates hard errors from warnings (e.g. a liquidation bonus large enough
-that liquidation may not improve health).
+Parsing checks only that each field has its type and reads it into raw units
+once. Validation is the one home of every bound and cross-reference: it
+collects *every* violation instead of stopping at the first, names the field
+of each, and separates hard errors from warnings (e.g. a liquidation bonus
+large enough that liquidation may not improve health).
 
 Pools are funded at construction through a bootstrap depositor account per
 pool ("lp:<asset>"), so initial cash is real deposited liquidity with matching
@@ -15,15 +17,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import oracle as oracle_mod
+from .agents import AGENT_CLASSES
 from .cdp import CdpEngine, FeePolicy, constant_fee, proportional_fee
-from .fixed import AmountError, WAD, from_str
+from .fixed import AmountError, WAD, from_str, mul_down
 from .ledger import GENESIS_AUTHORITY, Ledger
 from .oracle import PriceOracle, WalkParams
-from .pool import EXCHANGE_RATE, Pool, PoolParams, RateModelParams
+from .pool import EXCHANGE_RATE, REBASING, Pool, PoolParams, RateModelParams
 from .venues import AmmVenue, QuoteVenue
 from .world import FEE_SINK_ACCOUNT, GasConfig, RewardConfig, SCANNER_ACCOUNT, World
 
@@ -32,8 +35,6 @@ SCHEMA_VERSION = 1
 # bound on |drift| and volatility, per-step log rates of a walk feed: one
 # step's factor exp(drift + volatility * z) then stays far inside float range
 MAX_WALK_RATE = 1
-
-AGENT_KINDS = ("depositor", "borrow_spiral", "leverage_spiral", "liquidator", "arbitrageur")
 
 
 class ParseError(Exception):
@@ -67,6 +68,8 @@ class PoolSpec:
 
 @dataclass
 class CdpSpec:
+    """CdpEngine's constructor arguments, field for field."""
+
     dai_asset: str
     issuance_fraction: dict[str, int]
     stability_fee: int
@@ -93,7 +96,7 @@ class Scenario:
     venues: list[VenueSpec]
     feed_mode: str
     feed_series: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    feed_walk: dict[str, Any] = field(default_factory=dict)
+    feed_walk: WalkParams | None = None  # set in walk mode
     cdp: CdpSpec | None = None
     agents: list[AgentSpec] = field(default_factory=list)
     rewards: RewardConfig = field(default_factory=RewardConfig)
@@ -183,10 +186,7 @@ def _fee_policy(raw: Any, problems: list[str]) -> FeePolicy | None:
     doc = _obj(raw, "cdp.fee_policy", problems)
     kind = doc.get("kind")
     if kind == "constant":
-        fee = _amt(doc.get("fee", "0"), "cdp.fee_policy.fee", problems)
-        if fee < 0:
-            problems.append("cdp.fee_policy.fee: must be >= 0")
-        return constant_fee(fee)
+        return constant_fee(_amt(doc.get("fee", "0"), "cdp.fee_policy.fee", problems))
     if kind == "proportional":
         base = _amt(doc.get("base", "0"), "cdp.fee_policy.base", problems)
         return proportional_fee(base, _amt(doc.get("gain", "0"), "cdp.fee_policy.gain", problems))
@@ -278,7 +278,7 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     feeds = _obj(doc.get("price_feeds", {}), "price_feeds", problems)
     feed_mode = _str(feeds.get("mode", "replay"), "price_feeds.mode", problems)
     feed_series: dict[str, list[tuple[int, int]]] = {}
-    feed_walk: dict[str, Any] = {}
+    feed_walk = None
     if feed_mode == "replay":
         if "csv" in feeds:
             try:
@@ -290,12 +290,12 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
             pairs = [_pair(point, where, problems) or [0, "0"] for point in _list(points, where, problems)]
             feed_series[asset] = [(_num(s, int, where, problems), _amt(p, where, problems)) for s, p in pairs]
     elif feed_mode == "walk":
-        feed_walk = {
-            "seed": _num(feeds.get("seed", 0), int, "price_feeds.seed", problems),
-            "drift": _num(feeds.get("drift", 0.0), float, "price_feeds.drift", problems),
-            "volatility": _num(feeds.get("volatility", 0.0), float, "price_feeds.volatility", problems),
-            "initial": _amounts(feeds.get("initial", {}), "price_feeds.initial", problems),
-        }
+        feed_walk = WalkParams(
+            seed=_num(feeds.get("seed", 0), int, "price_feeds.seed", problems),
+            drift=_num(feeds.get("drift", 0.0), float, "price_feeds.drift", problems),
+            volatility=_num(feeds.get("volatility", 0.0), float, "price_feeds.volatility", problems),
+            initial=_amounts(feeds.get("initial", {}), "price_feeds.initial", problems),
+        )
     else:
         problems.append(f"price_feeds.mode: unknown mode {feed_mode!r}")
 
@@ -314,12 +314,21 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
     for i, a in enumerate(_list(doc.get("agents", []), "agents", problems)):
         where = f"agents[{i}]"
         a = _obj(a, where, problems)
+        params = dict(_obj(a.get("params", {}), f"{where}.params", problems))
+        # spiral limits in raw units; a JSON number is read through its str()
+        for key in ("min_action", "buffer"):
+            if params.get(key) is not None:
+                params[key] = _amt(str(params[key]), f"{where}.params.{key}", problems)
+        if params.get("iteration_cap") is not None:
+            params["iteration_cap"] = _num(params["iteration_cap"], int, f"{where}.params.iteration_cap", problems)
+        if not isinstance(params.get("use_flashloan", True), bool):
+            problems.append(f"{where}.params.use_flashloan: expected a boolean, got {params['use_flashloan']!r}")
         agents.append(
             AgentSpec(
                 agent_id=str(a.get("id", f"agent{i}")),
                 kind=_str(a.get("kind", ""), f"{where}.kind", problems),
                 endowment=_amounts(a.get("endowment", {}), f"{where}.endowment", problems),
-                params=dict(_obj(a.get("params", {}), f"{where}.params", problems)),
+                params=params,
                 window=_int_pair(a.get("window", (0, horizon)), f"{where}.window", problems),
             )
         )
@@ -379,10 +388,26 @@ def _converts(venue: VenueSpec, asset_in: str, asset_out: str) -> bool:
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
-    """Return warnings; raise ValidationError with every hard violation."""
+    """Return warnings; raise ValidationError with every hard violation.
+
+    This is the one home of every bound and cross-reference, and each problem
+    names its own field.
+    """
     problems: list[str] = []
     warnings: list[str] = []
     assets = set(sc.assets)
+    referenced: set[str] = set()  # assets that must have a price feed
+
+    def defined(where: str, symbols, priced: bool = True) -> None:
+        for symbol in symbols:
+            if symbol not in assets:
+                problems.append(f"{where}: undefined asset {symbol!r}")
+        if priced:
+            referenced.update(symbols)
+
+    def at_least(where: str, value: int, low: int = 0) -> None:
+        if value < low:
+            problems.append(f"{where}: must be >= {low}")
 
     for i, symbol in enumerate(sc.assets):
         if not isinstance(symbol, str) or not symbol.isupper() or not symbol.isalnum():
@@ -390,17 +415,12 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if len(assets) != len(sc.assets):
         problems.append("assets: duplicate symbols")
 
-    fed_assets = set(sc.feed_series) if sc.feed_mode == "replay" else set(sc.feed_walk.get("initial", {}))
-    referenced: set[str] = set()
-
     iou_symbols = set()
     pool_assets = set()
     for i, spec in enumerate(sc.pools):
         where = f"pools[{i}]"
-        p = spec.params
-        if p.asset not in assets:
-            problems.append(f"{where}.asset: undefined asset {p.asset!r}")
-        referenced.add(p.asset)
+        p, model = spec.params, spec.params.rate_model
+        defined(f"{where}.asset", [p.asset])
         if p.asset in pool_assets:
             problems.append(f"{where}.asset: duplicate pool for {p.asset!r}")
         pool_assets.add(p.asset)
@@ -409,11 +429,26 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if p.iou_asset in iou_symbols or p.iou_asset in assets:
             problems.append(f"{where}.iou_symbol: {p.iou_asset!r} collides with another symbol")
         iou_symbols.add(p.iou_asset)
-        pool_problems, pool_warnings = p.validate()
-        problems.extend(f"{where}: {msg}" for msg in pool_problems)
-        warnings.extend(f"{where}: {msg}" for msg in pool_warnings)
-        if spec.initial_cash < 0:
-            problems.append(f"{where}.initial_cash: must be >= 0")
+        if p.iou_mode not in (EXCHANGE_RATE, REBASING):
+            problems.append(f"{where}.iou_mode: unknown iou_mode {p.iou_mode!r}")
+        if not 0 <= p.collateral_factor < WAD:
+            problems.append(f"{where}.collateral_factor: must lie in [0, 1)")
+        if not p.collateral_factor < p.liquidation_threshold <= WAD:
+            problems.append(f"{where}.liquidation_threshold: must lie in (collateral_factor, 1]")
+        at_least(f"{where}.liquidation_bonus", p.liquidation_bonus)
+        if not 0 < p.close_factor <= WAD:
+            problems.append(f"{where}.close_factor: must lie in (0, 1]")
+        at_least(f"{where}.flash_fee", p.flash_fee)
+        at_least(f"{where}.stable_rate_premium", p.stable_rate_premium)
+        for name in ("base_rate", "slope1", "slope2"):
+            at_least(f"{where}.rate_model.{name}", getattr(model, name))
+        if not 0 < model.kink < WAD:
+            problems.append(f"{where}.rate_model.kink: must lie in (0, 1)")
+        if not 0 <= model.reserve_factor < WAD:
+            problems.append(f"{where}.rate_model.reserve_factor: must lie in [0, 1)")
+        at_least(f"{where}.initial_cash", spec.initial_cash)
+        if mul_down(p.liquidation_threshold, WAD + p.liquidation_bonus) >= WAD:
+            warnings.append(f"{where}: liquidation_threshold*(1+bonus) >= 1: liquidation may not improve health")
 
     venues: dict[str, VenueSpec] = {}
     for i, v in enumerate(sc.venues):
@@ -422,25 +457,16 @@ def validate_scenario(sc: Scenario) -> list[str]:
             problems.append(f"{where}.id: duplicate venue id {v.venue_id!r}")
         venues.setdefault(v.venue_id, v)
         if v.kind == "quote":
-            if v.numeraire not in assets:
-                problems.append(f"{where}.numeraire: undefined asset {v.numeraire!r}")
-            referenced.add(v.numeraire)
+            defined(f"{where}.numeraire", [v.numeraire])
+            defined(f"{where}.quotes", v.quotes)
             for asset, price in v.quotes.items():
-                if asset not in assets:
-                    problems.append(f"{where}.quotes: undefined asset {asset!r}")
-                referenced.add(asset)
                 if price <= 0:
                     problems.append(f"{where}.quotes.{asset}: price must be > 0")
+            defined(f"{where}.inventory", v.inventory, priced=False)
             for asset, amount in v.inventory.items():
-                if asset not in assets:
-                    problems.append(f"{where}.inventory: undefined asset {asset!r}")
-                if amount < 0:
-                    problems.append(f"{where}.inventory.{asset}: must be >= 0")
+                at_least(f"{where}.inventory.{asset}", amount)
         else:
-            for asset in v.pair:
-                if asset not in assets:
-                    problems.append(f"{where}.pair: undefined asset {asset!r}")
-                referenced.add(asset)
+            defined(f"{where}.pair", v.pair)
             if v.pair[0] == v.pair[1]:
                 problems.append(f"{where}.pair: assets must differ")
             if min(v.reserves) <= 0:
@@ -449,26 +475,23 @@ def validate_scenario(sc: Scenario) -> list[str]:
             problems.append(f"{where}.fee_bps: must lie in [0, 10000)")
 
     if sc.cdp is not None:
-        if sc.cdp.dai_asset not in assets:
-            problems.append(f"cdp.dai_symbol: undefined asset {sc.cdp.dai_asset!r}")
-        referenced.add(sc.cdp.dai_asset)
+        defined("cdp.dai_symbol", [sc.cdp.dai_asset])
+        defined("cdp.issuance_fractions", sc.cdp.issuance_fraction)
         for asset, theta in sc.cdp.issuance_fraction.items():
-            if asset not in assets:
-                problems.append(f"cdp.issuance_fractions: undefined asset {asset!r}")
-            referenced.add(asset)
             if not 0 < theta < WAD:
                 problems.append(f"cdp.issuance_fractions.{asset}: must lie in (0, 1)")
-        if sc.cdp.stability_fee < 0:
-            problems.append("cdp.stability_fee: must be >= 0")
-        if sc.cdp.liquidation_penalty < 0:
-            problems.append("cdp.liquidation_penalty: must be >= 0")
+        at_least("cdp.stability_fee", sc.cdp.stability_fee)
+        at_least("cdp.liquidation_penalty", sc.cdp.liquidation_penalty)
+        if sc.cdp.fee_policy is not None:
+            # only a constant policy can return a negative fee; the proportional one floors at 0
+            at_least("cdp.fee_policy.fee", sc.cdp.fee_policy(WAD))
 
+    fed_assets = set(sc.feed_series) if sc.feed_walk is None else set(sc.feed_walk.initial)
     for asset in sorted(referenced):
         if asset in assets and asset not in fed_assets:
             problems.append(f"price_feeds: no feed for referenced asset {asset!r}")
+    defined("price_feeds.series", sc.feed_series, priced=False)
     for asset, points in sc.feed_series.items():
-        if asset not in assets:
-            problems.append(f"price_feeds.series: undefined asset {asset!r}")
         if not points or points[0][0] != 0:
             problems.append(f"price_feeds.series.{asset}: must start with a point at step 0")
         last = -1
@@ -481,51 +504,47 @@ def validate_scenario(sc: Scenario) -> list[str]:
                 problems.append(f"price_feeds.series.{asset}: price at step {step} must be > 0")
                 break
 
-    for asset, price in sc.feed_walk.get("initial", {}).items():
-        if asset not in assets:
-            problems.append(f"price_feeds.initial: undefined asset {asset!r}")
-        if price <= 0:
-            problems.append(f"price_feeds.initial.{asset}: price must be > 0")
-    if sc.feed_walk and abs(sc.feed_walk["drift"]) > MAX_WALK_RATE:
-        problems.append(f"price_feeds.drift: must lie in [-{MAX_WALK_RATE}, {MAX_WALK_RATE}]")
-    if sc.feed_walk and not 0 <= sc.feed_walk["volatility"] <= MAX_WALK_RATE:
-        problems.append(f"price_feeds.volatility: must lie in [0, {MAX_WALK_RATE}]")
+    if sc.feed_walk is not None:
+        walk = sc.feed_walk
+        defined("price_feeds.initial", walk.initial, priced=False)
+        for asset, price in walk.initial.items():
+            if price <= 0:
+                problems.append(f"price_feeds.initial.{asset}: price must be > 0")
+        if abs(walk.drift) > MAX_WALK_RATE:
+            problems.append(f"price_feeds.drift: must lie in [-{MAX_WALK_RATE}, {MAX_WALK_RATE}]")
+        if not 0 <= walk.volatility <= MAX_WALK_RATE:
+            problems.append(f"price_feeds.volatility: must lie in [0, {MAX_WALK_RATE}]")
 
     reserved = {FEE_SINK_ACCOUNT, SCANNER_ACCOUNT, "vault-engine"}
     seen_agents = set()
     for i, a in enumerate(sc.agents):
         where = f"agents[{i}]"
-        if a.kind not in AGENT_KINDS:
+        if a.kind not in AGENT_CLASSES:
             problems.append(f"{where}.kind: unknown agent kind {a.kind!r}")
         if not a.agent_id or a.agent_id in reserved or ":" in a.agent_id:
             problems.append(f"{where}.id: {a.agent_id!r} is reserved or invalid")
         if a.agent_id in seen_agents:
             problems.append(f"{where}.id: duplicate agent id {a.agent_id!r}")
         seen_agents.add(a.agent_id)
+        defined(f"{where}.endowment", a.endowment, priced=False)
         for asset, amount in a.endowment.items():
-            if asset not in assets:
-                problems.append(f"{where}.endowment: undefined asset {asset!r}")
-            if amount < 0:
-                problems.append(f"{where}.endowment.{asset}: must be >= 0")
+            at_least(f"{where}.endowment.{asset}", amount)
         if a.window[0] < 0 or a.window[1] < a.window[0]:
             problems.append(f"{where}.window: must satisfy 0 <= start <= end")
-        eps = a.params.get("min_action")
-        if eps is not None and _amt(str(eps), f"{where}.params.min_action", problems) <= 0:
+        params = a.params
+        if params.get("min_action") is not None and params["min_action"] <= 0:
             problems.append(f"{where}.params.min_action: must be > 0")
-        buffer = a.params.get("buffer")
-        if buffer is not None and _amt(str(buffer), f"{where}.params.buffer", problems) < 0:
-            problems.append(f"{where}.params.buffer: must be >= 0")
-        cap = a.params.get("iteration_cap")
-        if cap is not None and _num(cap, int, f"{where}.params.iteration_cap", problems) < 0:
-            problems.append(f"{where}.params.iteration_cap: must be >= 0")
+        for key in ("buffer", "iteration_cap"):
+            if params.get(key) is not None:
+                at_least(f"{where}.params.{key}", params[key])
         if a.kind in ("depositor", "borrow_spiral"):
-            if not _names(a.params.get("pool"), pool_assets):
-                problems.append(f"{where}.params.pool: no pool for {a.params.get('pool')!r}")
+            if not _names(params.get("pool"), pool_assets):
+                problems.append(f"{where}.params.pool: no pool for {params.get('pool')!r}")
         elif a.kind == "leverage_spiral":
             for key in ("collateral", "borrow"):
-                if not _names(a.params.get(key), pool_assets):
-                    problems.append(f"{where}.params.{key}: no pool for {a.params.get(key)!r}")
-            venue_id, borrow, collateral = a.params.get("venue"), a.params.get("borrow"), a.params.get("collateral")
+                if not _names(params.get(key), pool_assets):
+                    problems.append(f"{where}.params.{key}: no pool for {params.get(key)!r}")
+            venue_id, borrow, collateral = params.get("venue"), params.get("borrow"), params.get("collateral")
             if not _names(venue_id, venues):
                 problems.append(f"{where}.params.venue: unknown venue {venue_id!r}")
             elif _names(borrow, pool_assets) and _names(collateral, pool_assets) and not _converts(
@@ -535,14 +554,11 @@ def validate_scenario(sc: Scenario) -> list[str]:
 
     if not 0 <= sc.rewards.supply_split <= WAD:
         problems.append("rewards.supply_split: must lie in [0, 1]")
-    if sc.rewards.emission_per_pool < 0:
-        problems.append("rewards.emission_per_pool: must be >= 0")
-    if sc.gas.asset is not None and sc.gas.asset not in assets:
-        problems.append(f"gas.asset: undefined asset {sc.gas.asset!r}")
-    if sc.gas.fee < 0:
-        problems.append("gas.fee: must be >= 0")
-    if sc.horizon < 1:
-        problems.append("horizon: must be >= 1")
+    at_least("rewards.emission_per_pool", sc.rewards.emission_per_pool)
+    if sc.gas.asset is not None:
+        defined("gas.asset", [sc.gas.asset], priced=False)
+    at_least("gas.fee", sc.gas.fee)
+    at_least("horizon", sc.horizon, 1)
 
     if problems:
         raise ValidationError(problems)
@@ -564,21 +580,10 @@ def build_world(sc: Scenario, seed_override: int | None = None) -> World:
     lg.register_account(SCANNER_ACCOUNT, "user")
     lg.register_account("vault-engine", "vault-engine")
 
-    if sc.feed_mode == "replay":
-        price_oracle = PriceOracle(mode="replay", series=sc.feed_series)
-    else:
-        walk_seed = sc.feed_walk["seed"]
-        if seed_override is not None:
-            walk_seed = seed_override
-        price_oracle = PriceOracle(
-            mode="walk",
-            walk=WalkParams(
-                seed=walk_seed,
-                drift=sc.feed_walk["drift"],
-                volatility=sc.feed_walk["volatility"],
-                initial=dict(sc.feed_walk["initial"]),
-            ),
-        )
+    walk = sc.feed_walk
+    if walk is not None and seed_override is not None:
+        walk = replace(walk, seed=seed_override)
+    price_oracle = PriceOracle(mode=sc.feed_mode, series=sc.feed_series, walk=walk)
 
     pools: dict[str, Pool] = {}
     for spec in sc.pools:
@@ -600,15 +605,7 @@ def build_world(sc: Scenario, seed_override: int | None = None) -> World:
             lg.mint(account, v.pair[1], v.reserves[1], GENESIS_AUTHORITY, tag="genesis")
         venues[v.venue_id] = venue
 
-    engine = None
-    if sc.cdp is not None:
-        engine = CdpEngine(
-            dai_asset=sc.cdp.dai_asset,
-            issuance_fraction=sc.cdp.issuance_fraction,
-            stability_fee=sc.cdp.stability_fee,
-            liquidation_penalty=sc.cdp.liquidation_penalty,
-            fee_policy=sc.cdp.fee_policy,
-        )
+    engine = None if sc.cdp is None else CdpEngine(**vars(sc.cdp))
 
     world = World(lg, price_oracle, pools, venues, cdp=engine, gas=sc.gas)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lendsim.cli import main
+from lendsim.fixed import to_str
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -93,6 +94,9 @@ REJECTED = {
     "fee_policy_not_object": (_set("cdp", "fee_policy", "constant"), []),
     "fee_policy_unknown_kind": (_set("cdp", "fee_policy", {"kind": "pid", "fee": "0.1"}), []),
     "agent_param_list": (_set("agents", 0, "params", "pool", []), []),
+    "endowment_huge_exponent": (_set("agents", 0, "endowment", "WETH", "1e5000"), []),
+    "initial_cash_above_uint256": (_set("pools", 0, "initial_cash", to_str(2**256)), []),
+    "use_flashloan_string": (_set("agents", 4, "params", "use_flashloan", "false"), []),
     "steps_zero": (lambda doc: None, ["--steps", "0"]),
     "steps_negative": (lambda doc: None, ["--steps", "-3"]),
 }
@@ -128,6 +132,22 @@ def test_walk_overflow_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):
         assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 2, argv
         err = capsys.readouterr().err
         assert err == "runtime error: walk price of WBTC leaves the float range at step 731\n", err
+
+
+def test_value_too_long_to_render_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):
+    # a per-step base rate of 1e20 passes validation, but compounding it for
+    # 400 steps gives an index with more digits than can be rendered
+    doc = json.loads((SCENARIOS / "table1.json").read_text())
+    doc["pools"][0]["rate_model"]["base_rate"] = "1e20"
+    doc["horizon"] = 400
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["run", "--out", str(tmp_path / "out")], ["scan", "--step", "399"]):
+        assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("runtime error: "), lines
 
 
 def test_run_writes_output_contract(tmp_path, capsys):

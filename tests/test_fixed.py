@@ -39,6 +39,18 @@ def test_rejects_excess_precision():
         from_str("abc")
 
 
+def test_amounts_are_bounded_to_uint256():
+    top = 2**256 - 1
+    assert from_str(to_str(top)) == top
+    with pytest.raises(AmountError):
+        from_str(to_str(top + 1))
+    # rejected from the exponent alone, before any power of ten is built
+    for text in ("1e1000000000", "1e-1000000000"):
+        with pytest.raises(AmountError):
+            from_str(text)
+    assert from_str("0e-1000000000") == 0
+
+
 def test_require_amount():
     assert require_amount(5) == 5
     with pytest.raises(AmountError):

@@ -93,6 +93,32 @@ def test_non_increasing_feed_steps():
         check(doc)
 
 
+def test_every_pool_bound_names_its_field():
+    doc = base_doc()
+    doc["pools"][0] = pool_doc(
+        "ETH", "cETH", "bogus",
+        collateral_factor="1", liquidation_threshold="1.5", liquidation_bonus="-0.1", close_factor="0",
+        flash_fee="-0.01", stable_rate_premium="-0.01", initial_cash="-1",
+        rate_model={"base_rate": "-0.01", "slope2": "-1", "kink": "1", "reserve_factor": "1"},
+    )
+    with pytest.raises(ValidationError) as info:
+        check(doc)
+    assert info.value.problems == [
+        "pools[0].iou_mode: unknown iou_mode 'bogus'",
+        "pools[0].collateral_factor: must lie in [0, 1)",
+        "pools[0].liquidation_threshold: must lie in (collateral_factor, 1]",
+        "pools[0].liquidation_bonus: must be >= 0",
+        "pools[0].close_factor: must lie in (0, 1]",
+        "pools[0].flash_fee: must be >= 0",
+        "pools[0].stable_rate_premium: must be >= 0",
+        "pools[0].rate_model.base_rate: must be >= 0",
+        "pools[0].rate_model.slope2: must be >= 0",
+        "pools[0].rate_model.kink: must lie in (0, 1)",
+        "pools[0].rate_model.reserve_factor: must lie in [0, 1)",
+        "pools[0].initial_cash: must be >= 0",
+    ]
+
+
 def test_bonus_threshold_product_warns_but_passes():
     doc = base_doc()
     doc["pools"][0]["liquidation_threshold"] = "0.99"

@@ -33,8 +33,13 @@ def field_paths(node, prefix=()):
 
 FIELDS = [(name, path) for name, doc in BUNDLED.items() for path in field_paths(doc)]
 
-# decimal strings as well as arbitrary text, so amounts and prices get past the reader
-decimal_strings = st.integers().map(str) | st.decimals(allow_nan=False, allow_infinity=False).map(lambda d: format(d, "f"))
+# decimal strings as well as arbitrary text, so amounts and prices get past the
+# reader; exponent notation reaches the amount bound and runaway magnitudes
+decimal_strings = (
+    st.integers().map(str)
+    | st.decimals(allow_nan=False, allow_infinity=False).map(lambda d: format(d, "f"))
+    | st.integers(-40, 6000).map(lambda e: f"1e{e}")
+)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | decimal_strings,
