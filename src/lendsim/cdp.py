@@ -248,22 +248,12 @@ class CdpEngine:
 
     # ------------------------------------------------------------------
     def telemetry_rows(self, world, step: int) -> list[str]:
+        step_cell, fee_index = str(step), to_str(self.fee_index)  # the same in every row
         rows = []
         for vault_id in sorted(self.vaults):
             vault = self.vaults[vault_id]
             value, bound = self._valuation(world, vault, step)
             debt = self.debt_of(vault)
-            rows.append(
-                ",".join(
-                    (
-                        str(step),
-                        str(vault_id),
-                        to_str(value),
-                        to_str(debt),
-                        to_str(bound),
-                        str(int(debt <= bound)),
-                        to_str(self.fee_index),
-                    )
-                )
-            )
+            cells = (str(vault_id), to_str(value), to_str(debt), to_str(bound), str(int(debt <= bound)))
+            rows.append(",".join((step_cell, *cells, fee_index)))
         return rows

@@ -78,15 +78,16 @@ def from_str(text: str) -> int:
 
 def to_str(raw: int) -> str:
     """Exact decimal rendering of a raw value; inverse of from_str."""
-    sign = "-" if raw < 0 else ""
-    whole, frac = divmod(abs(raw), WAD)
+    if raw < 0:
+        return "-" + to_str(-raw)
     try:
-        text = f"{sign}{whole}"
+        digits = str(raw)  # slicing off 18 digits is cheaper than divmod by WAD
     except ValueError:  # past the interpreter's limit on int-to-str digits
         raise Overflow(f"a value of {raw.bit_length()} bits is too long to render") from None
-    if frac == 0:
-        return text
-    return f"{text}." + f"{frac:018d}".rstrip("0")
+    if len(digits) < 19:
+        digits = digits.rjust(19, "0")
+    frac = digits[-18:].rstrip("0")
+    return f"{digits[:-18]}.{frac}" if frac else digits[:-18]
 
 
 def require_amount(raw: object) -> int:

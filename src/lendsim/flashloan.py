@@ -11,16 +11,18 @@ either way, so a reverted plan's only surviving mutation is the gas record.
 
 Scanners look for two plan shapes: two-venue price-gap arbitrage (sized in
 closed form when both venues are `linear`, by ternary search on the unimodal
-profit curve otherwise) and liquidation of unhealthy accounts or unsafe
-vaults. A liquidation candidate is sized from the account's one health report
-(or the vault's collateral), and every candidate goes through one plan
-builder: liquidate, sell the seized asset back if it differs, and measure the
-profit exactly by running the plan on a scratch checkpoint and rolling back.
+profit curve otherwise; repeated for the same borrower before any ledger
+write, the scan returns its last result again) and liquidation of unhealthy
+accounts or unsafe vaults. A liquidation candidate is sized from the account's
+one health report (or the vault's collateral), and every candidate goes
+through one plan builder: liquidate, sell the seized asset back if it differs,
+and measure the profit exactly by running the plan on a scratch checkpoint
+and rolling back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import errors, liquidation
@@ -246,7 +248,15 @@ def _best_size(world: World, seller, buyer, asset: str, flash_fee: int, cap: int
 
 
 def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list[Opportunity]:
+    """Profitable two-venue arbitrage plans, most profitable first.
+
+    The scan reads only ledger balances (venue inventories, pool cash) and fixed configuration, so
+    while the borrower and the ledger's total write count stand it returns its last result, dated `step`.
+    """
     borrower = borrower or SCANNER_ACCOUNT
+    key = (borrower, world.ledger.total_writes())
+    if world.last_arbitrage is not None and world.last_arbitrage[0] == key:
+        return [replace(o, computed_at_step=step) for o in world.last_arbitrage[1]]
     opportunities = []
     markets = _venue_markets(world)
     for (asset, numeraire), venues in markets.items():
@@ -288,6 +298,7 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
                     )
                 )
     opportunities.sort(key=lambda o: (-o.expected_profit, o.venue_or_target))
+    world.last_arbitrage = (key, tuple(opportunities))
     return opportunities
 
 
@@ -317,10 +328,11 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
     borrower = borrower or SCANNER_ACCOUNT
     candidates: list[LiquidateStep] = []
 
+    reads = liquidation.pool_reads(world)  # nothing writes until the scratch runs below
     for account in sorted({account for pool in world.pools.values() for account in pool.positions}):
         if account == borrower:
             continue
-        report = liquidation.account_totals(world, account, step)
+        report = liquidation.account_totals(world, account, step, reads)
         if not report.liquidatable or report.largest_collateral is None:
             continue
         repay_asset, seize_asset = report.largest_debt, report.largest_collateral

@@ -17,9 +17,10 @@ checkpoint) and a reverted transaction leaves no trace beyond whatever the
 caller appends afterwards (e.g. the gas-fee record of a failed flash loan).
 An entry the transaction created is deleted again, not left at zero. Commit
 keeps the records for an enclosing checkpoint. Each asset also counts its
-writes; rollback leaves the count alone, so an unchanged count proves the
-asset's balances unchanged and a cache of something derived from them (the
-supply-side reward shares) stays valid.
+writes, and rollback counts each write it undoes once more, so the count never
+returns to a value read while those writes stood: equal counts read at any two
+points prove the asset's balances unchanged, and a cache of something derived
+from them (the supply-side reward shares, the last arbitrage scan) stays valid.
 
 Mint/burn authority is a static per-asset whitelist fixed at world
 construction; the "genesis" authority funds initial endowments.
@@ -119,7 +120,7 @@ class Ledger:
         self._balances: dict[str, dict[str, int]] = {}  # asset -> account -> raw
         self._mint_auth: dict[str, frozenset[str]] = {}
         self._minted: dict[str, int] = {}  # net minted per asset
-        # writes per asset; never rolled back, so a reverted write still counts
+        # writes per asset; a rollback counts each write it undoes once more
         self._writes: dict[str, int] = {}
         self.journal: list[JournalRecord] = []
         # shared with the world's pools and CDP engine, so one rollback undoes them all
@@ -180,13 +181,24 @@ class Ledger:
             raise errors.UnknownAsset(asset) from None
 
     def writes(self, asset: str) -> int:
-        """Transfers, mints and burns of an asset so far, rolled-back ones included.
+        """Transfers, mints and burns of an asset so far, plus the ones rolled back.
 
         Equal counts at two points mean the asset's balances did not change
         between them.
         """
         try:
             return self._writes[asset]
+        except KeyError:
+            raise errors.UnknownAsset(asset) from None
+
+    def total_writes(self) -> int:
+        """writes() summed over every asset: equal totals mean no balance changed."""
+        return sum(self._writes.values())
+
+    def balance_table(self, asset: str) -> dict[str, int]:
+        """The asset's live account -> balance table, for a pass over many accounts; read it only."""
+        try:
+            return self._balances[asset]
         except KeyError:
             raise errors.UnknownAsset(asset) from None
 
@@ -279,6 +291,8 @@ class Ledger:
     def rollback(self, cp: int) -> None:
         _, journal_len, undo_len = self._pop_checkpoint(cp)
         self.undo.undo_to(undo_len)
+        for record in self.journal[journal_len:]:
+            self._writes[record.asset] += 1
         del self.journal[journal_len:]
 
     def commit(self, cp: int) -> None:

@@ -4,7 +4,10 @@ account_totals is the one pass over an account's pools. It values each
 flagged deposit once, weighted by the collateral factor (the borrowing power
 that borrow checks and spiral headroom read) and by the liquidation threshold,
 sums the debts, and names the pools of the largest debt and of the largest
-flagged deposit, which the liquidation scanner repays and seizes.
+flagged deposit, which the liquidation scanner repays and seizes. What it reads
+of the pools (each one's unit rate and IOU balance table) comes from
+pool_reads: the scanner takes them once per scan for every account it values,
+any other caller once per call. Prices come from the oracle's step vector.
 
 Health factor = sum(flagged collateral value * liquidation_threshold) over
 debt value; a position is liquidatable strictly below 1. Any caller may
@@ -47,14 +50,25 @@ class HealthReport:
         return "inf" if self.health_factor is None else to_str(self.health_factor)
 
 
-def account_totals(world, account: str, step: int) -> HealthReport:
+def pool_reads(world) -> list[tuple]:
+    """(asset, pool, unit rate, IOU balance table) per pool in world order, valid until the next write."""
+    return [(a, p, p.unit_rate(world), world.ledger.balance_table(p.params.iou_asset)) for a, p in world.pools.items()]
+
+
+def account_totals(world, account: str, step: int, reads: list[tuple] | None = None) -> HealthReport:
+    """One account's health; a scan passes its pool_reads, taken since the last write."""
+    if reads is None:
+        if not world.ledger.has_account(account):
+            raise errors.UnknownAccount(account)
+        reads = pool_reads(world)
+    price_at = world.oracle.price_at
     collateral = threshold = power = debt = 0
     largest_debt = largest_collateral = None
     top_debt = top_collateral = -1  # below any value: ties go to the first pool in world order
-    for asset, p in world.pools.items():
-        claim = p.underlying_claim(world, account)
+    for asset, p, rate, units in reads:
+        claim = p.claim(units.get(account, 0), rate)
         if claim and p.collateral_on.get(account, False):
-            value = world.oracle.value_usd(claim, asset, step)
+            value = mul_down(claim, price_at(asset, step))
             collateral += value
             threshold += mul_down(value, p.params.liquidation_threshold)
             power += mul_down(value, p.params.collateral_factor)
@@ -62,7 +76,7 @@ def account_totals(world, account: str, step: int) -> HealthReport:
                 largest_collateral, top_collateral = asset, value
         owed = p.debt_of(account)
         if owed:
-            value = world.oracle.value_usd(owed, asset, step)
+            value = mul_down(owed, price_at(asset, step))
             debt += value
             if value > top_debt:
                 largest_debt, top_debt = asset, value

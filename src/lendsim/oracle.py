@@ -4,7 +4,10 @@ Replay feeds hold the latest recorded point at or before the queried step.
 Walk feeds evolve p(t+1) = p(t) * exp(drift + vol * z) with z from a
 per-asset RNG derived from the master seed via sha256, so paths are
 independent of query order and of which other assets exist. Prices are
-quantized to wad immediately; the oracle is read-only after construction.
+quantized to wad immediately. Besides its feeds, the oracle holds the current
+step's prices: ensure_step(t) reads every asset's price at t into one dict,
+which price_at and value_usd read at t; any other step, or an asset with no
+price at t, is looked up in the feed.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class PriceOracle:
     walk: WalkParams | None = None
     _paths: dict[str, list[int]] = field(default_factory=dict, repr=False)
     _rngs: dict[str, random.Random] = field(default_factory=dict, repr=False)
+    _step: int = field(default=-1, repr=False)  # the step _prices holds
+    _prices: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in (REPLAY, WALK):
@@ -72,12 +77,23 @@ class PriceOracle:
         return list(self.walk.initial)
 
     def ensure_step(self, step: int) -> None:
-        """Extend walk caches up to `step` (no-op for replay feeds)."""
-        if self.mode == WALK:
-            for asset in self.assets():
-                self._walk_path(asset, step)
+        """Hold every asset's price at `step` in one dict (extending walk paths up to it)."""
+        prices = {}
+        for asset in self.assets():
+            try:
+                prices[asset] = self._lookup(asset, step)
+            except (errors.StepBeforeFirstPoint, errors.MissingFeed):
+                continue  # no price at `step`: price_at looks it up again and raises
+        self._step, self._prices = step, prices
 
     def price_at(self, asset: str, step: int) -> int:
+        if step == self._step:
+            price = self._prices.get(asset)
+            if price is not None:
+                return price
+        return self._lookup(asset, step)
+
+    def _lookup(self, asset: str, step: int) -> int:
         if step < 0:
             raise ValueError("step must be >= 0")
         if self.mode == REPLAY:

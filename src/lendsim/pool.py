@@ -133,12 +133,13 @@ class Pool:
 
     def underlying_claim(self, world, account: str) -> int:
         """Underlying value of an account's IOU holding (displayed balance)."""
-        bal = world.ledger.balance(account, self.params.iou_asset)
-        if bal == 0:
-            return 0
-        if self.params.iou_mode == EXCHANGE_RATE:
-            return mul_down(bal, self.exchange_rate(world))
-        return mul_down(bal, self.liquidity_index)
+        units = world.ledger.balance(account, self.params.iou_asset)
+        return self.claim(units, self.unit_rate(world)) if units else 0
+
+    @staticmethod
+    def claim(units: int, rate: int) -> int:
+        """Underlying worth of IOU ledger units at a unit rate read once per valuing pass (rounds down)."""
+        return mul_down(units, rate)
 
     def unit_rate(self, world) -> int:
         """Underlying per IOU ledger unit: the exchange rate, or the liquidity index when rebasing."""

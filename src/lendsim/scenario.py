@@ -121,11 +121,15 @@ def _amt(raw: Any, where: str, problems: list[str]) -> int:
 
 
 def _num(raw: Any, cast: type, where: str, problems: list[str]):
-    """A finite int or float field; anything else is a problem and reads as 0."""
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
+    """An int field takes a JSON integer, a float field a finite number or decimal string;
+    anything else (a boolean included) is a problem and reads as 0."""
+    if cast is int or isinstance(raw, bool):
+        value = raw if type(raw) is int else None  # a bool is an int subclass, not a JSON integer
+    else:
+        try:
+            value = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            value = None
     if value is None or (cast is float and not math.isfinite(value)):
         problems.append(f"{where}: expected a finite {cast.__name__}, got {raw!r}")
         return cast(0)
@@ -166,12 +170,10 @@ def _pair(raw: Any, where: str, problems: list[str]) -> list | None:
 
 def _int_pair(raw: Any, where: str, problems: list[str]) -> tuple[int, int]:
     """A two-element JSON array of integers; anything else is a problem and reads as (0, 0)."""
-    try:
-        first, second = raw
-        return int(first), int(second)
-    except (TypeError, ValueError, OverflowError):
-        problems.append(f"{where}: expected a pair of integers, got {raw!r}")
-        return 0, 0
+    if isinstance(raw, (list, tuple)) and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
+        return raw[0], raw[1]
+    problems.append(f"{where}: expected a pair of integers, got {raw!r}")
+    return 0, 0
 
 
 def _amounts(raw: Any, where: str, problems: list[str]) -> dict[str, int]:

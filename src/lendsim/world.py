@@ -168,6 +168,8 @@ class World:
         self.gas = gas or GasConfig()
         self.rewards = RewardLedger()
         self.events: list[dict] = []
+        # ((borrower, ledger total writes), opportunities) of the last flashloan.scan_arbitrage
+        self.last_arbitrage: tuple | None = None
 
     def emit(self, **fields) -> None:
         self.events.append(fields)

@@ -97,6 +97,13 @@ REJECTED = {
     "endowment_huge_exponent": (_set("agents", 0, "endowment", "WETH", "1e5000"), []),
     "initial_cash_above_uint256": (_set("pools", 0, "initial_cash", to_str(2**256)), []),
     "use_flashloan_string": (_set("agents", 4, "params", "use_flashloan", "false"), []),
+    # integer fields take JSON integers only: no truncated float, bool or numeric string
+    "horizon_float": (_set("horizon", 10.7), []),
+    "iteration_cap_bool": (_set("agents", 3, "params", "iteration_cap", True), []),
+    "fee_bps_string": (_set("venues", 0, "fee_bps", "30"), []),
+    "window_float": (_set("agents", 0, "window", [0, 1.5]), []),
+    "seed_string": (_set("seed", "7"), []),
+    "drift_bool": (_set("price_feeds", "drift", True), []),
     "steps_zero": (lambda doc: None, ["--steps", "0"]),
     "steps_negative": (lambda doc: None, ["--steps", "-3"]),
 }

@@ -1,5 +1,7 @@
 """Fixed-point helpers against exact rational arithmetic."""
 
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from hypothesis import given
@@ -17,6 +19,7 @@ from lendsim.fixed import (
     to_str,
     wad,
 )
+from lendsim.errors import Overflow
 
 import pytest
 
@@ -76,3 +79,23 @@ def test_div_brackets_exact_quotient(a, b):
     exact = Fraction(a) * WAD / Fraction(b)
     assert div_down(a, b) <= exact <= div_up(a, b)
     assert div_up(a, b) - div_down(a, b) <= 1
+
+
+def decimal_reference(raw: int) -> str:
+    with localcontext() as ctx:
+        ctx.prec = len(str(abs(raw))) + 20  # exact: no digit is rounded away
+        return format((Decimal(raw) / WAD).normalize(), "f")
+
+
+@given(st.one_of(st.integers(-(2**300), 2**300), st.sampled_from([0, 1, -1, WAD - 1, -WAD, 10**17, 2**256])))
+def test_to_str_matches_decimal_reference(raw):
+    assert to_str(raw) == decimal_reference(raw)
+
+
+def test_to_str_past_the_int_to_str_limit_is_overflow():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    for raw in (10 ** (limit + 50), -(10 ** (limit + 50))):
+        with pytest.raises(Overflow, match="too long to render"):
+            to_str(raw)

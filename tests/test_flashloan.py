@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lendsim import errors, flashloan
 from lendsim.fixed import WAD, from_str, mul_up, to_str, wad
@@ -372,3 +374,52 @@ def test_vault_liquidation_opportunity():
     assert isinstance(outcome, Committed)
     assert outcome.profit == found[0].expected_profit
     w.ledger.full_audit()
+
+
+# ---------------------------------------------------------------------------
+# arbitrage scan reuse
+# ---------------------------------------------------------------------------
+arb_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["sell", "buy", "deposit", "execute", "open", "rollback", "commit", "wait"]),
+        st.sampled_from(["amm1", "Q"]),
+        st.integers(1, 3000),  # tenths of a unit
+        st.sampled_from([None, "trader"]),  # borrower of the scan after the op
+        st.integers(0, 3),  # step
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arb_ops)
+@example([("open", "amm1", 1, None, 0), ("sell", "amm1", 1000, None, 0), ("rollback", "amm1", 1, None, 1)])
+def test_reused_arbitrage_scan_equals_a_fresh_scan(ops):
+    w = amm_vs_quote_world()
+    user(w, "trader", XYZ=wad(10**5), USD=wad(10**6))
+    checkpoints = []
+    for kind, venue_id, tenths, borrower, t in ops:
+        amount = wad(tenths) // 10
+        try:
+            if kind == "sell":
+                w.venues[venue_id].sell(w, "trader", "XYZ", amount)
+            elif kind == "buy":
+                w.venues[venue_id].buy(w, "trader", "XYZ", amount)
+            elif kind == "deposit":
+                w.pools["XYZ"].deposit(w, "trader", amount)
+            elif kind == "execute":
+                found = flashloan.scan_arbitrage(w, t, "trader")
+                if found:
+                    flashloan.execute(w, found[0].plan, t)
+            elif kind == "open":
+                checkpoints.append(w.checkpoint())
+            elif kind in ("rollback", "commit") and checkpoints:
+                getattr(w, kind)(checkpoints.pop())
+        except errors.SimError:
+            pass
+        # the last scan is reused when the op wrote nothing and the borrower is the same
+        reused = flashloan.scan_arbitrage(w, t, borrower)
+        w.last_arbitrage = None
+        assert reused == flashloan.scan_arbitrage(w, t, borrower)
+    while checkpoints:
+        w.rollback(checkpoints.pop())

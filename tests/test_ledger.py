@@ -198,3 +198,17 @@ def test_journal_export_schema():
     }
     assert [rec["seq"] for rec in lines] == [0, 1]
     assert lines[1]["op"] == "transfer" and lines[1]["tag"] == "payment"
+
+
+def test_rollback_moves_the_write_count_past_every_count_read_inside():
+    lg = fresh()
+    lg.mint("a", "ETH", wad(4), GENESIS_AUTHORITY)
+    cp = lg.checkpoint()
+    lg.transfer("a", "b", "ETH", wad(4))
+    inside, total_inside = lg.writes("ETH"), lg.total_writes()
+    assert inside == 2
+    lg.rollback(cp)
+    assert lg.balance("b", "ETH") == 0
+    # an equal count must mean equal balances, so the undone transfer counts again
+    assert lg.writes("ETH") == 3 and lg.total_writes() == total_inside + 1
+    assert lg.writes("DAI") == 0

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lendsim import errors, liquidation
-from lendsim.fixed import WAD, from_str, mul_down, wad
-from lendsim.pool import BorrowPosition
+from lendsim.fixed import WAD, from_str, mul_down, to_str, wad
+from lendsim.oracle import PriceOracle
+from lendsim.pool import STABLE, VARIABLE, BorrowPosition
 
 from conftest import build, make_doc, pool_doc, user
+from test_world import USERS, apply_op, world_ops
 
 
 def health_world(threshold="0.8", bonus="0.05", close="0.5"):
@@ -228,3 +230,106 @@ def test_health_never_worsens_when_hf_at_least_bonus_weighted_threshold(
     if before.health_factor >= floor:
         if after.health_factor is not None:
             assert after.health_factor >= before.health_factor - 2
+
+
+# ---------------------------------------------------------------------------
+# one valuation: account_totals over shared pool reads against a reference walk
+# ---------------------------------------------------------------------------
+def priced_world(prices):
+    """test_world's checkpoint world (an exchange-rate and a rebasing pool, a
+    stable borrower, vaults) on a replay feed with a given price per step, with
+    claims that round."""
+    rated = {"slope1": "0.002", "slope2": "0.02"}
+    doc = make_doc(
+        assets=["COL", "GLD", "DAI"],
+        pools=[pool_doc("COL", "cCOL", initial_cash="1000", rate_model=rated),
+               pool_doc("GLD", "aGLD", "rebasing", initial_cash="1000", rate_model=rated)],
+        prices={asset: [[step, to_str(wad(tenths) // 10)] for step, tenths in enumerate(path)]
+                for asset, path in prices.items()},
+        cdp={"dai_symbol": "DAI", "issuance_fractions": {"COL": "0.66", "GLD": "0.66"},
+             "stability_fee": "0.001", "liquidation_penalty": "0.13"},
+    )
+    w = build(doc)
+    for name in USERS:
+        user(w, name, COL=wad(1000), GLD=wad(1000), DAI=wad(1000))
+        w.pools["COL"].deposit(w, name, wad(300))
+        w.pools["GLD"].deposit(w, name, wad(100))
+        try:
+            w.pools["GLD"].borrow(w, name, wad(150), STABLE if name == "u1" else VARIABLE, step=0)
+        except errors.SimError:
+            pass
+        vault_id = w.cdp.open_vault(name)
+        w.cdp.lock(w, vault_id, "COL", wad(100))
+    try:
+        w.pools["COL"].borrow(w, "u2", wad(50), step=0)
+    except errors.SimError:
+        pass
+    for p in w.pools.values():  # unit rates off WAD, then deposits of uneven IOU units
+        p.accrue(w, 1)
+        for name in USERS:
+            p.deposit(w, name, from_str("7.77"))
+    return w
+
+
+def reference_totals(w, account, step, feed):
+    """account_totals recomputed per pool from the ledger, the pool's own views and a fresh feed."""
+    collateral = threshold = power = debt = 0
+    largest_debt = largest_collateral = None
+    top_debt = top_collateral = -1
+    for asset, p in w.pools.items():
+        claim = mul_down(w.ledger.balance(account, p.params.iou_asset), p.unit_rate(w))
+        if claim and p.collateral_on.get(account, False):
+            value = mul_down(claim, feed.price_at(asset, step))
+            collateral += value
+            threshold += mul_down(value, p.params.liquidation_threshold)
+            power += mul_down(value, p.params.collateral_factor)
+            if value > top_collateral:
+                largest_collateral, top_collateral = asset, value
+        owed = p.debt_of(account)
+        if owed:
+            value = mul_down(owed, feed.price_at(asset, step))
+            debt += value
+            if value > top_debt:
+                largest_debt, top_debt = asset, value
+    ltv = debt * WAD // collateral if collateral else None
+    hf = threshold * WAD // debt if debt else None
+    return liquidation.HealthReport(account, collateral, threshold, debt, ltv, hf, power, largest_debt,
+                                    largest_collateral)
+
+
+price_paths = st.lists(st.integers(1, 40), min_size=4, max_size=4)  # tenths of a USD at steps 0..3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fixed_dictionaries({"COL": price_paths, "GLD": price_paths, "DAI": price_paths}),
+       world_ops, st.integers(0, 3))
+def test_account_totals_over_shared_pool_reads_match_a_reference_walk(prices, ops, t):
+    w = priced_world(prices)
+    feed = PriceOracle(mode="replay", series=dict(w.oracle.series))
+    w.oracle.ensure_step(t)
+    for op in [None, *ops]:
+        if op is not None and op[0] not in ("nest", "close"):
+            try:
+                apply_op(w, op)
+            except errors.SimError:
+                pass
+        reads = liquidation.pool_reads(w)
+        for account in USERS:
+            expected = reference_totals(w, account, t, feed)
+            assert liquidation.account_totals(w, account, t) == expected
+            assert liquidation.account_totals(w, account, t, reads) == expected
+
+
+def test_account_totals_needs_a_price_only_for_what_the_account_holds_or_owes():
+    w = health_world()
+    rig_position(w, "alice", wad(1000), wad(700))  # deposits COL, owes DEBT
+    user(w, "bob", COL=wad(5))
+    w.pools["COL"].deposit(w, "bob", wad(5))
+    del w.oracle.series["DEBT"]
+    for _ in range(2):  # from the feed, then from the step's price vector
+        assert liquidation.account_totals(w, "bob", 0).collateral_value == wad(5)
+        with pytest.raises(errors.MissingFeed):
+            liquidation.account_totals(w, "alice", 0)
+        with pytest.raises(errors.UnknownAccount):
+            liquidation.account_totals(w, "nobody", 0)
+        w.oracle.ensure_step(0)

@@ -102,3 +102,33 @@ def test_feed_csv_loader(tmp_path):
     assert series["DAI"] == [(0, wad(1))]
     feed = PriceOracle(mode="replay", series=series)
     assert feed.price_at("ETH", 4) == wad(2000)
+
+
+def _outcome(read, *args):
+    """A read's value, or the type and text of what it raised."""
+    try:
+        return read(*args)
+    except (errors.SimError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _vector_oracles():
+    # LATE has no price before step 3, EMPTY no point at all, NOPE no feed
+    replay = {"ETH": [(0, wad(2000)), (2, wad(1900)), (4, wad(1700))], "LATE": [(3, from_str("0.5"))], "EMPTY": []}
+    walk = WalkParams(seed=9, drift=0.001, volatility=0.02, initial={"ETH": wad(2000), "DAI": wad(1)})
+    return [
+        lambda: PriceOracle(mode="replay", series=replay),
+        lambda: PriceOracle(mode="walk", walk=walk),
+    ]
+
+
+@pytest.mark.parametrize("make", _vector_oracles(), ids=["replay", "walk"])
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 4, 7])
+def test_step_price_vector_reads_like_a_fresh_oracle(make, t):
+    feed = make()
+    feed.ensure_step(t)
+    for step in (t - 1, t, t + 1):
+        for asset in ("ETH", "DAI", "LATE", "EMPTY", "NOPE"):
+            assert _outcome(feed.price_at, asset, step) == _outcome(make().price_at, asset, step)
+            amount = from_str("1.25")
+            assert _outcome(feed.value_usd, amount, asset, step) == _outcome(make().value_usd, amount, asset, step)
