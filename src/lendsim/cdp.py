@@ -13,7 +13,7 @@ price. Debt issuance treats one stablecoin as one USD regardless of its
 market price; the market price only matters to traders and the fee policy.
 
 Every write to the engine's state first records the old value in its undo log
-(the world's, once bound), so a world rollback restores it in place.
+(the world ledger's), so a world rollback restores it in place.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def proportional_fee(base: int, gain: int, target: int = WAD) -> FeePolicy:
 
 @dataclass
 class Vault:
-    vault_id: int
     owner: str
     collateral: dict[str, int] = field(default_factory=dict)
     debt_scaled: int = 0  # debt / fee_index at last touch
@@ -59,6 +58,7 @@ class Vault:
 class CdpEngine:
     def __init__(
         self,
+        undo: UndoLog,
         dai_asset: str,
         issuance_fraction: dict[str, int],
         stability_fee: int,
@@ -72,16 +72,14 @@ class CdpEngine:
         self.fee_policy = fee_policy
         self.fee_index = WAD
         self.vaults: dict[int, Vault] = {}
-        self._next_vault = 0
-        self.undo = UndoLog()  # records nothing until a World binds its ledger's log
+        self.undo = undo
 
     # ------------------------------------------------------------------
     def open_vault(self, owner: str) -> int:
-        self.undo.save_attrs(self, "_next_vault")
-        self._next_vault += 1
-        self.undo.save_items(self.vaults, self._next_vault)
-        self.vaults[self._next_vault] = Vault(self._next_vault, owner)
-        return self._next_vault
+        vault_id = len(self.vaults) + 1  # free: only a rollback removes vaults, the newest first
+        self.undo.save_items(self.vaults, vault_id)
+        self.vaults[vault_id] = Vault(owner)
+        return vault_id
 
     def vault(self, vault_id: int) -> Vault:
         try:
@@ -173,12 +171,11 @@ class CdpEngine:
             vault.debt_scaled -= div_down(applied, self.fee_index)
 
     # ------------------------------------------------------------------
-    def accrue(self, world, step: int, dt: int = 1) -> None:
+    def accrue(self, world, step: int) -> None:
         self.undo.save_attrs(self, "stability_fee", "fee_index")
-        for _ in range(dt):
-            if self.fee_policy is not None:
-                self.stability_fee = self.fee_policy(world.oracle.price_at(self.dai_asset, step))
-            self.fee_index = mul_up(self.fee_index, WAD + self.stability_fee)
+        if self.fee_policy is not None:
+            self.stability_fee = self.fee_policy(world.oracle.price_at(self.dai_asset, step))
+        self.fee_index = mul_up(self.fee_index, WAD + self.stability_fee)
 
     def set_fee(self, fee: int) -> None:
         if fee < 0:

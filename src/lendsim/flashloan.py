@@ -22,11 +22,12 @@ and rolling back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from . import errors, liquidation
 from .fixed import WAD, div_down, mul_down, mul_up, to_str
+from .ledger import GENESIS_AUTHORITY
 from .venues import amm_in_given_out  # noqa: F401 -- kept importable: perfbench's tracer hooks it here
 from .world import SCANNER_ACCOUNT, World
 
@@ -87,7 +88,6 @@ class Opportunity:
     kind: str  # arbitrage | liquidation
     plan: FlashPlan
     expected_profit: int
-    computed_at_step: int
     venue_or_target: str
 
     def to_record(self, step: int) -> dict:
@@ -200,11 +200,6 @@ def _gas_in(world: World, asset: str) -> int:
 
 
 def _arb_profit(world: World, seller, buyer, asset: str, flash_fee: int, size: int) -> int | None:
-    if size <= 0:
-        return None
-    max_sell = seller.max_sell(world, asset)
-    if max_sell is not None and size > max_sell:
-        return None
     cost = buyer.buy_cost(world, asset, size + mul_up(size, flash_fee))
     if cost is None:
         return None
@@ -240,7 +235,7 @@ def _best_size(world: World, seller, buyer, asset: str, flash_fee: int, cap: int
         else:
             hi = m2
     best = None
-    for size in range(max(lo, 1), hi + 1):
+    for size in range(lo, hi + 1):
         profit = profit_at(size)
         if profit is not None and (best is None or profit > best[1]):
             best = (size, profit)
@@ -251,12 +246,12 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
     """Profitable two-venue arbitrage plans, most profitable first.
 
     The scan reads only ledger balances (venue inventories, pool cash) and fixed configuration, so
-    while the borrower and the ledger's total write count stand it returns its last result, dated `step`.
+    while the borrower and the ledger's total write count stand it returns its last result again.
     """
     borrower = borrower or SCANNER_ACCOUNT
     key = (borrower, world.ledger.total_writes())
     if world.last_arbitrage is not None and world.last_arbitrage[0] == key:
-        return [replace(o, computed_at_step=step) for o in world.last_arbitrage[1]]
+        return list(world.last_arbitrage[1])
     opportunities = []
     markets = _venue_markets(world)
     for (asset, numeraire), venues in markets.items():
@@ -293,7 +288,6 @@ def scan_arbitrage(world: World, step: int, borrower: str | None = None) -> list
                         kind="arbitrage",
                         plan=plan,
                         expected_profit=profit,
-                        computed_at_step=step,
                         venue_or_target=f"{seller.venue_id}->{buyer.venue_id}",
                     )
                 )
@@ -313,7 +307,7 @@ def _try_plan(world: World, plan: FlashPlan, step: int) -> int | None:
             # scratch only: let the unfunded scanner account pay gas
             short = gas.fee - world.ledger.balance(plan.borrower, gas.asset)
             if short > 0:
-                world.ledger.mint(plan.borrower, gas.asset, short, "genesis", tag="scratch-grant")
+                world.ledger.mint(plan.borrower, gas.asset, short, GENESIS_AUTHORITY, tag="scratch-grant")
         outcome = execute(world, plan, step)
     except errors.SimError:
         return None
@@ -376,7 +370,7 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
         plan = FlashPlan(borrower, item.repay_asset, item.amount, steps, profit_asset=item.repay_asset)
         profit = _try_plan(world, plan, step)
         if profit is not None:
-            opportunities.append(Opportunity("liquidation", plan, profit, step, item.target))
+            opportunities.append(Opportunity("liquidation", plan, profit, item.target))
 
     opportunities.sort(key=lambda o: (-o.expected_profit, o.venue_or_target))
     return opportunities

@@ -10,7 +10,7 @@ negative balances.
 Checkpoints are strictly LIFO and copy nothing. While one is open, every
 write first records the value it overwrites in the ledger's undo log: each
 balance entry and net-minted entry here, and the protocol state of the pools
-and the CDP engine bound to the same log (see world.py). A checkpoint keeps
+and the CDP engine built on the same log (see world.py). A checkpoint keeps
 only the log and journal lengths; rollback undoes the log back to its length,
 newest record first, and truncates the journal, so it costs O(writes since the
 checkpoint) and a reverted transaction leaves no trace beyond whatever the

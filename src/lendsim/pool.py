@@ -16,11 +16,12 @@ pool's reserves, rounding in the pool's favor.
 
 Borrow positions are variable (indexed against borrow_index) or stable
 (principal compounded at a per-position snapshot rate of r_b + premium, never
-rebalanced). Positions may switch modes at any time with continuous debt value.
-All cash lives in the pool's ledger account, so pool cash can never drift
-from the balance sheet. Every write to the pool's own state first records the
-old value in its undo log (the world's, once bound), so a world rollback
-restores it in place.
+rebalanced, and booked into total_borrows at that rate). Positions may switch
+modes at any time with continuous debt value. All cash lives in the pool's
+ledger account `pool:<asset>`, also its IOU's mint/burn authority, so pool cash
+can never drift from the balance sheet. Every write to the pool's own state
+first records the old value in its undo log (the world ledger's), so a world
+rollback restores it in place.
 """
 
 from __future__ import annotations
@@ -89,10 +90,9 @@ class BorrowPosition:
 
 
 class Pool:
-    def __init__(self, params: PoolParams, account: str):
+    def __init__(self, params: PoolParams, undo: UndoLog):
         self.params = params
-        self.account = account  # ledger account holding the pool's cash
-        self.authority = f"pool:{params.asset}"
+        self.account = f"pool:{params.asset}"  # holds the pool's cash, mints and burns its IOU
         self.total_borrows = 0
         self.reserves = 0
         self.borrow_index = WAD
@@ -100,7 +100,7 @@ class Pool:
         self.positions: dict[str, BorrowPosition] = {}
         self.collateral_on: dict[str, bool] = {}
         self.paused = False
-        self.undo = UndoLog()  # records nothing until a World binds its ledger's log
+        self.undo = undo
 
     # ------------------------------------------------------------------
     # state views
@@ -180,12 +180,18 @@ class Pool:
             r_s = model.supply_rate(r_b, util)
             self.borrow_index = mul_down(self.borrow_index, WAD + r_b)
             self.liquidity_index = mul_down(self.liquidity_index, WAD + r_s)
-            self.total_borrows = borrows + mul_up(borrows, r_b)
-            self.reserves += ceil_div(borrows * r_b * model.reserve_factor, WAD * WAD)
+            # stable debt grows at each position's own rate; only the rest compounds at r_b
+            variable, stable_growth = borrows, 0
             for pos in self.positions.values():
                 if pos.rate_mode == STABLE and pos.stable_principal:
                     self.undo.save_attrs(pos, "stable_principal")
-                    pos.stable_principal = mul_up(pos.stable_principal, WAD + pos.stable_rate)
+                    grown = mul_up(pos.stable_principal, WAD + pos.stable_rate)
+                    variable -= pos.stable_principal
+                    stable_growth += grown - pos.stable_principal
+                    pos.stable_principal = grown
+            self.total_borrows = borrows + mul_up(variable, r_b) + stable_growth
+            rf = model.reserve_factor
+            self.reserves += ceil_div(variable * r_b * rf, WAD * WAD) + ceil_div(stable_growth * rf, WAD)
 
     # ------------------------------------------------------------------
     # deposits
@@ -196,7 +202,7 @@ class Pool:
             raise errors.PoolPaused(self.params.asset)
         minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
-        world.ledger.mint(account, self.params.iou_asset, minted, self.authority, tag="deposit-iou")
+        world.ledger.mint(account, self.params.iou_asset, minted, self.account, tag="deposit-iou")
         self.undo.save_items(self.collateral_on, account)
         self.collateral_on.setdefault(account, True)
         return minted
@@ -222,7 +228,7 @@ class Pool:
                 f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}"
             )
         self._require_health_after_withdrawal(world, account, payout, step)
-        world.ledger.burn(account, self.params.iou_asset, burn_units, self.authority, tag="redeem-iou")
+        world.ledger.burn(account, self.params.iou_asset, burn_units, self.account, tag="redeem-iou")
         world.ledger.transfer(self.account, account, self.params.asset, payout, tag="redeem")
         return payout
 
@@ -316,7 +322,7 @@ class Pool:
             else:
                 pos.scaled -= div_down(applied, self.borrow_index)
         else:
-            pos.stable_principal = max(0, pos.stable_principal - applied)
+            pos.stable_principal -= applied
         self.total_borrows = max(0, self.total_borrows - applied)
         if pos.scaled == 0 and pos.stable_principal == 0:
             self.undo.del_item(self.positions, account)

@@ -22,7 +22,7 @@ from typing import Any
 
 from . import oracle as oracle_mod
 from .agents import AGENT_CLASSES
-from .cdp import CdpEngine, FeePolicy, constant_fee, proportional_fee
+from .cdp import CDP_AUTHORITY, VAULT_ENGINE_ACCOUNT, CdpEngine, FeePolicy, constant_fee, proportional_fee
 from .fixed import AmountError, WAD, from_str, mul_down
 from .ledger import GENESIS_AUTHORITY, Ledger
 from .oracle import PriceOracle, WalkParams
@@ -517,7 +517,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if not 0 <= walk.volatility <= MAX_WALK_RATE:
             problems.append(f"price_feeds.volatility: must lie in [0, {MAX_WALK_RATE}]")
 
-    reserved = {FEE_SINK_ACCOUNT, SCANNER_ACCOUNT, "vault-engine"}
+    reserved = {FEE_SINK_ACCOUNT, SCANNER_ACCOUNT, VAULT_ENGINE_ACCOUNT}
     seen_agents = set()
     for i, a in enumerate(sc.agents):
         where = f"agents[{i}]"
@@ -575,12 +575,12 @@ def build_world(sc: Scenario, seed_override: int | None = None) -> World:
     for asset in sc.assets:
         authorities = []
         if sc.cdp is not None and asset == sc.cdp.dai_asset:
-            authorities.append("cdp")
+            authorities.append(CDP_AUTHORITY)
         lg.register_asset(asset, authorities)
 
     lg.register_account(FEE_SINK_ACCOUNT, "fee-sink")
     lg.register_account(SCANNER_ACCOUNT, "user")
-    lg.register_account("vault-engine", "vault-engine")
+    lg.register_account(VAULT_ENGINE_ACCOUNT, "vault-engine")
 
     walk = sc.feed_walk
     if walk is not None and seed_override is not None:
@@ -589,25 +589,23 @@ def build_world(sc: Scenario, seed_override: int | None = None) -> World:
 
     pools: dict[str, Pool] = {}
     for spec in sc.pools:
-        account = lg.register_account(f"pool:{spec.params.asset}", "pool")
-        p = Pool(spec.params, account)
-        lg.register_asset(spec.params.iou_asset, [p.authority])
+        p = Pool(spec.params, lg.undo)
+        lg.register_account(p.account, "pool")
+        lg.register_asset(spec.params.iou_asset, [p.account])
         pools[spec.params.asset] = p
 
     venues: dict[str, object] = {}
     for v in sc.venues:
-        account = lg.register_account(f"venue:{v.venue_id}", "venue")
         if v.kind == "quote":
-            venue = QuoteVenue(v.venue_id, v.numeraire, dict(v.quotes), v.fee_bps, account)
-            for asset, amount in v.inventory.items():
-                lg.mint(account, asset, amount, GENESIS_AUTHORITY, tag="genesis")
+            venue, holdings = QuoteVenue(v.venue_id, v.numeraire, dict(v.quotes), v.fee_bps), v.inventory.items()
         else:
-            venue = AmmVenue(v.venue_id, v.pair, v.fee_bps, account)
-            lg.mint(account, v.pair[0], v.reserves[0], GENESIS_AUTHORITY, tag="genesis")
-            lg.mint(account, v.pair[1], v.reserves[1], GENESIS_AUTHORITY, tag="genesis")
+            venue, holdings = AmmVenue(v.venue_id, v.pair, v.fee_bps), zip(v.pair, v.reserves)
+        lg.register_account(venue.account, "venue")
+        for asset, amount in holdings:
+            lg.mint(venue.account, asset, amount, GENESIS_AUTHORITY, tag="genesis")
         venues[v.venue_id] = venue
 
-    engine = None if sc.cdp is None else CdpEngine(**vars(sc.cdp))
+    engine = None if sc.cdp is None else CdpEngine(lg.undo, **vars(sc.cdp))
 
     world = World(lg, price_oracle, pools, venues, cdp=engine, gas=sc.gas)
 

@@ -86,12 +86,11 @@ class SimulationEngine:
             world.cdp.accrue(world, t)
         self.distribute_rewards(t)
 
-        order = list(range(len(self.agents)))
+        order = list(self.agents)  # shuffle's draws depend only on the length
         random.Random(derive_seed(self.seed, "order", t)).shuffle(order)
         if self.verbosity >= 2:
-            world.emit(kind="agent-order", step=t, order=[self.agents[i].account for i in order])
-        for idx in order:
-            agent = self.agents[idx]
+            world.emit(kind="agent-order", step=t, order=[agent.account for agent in order])
+        for agent in order:
             if not agent.active(t):
                 continue
             try:

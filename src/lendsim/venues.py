@@ -17,7 +17,7 @@ arbitrage scanner size a trade in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import errors
 from .fixed import BPS_DENOM, WAD, ceil_div, require_amount
@@ -31,11 +31,10 @@ class QuoteVenue:
     numeraire: str
     quotes: dict[str, int]  # asset -> wad price in numeraire per whole unit
     fee_bps: int = 0
-    account: str = ""
+    account: str = field(init=False)  # the ledger account holding the inventory
 
     def __post_init__(self) -> None:
-        if not self.account:
-            self.account = f"venue:{self.venue_id}"
+        self.account = f"venue:{self.venue_id}"
         for asset, price in self.quotes.items():
             if price <= 0:
                 raise ValueError(f"quote for {asset} must be positive")
@@ -137,11 +136,10 @@ class AmmVenue:
     venue_id: str
     pair: tuple[str, str]
     fee_bps: int = 30
-    account: str = ""
+    account: str = field(init=False)  # the ledger account holding the reserves
 
     def __post_init__(self) -> None:
-        if not self.account:
-            self.account = f"venue:{self.venue_id}"
+        self.account = f"venue:{self.venue_id}"
         if self.pair[0] == self.pair[1]:
             raise ValueError("AMM pair must hold two distinct assets")
         if not 0 <= self.fee_bps < BPS_DENOM:

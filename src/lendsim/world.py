@@ -1,7 +1,7 @@
 """The mutable world: ledger + oracle + markets wired together.
 
-A world is mutated by exactly one logical thread. It binds its pools and CDP
-engine to the ledger's undo log, so a write to their protocol state while a
+A world is mutated by exactly one logical thread. Its pools and CDP engine are
+built on the ledger's undo log, so a write to their protocol state while a
 checkpoint is open (pool scalars, borrow positions, collateral flags, the fee
 index, vaults and their collateral) records the value it overwrites, as a
 balance write does. A world checkpoint is a ledger checkpoint plus the length
@@ -87,7 +87,6 @@ class RewardLedger:
     def __init__(self) -> None:
         self._accrued: dict[str, int] = {}
         self._dust = 0
-        self._distributed = 0
         self._streams: dict[str, _Stream] = {}
 
     @property
@@ -102,8 +101,7 @@ class RewardLedger:
 
     @property
     def distributed(self) -> int:
-        self._settle()
-        return self._distributed
+        return sum(self.accrued.values())
 
     def pay(self, tranche: int, weights: Iterable[tuple[str, int]]) -> None:
         """Pay one step of a tranche pro rata to (account, weight) pairs."""
@@ -128,7 +126,6 @@ class RewardLedger:
     def _credit(self, shares: list[tuple[str, int]], dust: int, steps: int) -> None:
         for account, share in shares:
             self._accrued[account] = self._accrued.get(account, 0) + share * steps
-            self._distributed += share * steps
         self._dust += dust * steps
 
     def _settle_stream(self, stream: _Stream) -> None:
@@ -162,9 +159,6 @@ class World:
         self.pools = pools
         self.venues = venues
         self.cdp = cdp
-        for market in (*pools.values(), cdp):
-            if market is not None:
-                market.undo = ledger.undo
         self.gas = gas or GasConfig()
         self.rewards = RewardLedger()
         self.events: list[dict] = []

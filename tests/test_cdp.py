@@ -61,6 +61,17 @@ def test_free_that_breaches_bound_rejected():
     w.cdp.free(w, vid, "ETH", wad(1), step=0)  # new bound 1200 >= 1000
 
 
+def test_vault_ids_continue_from_the_vaults_left_after_a_rollback():
+    w = vault_world()
+    assert [w.cdp.open_vault(name) for name in ("alice", "bob")] == [1, 2]
+    cp = w.checkpoint()
+    assert [w.cdp.open_vault(name) for name in ("carol", "dave")] == [3, 4]
+    w.rollback(cp)
+    assert w.cdp.open_vault("erin") == 3
+    assert sorted(w.cdp.vaults) == [1, 2, 3]
+    assert w.cdp.vault(3).owner == "erin"
+
+
 def test_draw_bound_rounds_down():
     w = vault_world()
     user(w, "alice", ETH=wad(10))

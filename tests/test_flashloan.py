@@ -423,3 +423,71 @@ def test_reused_arbitrage_scan_equals_a_fresh_scan(ops):
         assert reused == flashloan.scan_arbitrage(w, t, borrower)
     while checkpoints:
         w.rollback(checkpoints.pop())
+
+
+# ---------------------------------------------------------------------------
+# arbitrage sizing bounds
+# ---------------------------------------------------------------------------
+def _units(lo, hi):
+    """Decimal strings with two places, in [lo, hi] whole units."""
+    return st.integers(lo * 100, hi * 100).map(lambda n: to_str(n * WAD // 100))
+
+
+quote_venues = st.fixed_dictionaries({
+    "kind": st.just("quote"),
+    "numeraire": st.just("USD"),
+    "quotes": st.fixed_dictionaries({"XYZ": _units(1, 100)}),
+    "fee_bps": st.integers(0, 300),
+    "inventory": st.fixed_dictionaries({"XYZ": _units(0, 10**5), "USD": _units(0, 10**6)}),
+})
+amm_venues = st.fixed_dictionaries({
+    "kind": st.just("amm"),
+    "pair": st.just(["XYZ", "USD"]),
+    "reserves": st.tuples(_units(1, 10**5), _units(1, 10**6)).map(list),
+    "fee_bps": st.integers(0, 300),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(quote_venues, amm_venues), min_size=2, max_size=3),
+    _units(0, 10**5),
+    st.sampled_from(["0", "0.0009", "0.01"]),
+)
+@example(
+    [
+        {"kind": "amm", "pair": ["XYZ", "USD"], "reserves": ["10000", "90000"], "fee_bps": 30},
+        {"kind": "quote", "numeraire": "USD", "quotes": {"XYZ": "10"}, "fee_bps": 0,
+         "inventory": {"XYZ": "1000000", "USD": "1000000"}},
+    ],
+    "100000",
+    "0",
+)
+def test_arbitrage_sizing_probes_only_sizes_inside_the_scan_cap(venue_docs, pool_cash, flash_fee):
+    doc = make_doc(
+        assets=["XYZ", "USD"],
+        pools=[pool_doc("XYZ", "cXYZ", flash_fee=flash_fee, initial_cash=pool_cash)],
+        venues=[dict(v, id=f"v{i}") for i, v in enumerate(venue_docs)],
+        prices={"XYZ": [[0, "10"]], "USD": [[0, "1"]]},
+    )
+    w = build(doc)
+    best_size, arb_profit = flashloan._best_size, flashloan._arb_profit
+    caps, probes = [], []
+
+    def spy_best_size(world, seller, buyer, asset, fee, cap):
+        caps.append(cap)
+        max_sell = seller.max_sell(world, asset)
+        assert max_sell is None or cap <= max_sell
+        return best_size(world, seller, buyer, asset, fee, cap)
+
+    def spy_arb_profit(world, seller, buyer, asset, fee, size):
+        probes.append(size)
+        assert 1 <= size <= caps[-1]
+        return arb_profit(world, seller, buyer, asset, fee, size)
+
+    flashloan._best_size, flashloan._arb_profit = spy_best_size, spy_arb_profit
+    try:
+        flashloan.scan_arbitrage(w, 0)
+    finally:
+        flashloan._best_size, flashloan._arb_profit = best_size, arb_profit
+    assert len(caps) == len(venue_docs) * (len(venue_docs) - 1)  # each ordered pair trades XYZ for USD

@@ -408,6 +408,35 @@ def test_borrow_in_conflicting_mode_rejected():
         p.borrow(w, "alice", wad(100), "stable", step=0)
 
 
+def test_stable_debt_is_booked_into_total_borrows_at_its_own_rate():
+    # alice's stable snapshot is below bob's variable rate: booking her debt
+    # at the variable rate overstated the pool's borrows (and utilization)
+    w = stable_world()
+    p = w.pools["DAI"]
+    user(w, "alice", ETH=wad(1000))
+    user(w, "bob", ETH=wad(10000))
+    w.pools["ETH"].deposit(w, "alice", wad(1000))
+    w.pools["ETH"].deposit(w, "bob", wad(10000))
+    p.borrow(w, "alice", wad(100), "stable", step=0)
+    p.borrow(w, "bob", wad(700), step=0)
+    for _ in range(199):
+        p.accrue(w, 1)
+    assert abs(p.total_borrows - (p.debt_of("alice") + p.debt_of("bob"))) <= 10**6  # variable-side rounding
+
+
+def test_stable_only_pool_books_its_borrows_exactly():
+    w = stable_world()
+    p = w.pools["DAI"]
+    for name, amount in (("alice", 100), ("bob", 500)):  # bob's snapshot prices a higher utilization
+        user(w, name, ETH=wad(1000))
+        w.pools["ETH"].deposit(w, name, wad(1000))
+        p.borrow(w, name, wad(amount), "stable", step=0)
+    assert p.positions["alice"].stable_rate < p.positions["bob"].stable_rate
+    for _ in range(199):
+        p.accrue(w, 1)
+    assert p.total_borrows == p.debt_of("alice") + p.debt_of("bob")
+
+
 # ---------------------------------------------------------------------------
 # randomized mode properties
 # ---------------------------------------------------------------------------
