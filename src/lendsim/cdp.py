@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import errors
-from .fixed import WAD, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .fixed import WAD, div_up, mul_down, mul_up, require_amount, scaled_after_repay, to_str
 from .ledger import UndoLog
 from .liquidation import seize_split
 
@@ -165,10 +165,7 @@ class CdpEngine:
     def _reduce_debt(self, vault: Vault, applied: int) -> None:
         """Book a repayment of at most the vault's debt; the whole debt clears it."""
         self.undo.save_attrs(vault, "debt_scaled")
-        if applied >= self.debt_of(vault):
-            vault.debt_scaled = 0
-        else:
-            vault.debt_scaled -= div_down(applied, self.fee_index)
+        vault.debt_scaled = scaled_after_repay(vault.debt_scaled, self.fee_index, applied)
 
     # ------------------------------------------------------------------
     def accrue(self, world, step: int) -> None:

@@ -46,6 +46,14 @@ def div_up(a: int, b: int) -> int:
     return ceil_div(a * WAD, b)
 
 
+def scaled_after_repay(scaled: int, index: int, applied: int) -> int:
+    """Scaled debt left after repaying `applied` of `mul_up(scaled, index)`: none once the
+    whole debt is paid, else less the scaled units paid, rounded down so debt is never short."""
+    if applied >= mul_up(scaled, index):
+        return 0
+    return scaled - div_down(applied, index)
+
+
 def wad(units: int | str) -> int:
     """Whole units -> raw. Accepts an int or a decimal string literal."""
     if isinstance(units, int):

@@ -5,7 +5,8 @@ assets minted/burned by the pool, in one of two accounting modes:
 
 * exchange-rate mode: the IOU's redemption rate against the underlying is
   (cash + total_borrows - reserves) / iou_supply and rises as interest
-  accrues (1.0 while supply is zero).
+  accrues (1.0 while supply is zero; reserves above cash + total_borrows are
+  an InvariantViolation, not a zero rate).
 * rebasing mode: the ledger stores scaled units; the displayed balance is
   scaled * liquidity_index and redeems 1:1 for the underlying.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors, liquidation
-from .fixed import WAD, ceil_div, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .fixed import WAD, ceil_div, div_down, div_up, mul_down, mul_up, require_amount, scaled_after_repay, to_str
 from .ledger import UndoLog
 
 EXCHANGE_RATE = "exchange-rate"
@@ -116,7 +117,11 @@ class Pool:
         if supply == 0:
             return WAD
         net = self.cash(world) + self.total_borrows - self.reserves
-        return div_down(max(net, 0), supply)
+        if net < 0:
+            raise errors.InvariantViolation(
+                f"pool {self.params.asset}: reserves exceed cash + borrows by {-net} with {supply} IOU outstanding"
+            )
+        return div_down(net, supply)
 
     def utilization(self, world) -> int:
         cash = self.cash(world)
@@ -317,10 +322,7 @@ class Pool:
         self.undo.save_attrs(self, "total_borrows")
         self.undo.save_attrs(pos, "scaled", "stable_principal")
         if pos.rate_mode == VARIABLE:
-            if applied >= self.debt_of(account):
-                pos.scaled = 0
-            else:
-                pos.scaled -= div_down(applied, self.borrow_index)
+            pos.scaled = scaled_after_repay(pos.scaled, self.borrow_index, applied)
         else:
             pos.stable_principal -= applied
         self.total_borrows = max(0, self.total_borrows - applied)

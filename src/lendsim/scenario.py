@@ -3,10 +3,12 @@
 A scenario is one JSON document (schema_version 1). All amounts, prices,
 rates and fractions are decimal strings so no precision is lost in transit.
 Parsing checks only that each field has its type and reads it into raw units
-once. Validation is the one home of every bound and cross-reference: it
-collects *every* violation instead of stopping at the first, names the field
-of each, and separates hard errors from warnings (e.g. a liquidation bonus
-large enough that liquidation may not improve health).
+once; it builds the venue objects themselves, each paired with its genesis
+holdings. Validation is the one home of every bound and cross-reference, the
+venues' included: it collects *every* violation instead of stopping at the
+first, names the field of each, and separates hard errors from warnings (e.g.
+a liquidation bonus large enough that liquidation may not improve health).
+Which routes a venue converts is its own `converts` rule.
 
 Pools are funded at construction through a bootstrap depositor account per
 pool ("lp:<asset>"), so initial cash is real deposited liquidity with matching
@@ -78,22 +80,10 @@ class CdpSpec:
 
 
 @dataclass
-class VenueSpec:
-    kind: str  # quote | amm
-    venue_id: str
-    numeraire: str = ""
-    quotes: dict[str, int] = field(default_factory=dict)
-    pair: tuple[str, str] = ("", "")
-    reserves: tuple[int, int] = (0, 0)
-    inventory: dict[str, int] = field(default_factory=dict)
-    fee_bps: int = 30
-
-
-@dataclass
 class Scenario:
     assets: list[str]
     pools: list[PoolSpec]
-    venues: list[VenueSpec]
+    venues: list[tuple[QuoteVenue | AmmVenue, list[tuple[str, int]]]]  # (venue, genesis holdings)
     feed_mode: str
     feed_series: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     feed_walk: WalkParams | None = None  # set in walk mode
@@ -248,32 +238,20 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
         where = f"venues[{i}]"
         v = _obj(v, where, problems)
         kind = _str(v.get("kind", "quote"), f"{where}.kind", problems)
+        venue_id = str(v.get("id", f"venue{i}"))
         if kind == "quote":
-            venues.append(
-                VenueSpec(
-                    kind="quote",
-                    venue_id=str(v.get("id", f"venue{i}")),
-                    numeraire=_str(v.get("numeraire", ""), f"{where}.numeraire", problems),
-                    quotes=_amounts(v.get("quotes", {}), f"{where}.quotes", problems),
-                    inventory=_amounts(v.get("inventory", {}), f"{where}.inventory", problems),
-                    fee_bps=_num(v.get("fee_bps", 0), int, f"{where}.fee_bps", problems),
-                )
-            )
+            numeraire = _str(v.get("numeraire", ""), f"{where}.numeraire", problems)
+            quotes = _amounts(v.get("quotes", {}), f"{where}.quotes", problems)
+            inventory = _amounts(v.get("inventory", {}), f"{where}.inventory", problems)
+            fee_bps = _num(v.get("fee_bps", 0), int, f"{where}.fee_bps", problems)
+            venues.append((QuoteVenue(venue_id, numeraire, quotes, fee_bps), list(inventory.items())))
         elif kind == "amm":
             pair = _pair(v.get("pair", ["", ""]), f"{where}.pair", problems) or ["", ""]
             reserves = _pair(v.get("reserves", ["0", "0"]), f"{where}.reserves", problems) or ["0", "0"]
-            venues.append(
-                VenueSpec(
-                    kind="amm",
-                    venue_id=str(v.get("id", f"venue{i}")),
-                    pair=(_str(pair[0], f"{where}.pair[0]", problems), _str(pair[1], f"{where}.pair[1]", problems)),
-                    reserves=(
-                        _amt(reserves[0], f"{where}.reserves[0]", problems),
-                        _amt(reserves[1], f"{where}.reserves[1]", problems),
-                    ),
-                    fee_bps=_num(v.get("fee_bps", 30), int, f"{where}.fee_bps", problems),
-                )
-            )
+            pair = (_str(pair[0], f"{where}.pair[0]", problems), _str(pair[1], f"{where}.pair[1]", problems))
+            reserves = [_amt(amount, f"{where}.reserves[{j}]", problems) for j, amount in enumerate(reserves)]
+            fee_bps = _num(v.get("fee_bps", 30), int, f"{where}.fee_bps", problems)
+            venues.append((AmmVenue(venue_id, pair, fee_bps), list(zip(pair, reserves))))
         else:
             problems.append(f"{where}.kind: unknown venue kind {kind!r}")
 
@@ -374,21 +352,6 @@ def _names(value: Any, names: set[str]) -> bool:
     return isinstance(value, str) and value in names
 
 
-def _converts(venue: VenueSpec, asset_in: str, asset_out: str) -> bool:
-    """Whether the venue's `convert` turns asset_in into asset_out.
-
-    An AMM converts within its pair; a quote venue between its numeraire and
-    one of its quoted assets, either way.
-    """
-    if asset_in == asset_out:
-        return False
-    if venue.kind == "amm":
-        return asset_in in venue.pair and asset_out in venue.pair
-    if asset_in == venue.numeraire:
-        return asset_out in venue.quotes
-    return asset_out == venue.numeraire and asset_in in venue.quotes
-
-
 def validate_scenario(sc: Scenario) -> list[str]:
     """Return warnings; raise ValidationError with every hard violation.
 
@@ -452,26 +415,26 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if mul_down(p.liquidation_threshold, WAD + p.liquidation_bonus) >= WAD:
             warnings.append(f"{where}: liquidation_threshold*(1+bonus) >= 1: liquidation may not improve health")
 
-    venues: dict[str, VenueSpec] = {}
-    for i, v in enumerate(sc.venues):
+    venues: dict[str, QuoteVenue | AmmVenue] = {}
+    for i, (v, holdings) in enumerate(sc.venues):
         where = f"venues[{i}]"
         if v.venue_id in venues:
             problems.append(f"{where}.id: duplicate venue id {v.venue_id!r}")
         venues.setdefault(v.venue_id, v)
-        if v.kind == "quote":
+        if isinstance(v, QuoteVenue):
             defined(f"{where}.numeraire", [v.numeraire])
             defined(f"{where}.quotes", v.quotes)
             for asset, price in v.quotes.items():
                 if price <= 0:
                     problems.append(f"{where}.quotes.{asset}: price must be > 0")
-            defined(f"{where}.inventory", v.inventory, priced=False)
-            for asset, amount in v.inventory.items():
+            defined(f"{where}.inventory", [asset for asset, _ in holdings], priced=False)
+            for asset, amount in holdings:
                 at_least(f"{where}.inventory.{asset}", amount)
         else:
             defined(f"{where}.pair", v.pair)
             if v.pair[0] == v.pair[1]:
                 problems.append(f"{where}.pair: assets must differ")
-            if min(v.reserves) <= 0:
+            if min(amount for _, amount in holdings) <= 0:
                 problems.append(f"{where}.reserves: both reserves must be > 0")
         if not 0 <= v.fee_bps < 10_000:
             problems.append(f"{where}.fee_bps: must lie in [0, 10000)")
@@ -549,8 +512,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
             venue_id, borrow, collateral = params.get("venue"), params.get("borrow"), params.get("collateral")
             if not _names(venue_id, venues):
                 problems.append(f"{where}.params.venue: unknown venue {venue_id!r}")
-            elif _names(borrow, pool_assets) and _names(collateral, pool_assets) and not _converts(
-                venues[venue_id], borrow, collateral
+            elif _names(borrow, pool_assets) and _names(collateral, pool_assets) and not venues[venue_id].converts(
+                borrow, collateral
             ):
                 problems.append(f"{where}.params.venue: venue {venue_id!r} does not trade {borrow} for {collateral}")
 
@@ -595,15 +558,11 @@ def build_world(sc: Scenario, seed_override: int | None = None) -> World:
         pools[spec.params.asset] = p
 
     venues: dict[str, object] = {}
-    for v in sc.venues:
-        if v.kind == "quote":
-            venue, holdings = QuoteVenue(v.venue_id, v.numeraire, dict(v.quotes), v.fee_bps), v.inventory.items()
-        else:
-            venue, holdings = AmmVenue(v.venue_id, v.pair, v.fee_bps), zip(v.pair, v.reserves)
+    for venue, holdings in sc.venues:  # venues keep no state outside the ledger, so worlds share them
         lg.register_account(venue.account, "venue")
         for asset, amount in holdings:
             lg.mint(venue.account, asset, amount, GENESIS_AUTHORITY, tag="genesis")
-        venues[v.venue_id] = venue
+        venues[venue.venue_id] = venue
 
     engine = None if sc.cdp is None else CdpEngine(lg.undo, **vars(sc.cdp))
 

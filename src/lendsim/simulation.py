@@ -71,9 +71,6 @@ class SimulationEngine:
         self.pool_rows: list[str] = []
         self.vault_rows: list[str] = []
         self.initial_tvl: dict[str, int] = {}
-        self.flash_profit: dict[str, int] = {}
-        self.liquidation_count = 0
-        self._events_seen = 0
         self._initial_worth: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -105,23 +102,11 @@ class SimulationEngine:
                     detail=str(exc),
                 )
 
-        self._collect_events()
         world.audit()
         for sym in self._pool_order:
             self.pool_rows.append(world.pools[sym].telemetry_row(world, t))
         if world.cdp is not None:
             self.vault_rows.extend(world.cdp.telemetry_rows(world, t))
-
-    def _collect_events(self) -> None:
-        for event in self.world.events[self._events_seen :]:
-            kind = event.get("kind")
-            if kind in ("liquidation", "vault-liquidation"):
-                self.liquidation_count += 1
-            elif kind == "flash" and event.get("outcome") == "committed":
-                asset = event.get("profit_asset")
-                profit = event.get("profit") or 0
-                self.flash_profit[asset] = self.flash_profit.get(asset, 0) + profit
-        self._events_seen = len(self.world.events)
 
     # ------------------------------------------------------------------
     def distribute_rewards(self, t: int) -> None:
@@ -152,6 +137,14 @@ class SimulationEngine:
             self.step(t)
         world.ledger.full_audit()
 
+        liquidations, flash_profit = 0, {}
+        for event in world.events:
+            kind = event.get("kind")
+            if kind in ("liquidation", "vault-liquidation"):
+                liquidations += 1
+            elif kind == "flash" and event.get("outcome") == "committed":
+                asset = event.get("profit_asset")
+                flash_profit[asset] = flash_profit.get(asset, 0) + (event.get("profit") or 0)
         last = self.horizon - 1
         summary = {
             "schema_version": 1,
@@ -162,8 +155,8 @@ class SimulationEngine:
                 sym: to_str(world.oracle.value_usd(world.pools[sym].cash(world), sym, last))
                 for sym in self._pool_order
             },
-            "total_liquidations": self.liquidation_count,
-            "total_flash_profit": {a: to_str(v) for a, v in sorted(self.flash_profit.items())},
+            "total_liquidations": liquidations,
+            "total_flash_profit": {a: to_str(v) for a, v in sorted(flash_profit.items())},
             "agent_pnl_usd": {
                 account: to_str(net_worth_usd(world, account, last) - self._initial_worth[account])
                 for account in sorted(agent_accounts)

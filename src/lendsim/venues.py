@@ -11,8 +11,10 @@ is a quote venue's `numeraire` or an AMM's `other(asset)`: `markets()` lists
 the (asset, numeraire) pairs; `sell_out`/`buy_cost` quote an exact-in sell and
 an exact-out buy (None past inventory or reserve) that `sell`/`buy` trade at;
 `max_sell` (None on an AMM)/`max_buy` bound a leg; `convert` spends an exact
-input on the other asset; `linear` (proceeds proportional to size) lets the
-arbitrage scanner size a trade in closed form.
+input on the other asset along a route that `converts`, the one route rule,
+accepts; `linear` (proceeds proportional to size) lets the arbitrage scanner
+size a trade in closed form. `scenario.parse_scenario` builds these objects and
+`validate_scenario` owns their bounds, so the constructors check nothing.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ class QuoteVenue:
 
     def __post_init__(self) -> None:
         self.account = f"venue:{self.venue_id}"
-        for asset, price in self.quotes.items():
-            if price <= 0:
-                raise ValueError(f"quote for {asset} must be positive")
-        if not 0 <= self.fee_bps < BPS_DENOM:
-            raise ValueError("fee_bps must lie in [0, 10000)")
 
     def _price(self, asset: str) -> int:
         try:
@@ -49,6 +46,14 @@ class QuoteVenue:
 
     def markets(self) -> list[tuple[str, str]]:
         return [(asset, self.numeraire) for asset in self.quotes]
+
+    def converts(self, asset_in: str, asset_out: str) -> bool:
+        """Whether `convert` takes this route: the numeraire into a quoted asset, or back."""
+        if asset_in == asset_out:
+            return False
+        if asset_in == self.numeraire:
+            return asset_out in self.quotes
+        return asset_out == self.numeraire and asset_in in self.quotes
 
     # pure pricing -----------------------------------------------------
     def sell_quote(self, asset: str, amount: int) -> int:
@@ -103,10 +108,10 @@ class QuoteVenue:
 
     def convert(self, world, account: str, asset_in: str, asset_out: str, amount: int) -> int:
         """Spend `amount` of asset_in on asset_out; returns the asset_out received."""
+        if not self.converts(asset_in, asset_out):
+            raise errors.UnknownAsset(f"{self.venue_id} does not trade {asset_in} for {asset_out}")
         if asset_out == self.numeraire:
             return self.sell(world, account, asset_in, amount)
-        if asset_in != self.numeraire:
-            raise errors.UnknownAsset(f"{self.venue_id} does not trade {asset_in} for {asset_out}")
         bought = self.buy_amount_for(asset_out, amount)
         if bought:
             self.buy(world, account, asset_out, bought)
@@ -140,10 +145,6 @@ class AmmVenue:
 
     def __post_init__(self) -> None:
         self.account = f"venue:{self.venue_id}"
-        if self.pair[0] == self.pair[1]:
-            raise ValueError("AMM pair must hold two distinct assets")
-        if not 0 <= self.fee_bps < BPS_DENOM:
-            raise ValueError("fee_bps must lie in [0, 10000)")
 
     def other(self, asset: str) -> str:
         if asset == self.pair[0]:
@@ -155,6 +156,10 @@ class AmmVenue:
     def markets(self) -> list[tuple[str, str]]:
         a, b = self.pair
         return [(a, b), (b, a)]
+
+    def converts(self, asset_in: str, asset_out: str) -> bool:
+        """Whether `convert` takes this route: one asset of the pair into the other."""
+        return asset_in != asset_out and asset_in in self.pair and asset_out in self.pair
 
     def reserves(self, world, asset_in: str) -> tuple[int, int]:
         asset_out = self.other(asset_in)
@@ -206,6 +211,6 @@ class AmmVenue:
 
     def convert(self, world, account: str, asset_in: str, asset_out: str, amount: int) -> int:
         """Swap `amount` of asset_in for asset_out; returns the asset_out received."""
-        if self.other(asset_in) != asset_out:
+        if not self.converts(asset_in, asset_out):
             raise errors.UnknownAsset(f"{self.venue_id} does not trade {asset_in} for {asset_out}")
         return self.swap(world, account, asset_in, amount)

@@ -48,6 +48,16 @@ def test_rebasing_deposit_displays_face_amount():
     assert w.pools["DAI"].underlying_claim(w, "alice") == wad(12)
 
 
+def test_reserves_above_cash_and_borrows_are_an_invariant_violation():
+    w = eth_dai_world()
+    p = w.pools["ETH"]
+    user(w, "seed", ETH=wad(100))
+    p.deposit(w, "seed", wad(100))
+    p.reserves = wad(100) + 1  # one raw unit past cash + borrows
+    with pytest.raises(errors.InvariantViolation, match=r"pool ETH: reserves exceed cash \+ borrows by 1 "):
+        p.exchange_rate(w)
+
+
 def test_deposit_at_premium_exchange_rate():
     # rig rate to 1.25: supply 100, then donate 25 so cash+borrows-reserves = 125
     w = eth_dai_world()

@@ -202,6 +202,28 @@ def test_leverage_spiral_venue_must_trade_borrow_for_collateral():
     ]
 
 
+QUOTE = {"kind": "quote", "id": "q", "numeraire": "DAI", "quotes": {"ETH": "2000"}, "inventory": {"ETH": "1", "DAI": "1"}}
+AMM = {"kind": "amm", "id": "amm1", "pair": ["ETH", "DAI"], "reserves": ["10", "20000"]}
+
+
+@pytest.mark.parametrize(
+    "venue, problem",
+    [
+        ({**QUOTE, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)"),
+        ({**AMM, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)"),
+        ({**QUOTE, "quotes": {"ETH": "0"}}, "venues[0].quotes.ETH: price must be > 0"),
+        ({**AMM, "pair": ["ETH", "ETH"]}, "venues[0].pair: assets must differ"),
+        ({**AMM, "reserves": ["10", "0"]}, "venues[0].reserves: both reserves must be > 0"),
+        ({**QUOTE, "inventory": {"DAI": "-1"}}, "venues[0].inventory.DAI: must be >= 0"),
+    ],
+    ids=["quote_fee_bps", "amm_fee_bps", "quote_zero_price", "amm_equal_pair", "amm_zero_reserve", "negative_inventory"],
+)
+def test_each_venue_bound_is_a_validation_error_naming_its_field(venue, problem):
+    with pytest.raises(ValidationError) as info:
+        check(base_doc(venues=[venue]))
+    assert info.value.problems == [problem]
+
+
 def test_amm_with_zero_reserves_rejected():
     doc = base_doc()
     doc["venues"] = [{"kind": "amm", "id": "amm1", "pair": ["ETH", "DAI"], "reserves": ["0", "10"]}]

@@ -273,3 +273,45 @@ def test_convert_rejects_an_untraded_route():
         w.venues["A"].convert(w, "alice", "XYZ", "XYZ", wad(1))
     with pytest.raises(errors.UnknownAsset):
         w.venues["amm1"].convert(w, "alice", "XYZ", "XYZ", wad(1))
+
+
+# ---------------------------------------------------------------------------
+# the route rule: `converts` says which routes `convert` takes
+# ---------------------------------------------------------------------------
+ROUTE_ASSETS = ["USD", "XYZ", "ABC", "NOP"]  # numeraire and AMM pair side, quoted, quoted only, untraded
+
+
+def route_world():
+    # the quote venue also quotes its own numeraire, the one route (USD -> USD)
+    # its old convert took although no validation accepted it
+    doc = make_doc(
+        assets=["XYZ", "ABC", "NOP", "USD"],
+        pools=[],
+        venues=[
+            {"kind": "quote", "id": "A", "numeraire": "USD", "quotes": {"XYZ": "11", "ABC": "3", "USD": "1"},
+             "inventory": {"XYZ": "10000", "ABC": "10000", "USD": "1000000"}},
+            {"kind": "amm", "id": "amm1", "pair": ["XYZ", "USD"], "reserves": ["1000", "1000"]},
+        ],
+        prices={"XYZ": [[0, "10"]], "ABC": [[0, "3"]], "USD": [[0, "1"]]},
+    )
+    return build(doc)
+
+
+@given(
+    st.sampled_from(["A", "amm1"]),
+    st.sampled_from(ROUTE_ASSETS),
+    st.sampled_from(ROUTE_ASSETS),
+    st.integers(min_value=1, max_value=wad(1_000)),
+)
+@settings(max_examples=200, deadline=None)
+def test_convert_rejects_exactly_the_routes_converts_refuses(venue_id, asset_in, asset_out, amount):
+    w = route_world()
+    venue = w.venues[venue_id]
+    user(w, "alice", **{asset_in: amount})
+    if venue.converts(asset_in, asset_out):
+        venue.convert(w, "alice", asset_in, asset_out, amount)
+        assert w.ledger.balance("alice", asset_in) < amount
+    else:
+        with pytest.raises(errors.UnknownAsset):
+            venue.convert(w, "alice", asset_in, asset_out, amount)
+        assert w.ledger.balance("alice", asset_in) == amount
