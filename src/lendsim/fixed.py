@@ -47,8 +47,7 @@ def div_up(a: int, b: int) -> int:
 
 
 def scaled_after_repay(scaled: int, index: int, applied: int) -> int:
-    """Scaled debt left after repaying `applied` of `mul_up(scaled, index)`: none once the
-    whole debt is paid, else less the scaled units paid, rounded down so debt is never short."""
+    """Scaled debt left once `applied` of the debt `mul_up(scaled, index)` is repaid; paying it all clears it."""
     if applied >= mul_up(scaled, index):
         return 0
     return scaled - div_down(applied, index)

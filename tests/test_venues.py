@@ -309,8 +309,8 @@ def test_convert_rejects_exactly_the_routes_converts_refuses(venue_id, asset_in,
     venue = w.venues[venue_id]
     user(w, "alice", **{asset_in: amount})
     if venue.converts(asset_in, asset_out):
-        venue.convert(w, "alice", asset_in, asset_out, amount)
-        assert w.ledger.balance("alice", asset_in) < amount
+        received = venue.convert(w, "alice", asset_in, asset_out, amount)
+        assert w.ledger.balance("alice", asset_out) == received
     else:
         with pytest.raises(errors.UnknownAsset):
             venue.convert(w, "alice", asset_in, asset_out, amount)
