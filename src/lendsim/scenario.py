@@ -427,6 +427,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
             for asset, price in v.quotes.items():
                 if price <= 0:
                     problems.append(f"{where}.quotes.{asset}: price must be > 0")
+                if asset == v.numeraire:
+                    problems.append(f"{where}.quotes.{asset}: the numeraire cannot be quoted in itself")
             defined(f"{where}.inventory", [asset for asset, _ in holdings], priced=False)
             for asset, amount in holdings:
                 at_least(f"{where}.inventory.{asset}", amount)

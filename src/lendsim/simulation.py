@@ -12,6 +12,14 @@ World.audit checks that no ledger checkpoint outlived the step and that the
 vault engine's ledger holdings equal the vaults' recorded collateral, per
 asset; the full conservation audit runs at the end of the run.
 
+In (4) the agents act in the order `random.Random(seed).shuffle` gives the
+list of all agents, but a step touches only live agents. A calendar sorted
+by window start admits every agent whose window has opened by t and drops
+each whose `active(t)` is false; `shuffled_order` replays the shuffle's draws
+exactly, following only the live agents' slots and stopping once their
+relative order is settled. Steps must therefore run in non-decreasing t;
+skipping steps is fine.
+
 Outputs per run directory: pools.csv, vaults.csv, events.jsonl, rewards.csv
 and summary.json (initial/final value locked per pool, liquidation count,
 flash-loan profit, per-agent P&L in USD). Every value is rendered as an exact
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import errors
@@ -59,6 +68,37 @@ def net_worth_usd(world: World, account: str, step: int) -> int:
     return total
 
 
+def shuffled_order(n: int, picks: Iterable[int], seed: int) -> list[int]:
+    """The picks, distinct indices below n, in the order that
+    `random.Random(seed).shuffle(list(range(n)))` leaves them.
+
+    Replays the shuffle's Fisher-Yates swaps: slot i, from n - 1 down to 1,
+    swaps with a draw j below i + 1, taken as CPython's `_randbelow` takes it
+    (getrandbits of (i + 1).bit_length() bits, drawn again while > i). Only
+    slots holding a pick are followed. Slot i is final after its swap, so once
+    all but one pick are final, the last one comes before them all and the
+    remaining draws are skipped.
+    """
+    at = {p: p for p in picks}  # slot -> the pick it holds now
+    placed = []  # picks in their final slots, from the last slot down
+    getrandbits = random.Random(seed).getrandbits
+    i = n - 1
+    while len(at) > 1:
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        if j in at or i in at:
+            moved = at.pop(j, None)
+            if i in at:
+                at[j] = at.pop(i)
+            if moved is not None:
+                placed.append(moved)
+        i -= 1
+    return [*at.values(), *reversed(placed)]
+
+
 class SimulationEngine:
     def __init__(self, scenario: Scenario, seed: int | None = None, horizon: int | None = None, verbosity: int = 0):
         self.scenario = scenario
@@ -67,6 +107,10 @@ class SimulationEngine:
         self.verbosity = verbosity
         self.world = build_world(scenario, seed_override=seed)
         self.agents: list[BaseAgent] = [make_agent(spec) for spec in scenario.agents]
+        # agent indices by window start, latest first; step pops them as t reaches it
+        starts = [spec.window[0] for spec in scenario.agents]
+        self._calendar = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
+        self._live: list[int] = []
         self._pool_order = sorted(self.world.pools)
         self.pool_rows: list[str] = []
         self.vault_rows: list[str] = []
@@ -83,13 +127,18 @@ class SimulationEngine:
             world.cdp.accrue(world, t)
         self.distribute_rewards(t)
 
-        order = list(self.agents)  # shuffle's draws depend only on the length
-        random.Random(derive_seed(self.seed, "order", t)).shuffle(order)
+        agents, calendar = self.agents, self._calendar
+        while calendar and agents[calendar[-1]].spec.window[0] <= t:
+            self._live.append(calendar.pop())
+        self._live = live = [i for i in self._live if agents[i].active(t)]
+        picks = range(len(agents)) if self.verbosity >= 2 else live
+        order = shuffled_order(len(agents), picks, derive_seed(self.seed, "order", t))
         if self.verbosity >= 2:
-            world.emit(kind="agent-order", step=t, order=[agent.account for agent in order])
-        for agent in order:
-            if not agent.active(t):
-                continue
+            world.emit(kind="agent-order", step=t, order=[agents[i].account for i in order])
+            acting = set(live)
+            order = [i for i in order if i in acting]
+        for i in order:
+            agent = agents[i]
             try:
                 agent.act(world, t)
             except errors.SimError as exc:

@@ -32,6 +32,8 @@ SCENARIO_DIGESTS = {
     "table1": "571487eeea81f759c6a2f3ceb3aad3dec8847a555afc0536a23af86d9d9f5984",
     "arb_gap": "018ad397c6d420603f6619d4f9031e7f4d0a1e71c9eaaa00e55f835dec880d16",
     "crash_flash2": "4995e88144d9d0a38b075492823073095863ecd98d41fadbf47d2df149a3e71e",
+    # adds every step's agent-order event: the full shuffle of all agents
+    "table1 --verbosity 2": "bd704c06f904bb59a531ab7ae529ae6bc6770a7cb175069dbbcfb2f1b94a0dd9",
 }
 FIXTURE_DIGEST = "cbbd36b9c18aee977389c2a6839a1f277bb1a8f92f3a7f86818aeca8de2367fe"
 CASCADE_DIGEST = "f942c7d47e3291cf6a70eb59d0aef6a1087e6fe4bd1271a952ba7b333e5ef30f"
@@ -135,8 +137,9 @@ def liquidation_fixture() -> SimulationEngine:
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
 def test_bundled_scenario_outputs_pinned(name, tmp_path):
-    out = tmp_path / name
-    assert main(["run", "--scenario", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 0
+    scenario, *flags = name.split()
+    out = tmp_path / scenario
+    assert main(["run", "--scenario", str(SCENARIOS / f"{scenario}.json"), "--out", str(out), *flags]) == 0
     assert dir_digest(out) == SCENARIO_DIGESTS[name]
 
 

@@ -212,11 +212,14 @@ AMM = {"kind": "amm", "id": "amm1", "pair": ["ETH", "DAI"], "reserves": ["10", "
         ({**QUOTE, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)"),
         ({**AMM, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)"),
         ({**QUOTE, "quotes": {"ETH": "0"}}, "venues[0].quotes.ETH: price must be > 0"),
+        ({**QUOTE, "quotes": {"ETH": "2000", "DAI": "1.1"}},
+         "venues[0].quotes.DAI: the numeraire cannot be quoted in itself"),
         ({**AMM, "pair": ["ETH", "ETH"]}, "venues[0].pair: assets must differ"),
         ({**AMM, "reserves": ["10", "0"]}, "venues[0].reserves: both reserves must be > 0"),
         ({**QUOTE, "inventory": {"DAI": "-1"}}, "venues[0].inventory.DAI: must be >= 0"),
     ],
-    ids=["quote_fee_bps", "amm_fee_bps", "quote_zero_price", "amm_equal_pair", "amm_zero_reserve", "negative_inventory"],
+    ids=["quote_fee_bps", "amm_fee_bps", "quote_zero_price", "quote_own_numeraire", "amm_equal_pair",
+         "amm_zero_reserve", "negative_inventory"],
 )
 def test_each_venue_bound_is_a_validation_error_naming_its_field(venue, problem):
     with pytest.raises(ValidationError) as info:

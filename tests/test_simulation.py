@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from lendsim import errors, liquidation
 from lendsim.agents import run_borrow_spiral, run_leverage_spiral
 from lendsim.fixed import WAD, from_str, mul_down, wad
-from lendsim.simulation import SimulationEngine
+from lendsim.oracle import derive_seed
+from lendsim.simulation import SimulationEngine, shuffled_order
 from lendsim.scenario import parse_scenario, validate_scenario
 from lendsim.world import RewardLedger
 
@@ -95,6 +97,63 @@ def test_different_seeds_shuffle_agents_differently():
 
     assert orders(1) != orders(2)
     assert orders(1) == orders(1)
+
+
+@st.composite
+def shuffle_cases(draw):
+    n = draw(st.integers(0, 600))
+    slots = st.integers(0, max(n - 1, 0))
+    picks = set() if n == 0 else draw(st.one_of(
+        st.just(set()), st.just(set(range(n))), st.sets(slots, min_size=1, max_size=1), st.sets(slots)
+    ))
+    return n, sorted(picks, reverse=draw(st.booleans())), draw(st.integers(0, 2**64 - 1))
+
+
+@given(shuffle_cases())
+@settings(max_examples=300, deadline=None)
+def test_shuffled_order_matches_a_full_shuffle(case):
+    n, picks, seed = case
+    full = list(range(n))
+    random.Random(seed).shuffle(full)
+    chosen = set(picks)
+    assert shuffled_order(n, picks, seed) == [i for i in full if i in chosen]
+
+
+def test_step_acts_on_live_agents_in_full_shuffle_order():
+    horizon = 10
+    windows = [(0, 0), (3, 5), (7, 2**40), (horizon + 5, horizon + 9)]
+    doc = empty_doc(horizon=horizon, seed=3)
+    doc["agents"] = [
+        {"id": f"w{w}-{k}", "kind": "depositor", "endowment": {"ETH": "1"}, "params": {"pool": "ETH"},
+         "window": list(windows[w])}
+        for k in range(3) for w in range(len(windows))
+    ]
+    steps = [0, 1, 4, 5, 9]  # skips 2-3 (so [3, 5] opens unseen) and 6-8 (so [7, ...] does)
+
+    def run(verbosity):
+        engine = engine_for(doc, verbosity=verbosity)
+        acted = []
+        for agent in engine.agents:
+            agent.act = lambda world, t, account=agent.account: acted.append((t, account))
+        for t in steps:
+            engine.step(t)
+        return engine, acted
+
+    def full_shuffle(engine, t):
+        # the scheduler this one replaced: shuffle every agent, then poll each
+        order = list(engine.agents)
+        random.Random(derive_seed(engine.seed, "order", t)).shuffle(order)
+        return order
+
+    engine, acted = run(verbosity=0)
+    expected = [(t, a.account) for t in steps for a in full_shuffle(engine, t) if a.active(t)]
+    assert acted == expected
+    assert {account for _, account in acted} == {f"w{w}-{k}" for k in range(3) for w in range(3)}
+
+    engine, acted = run(verbosity=2)
+    assert acted == expected
+    orders = [(e["step"], e["order"]) for e in engine.world.events if e["kind"] == "agent-order"]
+    assert orders == [(t, [a.account for a in full_shuffle(engine, t)]) for t in steps]
 
 
 def test_agent_protocol_errors_become_events_not_aborts():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lendsim import errors
 from lendsim.fixed import WAD, from_str, wad
+from lendsim.scenario import build_world, parse_scenario
 from lendsim.venues import QuoteVenue, amm_in_given_out, amm_out_given_in
 
 from conftest import build, make_doc, user
@@ -283,7 +284,8 @@ ROUTE_ASSETS = ["USD", "XYZ", "ABC", "NOP"]  # numeraire and AMM pair side, quot
 
 def route_world():
     # the quote venue also quotes its own numeraire, the one route (USD -> USD)
-    # its old convert took although no validation accepted it
+    # its old convert took; validation rejects such a venue, so the world is
+    # built unvalidated to hold convert to the route rule there too
     doc = make_doc(
         assets=["XYZ", "ABC", "NOP", "USD"],
         pools=[],
@@ -294,7 +296,7 @@ def route_world():
         ],
         prices={"XYZ": [[0, "10"]], "ABC": [[0, "3"]], "USD": [[0, "1"]]},
     )
-    return build(doc)
+    return build_world(parse_scenario(doc))
 
 
 @given(
