@@ -13,7 +13,9 @@ price. Debt issuance treats one stablecoin as one USD regardless of its
 market price; the market price only matters to traders and the fee policy.
 
 Every write to the engine's state first records the old value in its undo log
-(the world ledger's), so a world rollback restores it in place.
+(the world ledger's), so a world rollback restores it in place. A write to a
+vault's collateral or debt also names the vault id in the log's `touched`
+set, which the liquidation scan's risk screen reads.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ class CdpEngine:
             raise errors.UnknownAsset(f"{asset} is not accepted vault collateral")
         world.ledger.transfer(vault.owner, VAULT_ENGINE_ACCOUNT, asset, amount, tag="vault-lock")
         self.undo.save_items(vault.collateral, asset)
+        self.undo.touched.add(vault_id)
         vault.collateral[asset] = vault.collateral.get(asset, 0) + amount
 
     def free(self, world, vault_id: int, asset: str, amount: int, step: int) -> None:
@@ -134,6 +137,7 @@ class CdpEngine:
             if self.debt_of(vault) > self.issuance_bound(world, vault, step) - removed:
                 raise errors.WouldBreachIssuanceBound(f"vault {vault_id}")
         self.undo.save_items(vault.collateral, asset)
+        self.undo.touched.add(vault_id)
         vault.collateral[asset] = held - amount
         world.ledger.transfer(VAULT_ENGINE_ACCOUNT, vault.owner, asset, amount, tag="vault-free")
 
@@ -148,6 +152,7 @@ class CdpEngine:
                 f"vault {vault_id}: debt {new_debt} > bound {self.issuance_bound(world, vault, step)}"
             )
         self.undo.save_attrs(vault, "debt_scaled")
+        self.undo.touched.add(vault_id)
         vault.debt_scaled += div_up(amount, self.fee_index)
         world.ledger.mint(vault.owner, self.dai_asset, amount, CDP_AUTHORITY, tag="dai-draw")
 
@@ -159,6 +164,7 @@ class CdpEngine:
             raise errors.NoDebt(f"vault {vault_id}")
         applied = min(amount, debt)
         world.ledger.burn(vault.owner, self.dai_asset, applied, CDP_AUTHORITY, tag="dai-repay")
+        self.undo.touched.add(vault_id)
         self._reduce_debt(vault, applied)
         return applied
 
@@ -208,6 +214,7 @@ class CdpEngine:
         )
 
         world.ledger.burn(liquidator, self.dai_asset, applied, CDP_AUTHORITY, tag="vault-liquidation-repay")
+        self.undo.touched.add(vault_id)
         self._reduce_debt(vault, applied)
         self.undo.save_items(vault.collateral, seize_asset)
         vault.collateral[seize_asset] = held - seized

@@ -13,11 +13,15 @@ Scanners look for two plan shapes: two-venue price-gap arbitrage (sized in
 closed form when both venues are `linear`, by ternary search on the unimodal
 profit curve otherwise; repeated for the same borrower before any ledger
 write, the scan returns its last result again) and liquidation of unhealthy
-accounts or unsafe vaults. A liquidation candidate is sized from the account's
-one health report (or the vault's collateral), and every candidate goes
-through one plan builder: liquidate, sell the seized asset back if it differs,
-and measure the profit exactly by running the plan on a scratch checkpoint
-and rolling back.
+accounts or unsafe vaults. The liquidation scan values only the accounts and
+vaults the world's risk screen (liquidation.RiskScreen) names due: those
+written since it last valued them, and those whose anchored bound no longer
+proves them safe; accounts by name, then vaults by id, as a full scan orders
+them. Each one it values is anchored again. A liquidation candidate is sized
+from the account's one health report (or the vault's collateral), and every
+candidate goes through one plan builder: liquidate, sell the seized asset
+back if it differs, and measure the profit exactly by running the plan on a
+scratch checkpoint and rolling back.
 """
 
 from __future__ import annotations
@@ -323,10 +327,13 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
     candidates: list[LiquidateStep] = []
 
     reads = liquidation.pool_reads(world)  # nothing writes until the scratch runs below
-    for account in sorted({account for pool in world.pools.values() for account in pool.positions}):
+    screen = world.screen
+    accounts, vault_ids = screen.due(world, step, reads)
+    for account in accounts:
         if account == borrower:
-            continue
+            continue  # stays due for a scan by another borrower
         report = liquidation.account_totals(world, account, step, reads)
+        screen.anchor_account(world, account, report, reads)
         if not report.liquidatable or report.largest_collateral is None:
             continue
         repay_asset, seize_asset = report.largest_debt, report.largest_collateral
@@ -342,20 +349,23 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
         if repay_amt > 0:
             candidates.append(LiquidateStep(account, repay_asset, seize_asset, repay_amt))
 
-    cdp = world.cdp
-    if cdp is not None and cdp.dai_asset in world.pools:
-        for vault_id in sorted(cdp.vaults):
-            vault = cdp.vaults[vault_id]
-            if not cdp.is_unsafe(world, vault, step):
-                continue
-            held = [(a, amt) for a, amt in vault.collateral.items() if amt]
-            if not held:
-                continue
-            seize_asset = max(held, key=lambda item: world.oracle.value_usd(item[1], item[0], step))[0]
-            repay_amt = min(cdp.debt_of(vault), world.pools[cdp.dai_asset].cash(world))
-            if repay_amt > 0:
-                candidates.append(LiquidateStep(f"vault:{vault_id}", cdp.dai_asset, seize_asset, repay_amt, vault_id))
+    cdp = world.cdp  # due() names vaults only when the stablecoin has a pool to flash-borrow from
+    for vault_id in vault_ids:
+        vault = cdp.vaults[vault_id]
+        debt, bound = cdp.debt_of(vault), cdp.issuance_bound(world, vault, step)
+        screen.anchor_vault(world, vault_id, vault, bound, debt)
+        if debt <= bound:
+            continue
+        held = [(a, amt) for a, amt in vault.collateral.items() if amt]
+        if not held:
+            continue
+        seize_asset = max(held, key=lambda item: world.oracle.value_usd(item[1], item[0], step))[0]
+        repay_amt = min(debt, world.pools[cdp.dai_asset].cash(world))
+        if repay_amt > 0:
+            candidates.append(LiquidateStep(f"vault:{vault_id}", cdp.dai_asset, seize_asset, repay_amt, vault_id))
 
+    if not candidates:
+        return []
     # every candidate is sized on the same state: scratch runs roll back exactly
     markets = _venue_markets(world)
     opportunities = []

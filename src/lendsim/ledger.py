@@ -76,11 +76,17 @@ class UndoLog:
 
     Each record is a (restore, args) pair; `restore(*args)` puts one value
     back. With no checkpoint open (depth 0) the helpers record nothing.
+
+    `touched` collects, checkpoint or not, the pool accounts (by name) and
+    vaults (by id) whose health inputs a pool or the CDP engine wrote: flags,
+    borrow positions, vault collateral and debt. The liquidation risk screen
+    (liquidation.RiskScreen) drains it.
     """
 
     def __init__(self) -> None:
         self.records: list[tuple] = []
         self.depth = 0  # open checkpoints
+        self.touched: set[str | int] = set()
 
     def save_attrs(self, obj, *names: str) -> None:
         """Record obj's current values of the named attributes, before they are overwritten."""
@@ -302,6 +308,10 @@ class Ledger:
 
     def open_checkpoints(self) -> int:
         return len(self._checkpoints)
+
+    def innermost_checkpoint(self) -> int:
+        """Id of the innermost open checkpoint, 0 when none is open (ids count up from 1)."""
+        return self._checkpoints[-1][0] if self._checkpoints else 0
 
     # ------------------------------------------------------------------
     # audits and export

@@ -22,7 +22,10 @@ modes at any time with continuous debt value. All cash lives in the pool's
 ledger account `pool:<asset>`, also its IOU's mint/burn authority, so pool cash
 can never drift from the balance sheet. Every write to the pool's own state
 first records the old value in its undo log (the world ledger's), so a world
-rollback restores it in place.
+rollback restores it in place. A write to an account's collateral flag or
+borrow position also names the account in the log's `touched` set, which the
+liquidation scan's risk screen reads; deposits and seizures need not, since
+the IOU they move already names the account in the ledger journal.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ class Pool:
         self.reserves = 0
         self.borrow_index = WAD
         self.liquidity_index = WAD
+        self.periods = 0  # compounding periods accrued, which bound a stable position's growth
         self.positions: dict[str, BorrowPosition] = {}
         self.collateral_on: dict[str, bool] = {}
         self.paused = False
@@ -176,7 +180,8 @@ class Pool:
             raise ValueError("dt must be >= 1")
         model = self.params.rate_model
         cash = self.cash(world)  # constant across accrual steps
-        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves")
+        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves", "periods")
+        self.periods += dt
         for _ in range(dt):
             borrows = self.total_borrows
             total = cash + borrows
@@ -261,6 +266,7 @@ class Pool:
             if claim:
                 self._require_health_after_withdrawal(world, account, claim, step)
         self.undo.save_items(self.collateral_on, account)
+        self.undo.touched.add(account)
         self.collateral_on[account] = on
 
     # ------------------------------------------------------------------
@@ -288,6 +294,7 @@ class Pool:
                 f"{account} already borrows {self.params.asset} at {pos.rate_mode}; switch first"
             )
         # move funds first: stable snapshots price the post-trade utilization
+        self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
         self.undo.save_attrs(pos, "scaled", "stable_principal", "stable_rate")
         self.total_borrows += amount
@@ -319,6 +326,7 @@ class Pool:
     def reduce_debt(self, account: str, applied: int) -> None:
         """Book a repayment, already in the pool's cash, of at most the account's debt."""
         pos = self.positions[account]
+        self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
         self.undo.save_attrs(pos, "scaled", "stable_principal")
         if pos.rate_mode == VARIABLE:
@@ -339,6 +347,7 @@ class Pool:
         debt = self.debt_of(account)
         if pos is None or debt == 0:
             raise errors.NoDebt(f"{account} owes nothing in {self.params.asset}")
+        self.undo.touched.add(account)
         self.undo.save_attrs(pos, "rate_mode", "scaled", "stable_principal", "stable_rate")
         if pos.rate_mode == VARIABLE:
             pos.rate_mode = STABLE

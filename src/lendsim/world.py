@@ -11,7 +11,9 @@ events, so a rolled-back transaction leaves the world bit-identical to before
 simulations. Its cost follows the writes made since the checkpoint, not the
 size of the world. Rollback restores values in place: every pool, position,
 vault and dict stays the same object, so references held across a rollback
-stay valid.
+stay valid. It also drops what the liquidation risk screen (`World.screen`)
+anchored while the checkpoint was open, so no anchor outlives the state it
+was taken in.
 
 Checkpoints do not cover the reward ledger. Rewards are paid only in phase
 (3) of a step, before any agent acts, and no checkpoint is open then: every
@@ -27,6 +29,7 @@ from typing import Iterable
 
 from .cdp import CdpEngine
 from .ledger import Ledger
+from .liquidation import RiskScreen
 from .oracle import PriceOracle
 from .pool import Pool
 
@@ -164,6 +167,8 @@ class World:
         self.events: list[dict] = []
         # ((borrower, ledger total writes), opportunities) of the last flashloan.scan_arbitrage
         self.last_arbitrage: tuple | None = None
+        # which pool accounts and vaults flashloan.scan_liquidations must value; built at the first scan
+        self.screen = RiskScreen()
 
     def emit(self, **fields) -> None:
         self.events.append(fields)
@@ -175,6 +180,7 @@ class World:
     def rollback(self, cp: WorldCheckpoint) -> None:
         self.ledger.rollback(cp.ledger_cp)  # raises on LIFO violation first
         del self.events[cp.events_len :]
+        self.screen.rolled_back(cp.ledger_cp, len(self.ledger.journal))
 
     def commit(self, cp: WorldCheckpoint) -> None:
         self.ledger.commit(cp.ledger_cp)

@@ -1,16 +1,21 @@
 """Flash loans: atomicity, the two canonical plan shapes, scanner soundness."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lendsim import errors, flashloan
+from lendsim import cdp, errors, flashloan, liquidation
 from lendsim.fixed import WAD, from_str, mul_up, to_str, wad
 from lendsim.flashloan import BuyStep, Committed, FlashPlan, LiquidateStep, Reverted, SellStep
+from lendsim.liquidation import RiskScreen
+from lendsim.pool import STABLE, VARIABLE
 
 from conftest import build, make_doc, pool_doc, user
+from test_liquidation import health_world
+from test_world import USERS, apply_op, open_books
 
 
 def arb_world(p_a="11", p_b="10", fee_a=0, fee_b=0, flash_fee="0", gas=None, pool_cash="1000"):
@@ -423,6 +428,198 @@ def test_reused_arbitrage_scan_equals_a_fresh_scan(ops):
         assert reused == flashloan.scan_arbitrage(w, t, borrower)
     while checkpoints:
         w.rollback(checkpoints.pop())
+
+
+# ---------------------------------------------------------------------------
+# liquidation scan screen
+# ---------------------------------------------------------------------------
+def screen_world():
+    # test_world's users and books, with COL and GLD swinging up and down each step; DAI has a
+    # pool, so vaults are scanned, and quote venues turn seized collateral into any repay asset
+    rated = {"slope1": "0.002", "slope2": "0.02"}
+    rich = "1000000"
+    doc = make_doc(
+        assets=["COL", "GLD", "DAI"],
+        pools=[pool_doc("COL", "cCOL", initial_cash="1000", rate_model=rated, stable_rate_premium="0.003"),
+               pool_doc("GLD", "aGLD", "rebasing", initial_cash="1000", rate_model=rated,
+                        stable_rate_premium="0.003"),
+               pool_doc("DAI", "aDAI", "rebasing", initial_cash=rich)],
+        venues=[
+            {"kind": "quote", "id": "to-gld", "numeraire": "GLD", "quotes": {"COL": "0.7"},
+             "fee_bps": 0, "inventory": {"COL": "0", "GLD": rich}},
+            {"kind": "quote", "id": "to-col", "numeraire": "COL", "quotes": {"GLD": "1.1"},
+             "fee_bps": 0, "inventory": {"GLD": "0", "COL": rich}},
+            {"kind": "quote", "id": "to-dai", "numeraire": "DAI", "quotes": {"COL": "0.7", "GLD": "1"},
+             "fee_bps": 0, "inventory": {"COL": "0", "GLD": "0", "DAI": rich}},
+        ],
+        prices={"COL": [[0, "1"], [1, "0.8"], [2, "1.1"], [3, "0.5"], [4, "0.7"], [5, "0.3"], [6, "0.9"]],
+                "GLD": [[0, "1"], [1, "1.2"], [2, "0.9"], [3, "1"], [4, "1.3"], [5, "1"], [6, "0.8"]],
+                "DAI": [[0, "1"]]},
+        cdp={"dai_symbol": "DAI", "issuance_fractions": {"COL": "0.66", "GLD": "0.66"},
+             "stability_fee": "0.001", "liquidation_penalty": "0.13"},
+    )
+    w = build(doc)
+    user(w, "keeper")
+    open_books(w)
+    return w
+
+
+def fresh_scan(w, t, borrower):
+    """The scan of a copy of the world whose screen has no anchors: every candidate valued."""
+    unscreened = copy.deepcopy(w)
+    unscreened.screen = RiskScreen()
+    return flashloan.scan_liquidations(unscreened, t, borrower)
+
+
+screen_ops = st.lists(
+    st.tuples(
+        st.tuples(
+            st.sampled_from([
+                "deposit", "redeem", VARIABLE, STABLE, "switch", "repay", "repay_all", "flag", "liquidate",
+                "accrue", "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "execute", "nest",
+                "close",
+            ]),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from(["COL", "GLD"]),
+            st.integers(1, 400),
+            st.integers(0, 7),  # step: scans run at any step, in any order
+        ),
+        st.sampled_from([None, "u0", "keeper"]),  # borrower of the scan after the op
+    ),
+    max_size=30,
+)
+
+
+def _op(kind, a=0, sym="GLD", tenths=1, t=0, borrower=None):
+    return (kind, a, 0, sym, tenths, t), borrower
+
+
+@settings(max_examples=100, deadline=None)
+@given(screen_ops)
+# at step 3 u0 and u1 sit just above health 1, and accrual alone carries them across:
+# u0 by the borrow index, u1 by its stable rate
+@example([_op("deposit", 0, tenths=5, t=3), _op("deposit", 1, tenths=5, t=3)] + [_op("accrue", t=3)] * 8)
+# u0 repays in full inside a checkpoint and is struck off; the rollback restores the debt
+@example([_op("nest"), _op("repay_all"), _op("close", tenths=2), _op("accrue", sym="COL", t=5)])
+def test_screened_liquidation_scan_equals_a_full_scan(ops):
+    w = screen_world()
+    checkpoints = []
+    for op, borrower in ops:
+        kind, a, _, sym, tenths, t = op
+        try:
+            if kind == "repay":
+                w.pools[sym].repay(w, USERS[a], wad(tenths) // 10)
+            elif kind == "execute":
+                found = flashloan.scan_liquidations(w, t, "keeper")
+                if found:
+                    flashloan.execute(w, found[0].plan, t)
+            elif kind == "nest":
+                checkpoints.append(w.checkpoint())
+            elif kind == "close":
+                if checkpoints:
+                    (w.commit if tenths % 2 else w.rollback)(checkpoints.pop())
+            else:
+                apply_op(w, op)
+        except errors.SimError:
+            pass
+        assert flashloan.scan_liquidations(w, t, borrower) == fresh_scan(w, t, borrower)
+    while checkpoints:
+        w.rollback(checkpoints.pop())
+    w.ledger.full_audit()
+
+
+def stable_crossing_world():
+    # constant prices; the stable rate (utilization rate + 0.002 premium) outruns the variable one
+    doc = make_doc(
+        assets=["COL", "DEBT"],
+        pools=[pool_doc("COL", "cCOL"),
+               pool_doc("DEBT", "cDEBT", initial_cash="100000", stable_rate_premium="0.002",
+                        rate_model={"slope1": "0.0001", "slope2": "0.001"})],
+        venues=[{"kind": "quote", "id": "V", "numeraire": "DEBT", "quotes": {"COL": "1"},
+                 "fee_bps": 0, "inventory": {"COL": "0", "DEBT": "1000000"}}],
+        prices={"COL": [[0, "1"]], "DEBT": [[0, "1"]]},
+    )
+    w = build(doc)
+    user(w, "victim", COL=wad(1000))
+    w.pools["COL"].deposit(w, "victim", wad(1000))
+    w.pools["DEBT"].borrow(w, "victim", wad(740), STABLE, step=0)  # health 800 / 740
+    user(w, "saver", COL=wad(1000))  # a variable borrower far from 1 keeps a second bucket
+    w.pools["COL"].deposit(w, "saver", wad(1000))
+    w.pools["DEBT"].borrow(w, "saver", wad(100), VARIABLE, step=0)
+    return w
+
+
+def test_stable_debt_crossing_is_reported_at_the_first_unhealthy_step():
+    w = stable_crossing_world()
+    pos = w.pools["DEBT"].positions["victim"]
+    assert pos.stable_rate > w.pools["DEBT"].borrow_rate(w)
+    first = None
+    for t in range(80):
+        for pool in w.pools.values():
+            pool.accrue(w, 1)
+        targets = [o.venue_or_target for o in flashloan.scan_liquidations(w, t)]
+        unhealthy = liquidation.account_totals(w, "victim", t).liquidatable
+        assert ("victim" in targets) == unhealthy, t
+        if unhealthy and first is None:
+            first = t
+    assert first is not None and first > 10  # it crossed, and only after many clean scans
+
+
+def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkeypatch):
+    doc = make_doc(
+        assets=["COL", "DAI"],
+        pools=[pool_doc("COL", "cCOL"), pool_doc("DAI", "aDAI", "rebasing", initial_cash="100000")],
+        prices={"COL": [[t, to_str(WAD + (-1) ** t * (t % 7) * WAD // 100)] for t in range(50)],
+                "DAI": [[0, "1"]]},
+        cdp={"dai_symbol": "DAI", "issuance_fractions": {"COL": "0.66"},
+             "stability_fee": "0.0001", "liquidation_penalty": "0.13"},
+    )
+    w = build(doc)
+    user(w, "alice", COL=wad(2000))
+    w.pools["COL"].deposit(w, "alice", wad(1000))
+    w.pools["DAI"].borrow(w, "alice", wad(400), step=0)  # health 800 / 400 = 2
+    empty = w.cdp.open_vault("alice")
+    w.cdp.lock(w, empty, "COL", wad(500))
+    valued, vaults_valued = [], []
+    account_totals, valuation = liquidation.account_totals, cdp.CdpEngine._valuation
+
+    def counted_totals(world, account, step, reads=None):
+        valued.append(account)
+        return account_totals(world, account, step, reads)
+
+    def counted_valuation(self, world, vault, step):
+        vaults_valued.append(vault)
+        return valuation(self, world, vault, step)
+
+    monkeypatch.setattr(liquidation, "account_totals", counted_totals)
+    monkeypatch.setattr(cdp.CdpEngine, "_valuation", counted_valuation)
+    for t in range(50):
+        for pool in w.pools.values():
+            pool.accrue(w, 1)
+        w.cdp.accrue(w, t)
+        assert flashloan.scan_liquidations(w, t) == []
+    assert valued.count("alice") <= 1
+    assert w.cdp.vault(empty) not in vaults_valued
+
+
+def test_scan_needs_a_price_only_for_what_a_candidate_holds_or_owes():
+    w = health_world()
+    user(w, "bob", COL=wad(1000))
+    w.pools["COL"].deposit(w, "bob", wad(1000))
+    w.pools["COL"].borrow(w, "bob", wad(5), step=0)  # bob holds and owes COL only
+    user(w, "carol", DEBT=wad(5))
+    w.pools["DEBT"].deposit(w, "carol", wad(5))  # holds DEBT, owes nothing: not a candidate
+    debt_feed = w.oracle.series.pop("DEBT")
+    for t in (0, 1, 0, 3):  # builds the screen, then bounds the anchored bob
+        assert flashloan.scan_liquidations(w, t) == []
+    w.oracle.series["DEBT"] = debt_feed
+    user(w, "alice", COL=wad(1000))
+    w.pools["COL"].deposit(w, "alice", wad(1000))
+    w.pools["DEBT"].borrow(w, "alice", wad(5), step=3)
+    del w.oracle.series["DEBT"]
+    with pytest.raises(errors.MissingFeed):  # alice owes DEBT: valuing her needs its price, as before
+        flashloan.scan_liquidations(w, 3)
 
 
 # ---------------------------------------------------------------------------

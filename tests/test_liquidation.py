@@ -36,6 +36,7 @@ def rig_position(w, account, collateral, debt):
     if debt:
         pool = w.pools["DEBT"]
         pool.positions[account] = BorrowPosition(account=account, scaled=debt)
+        pool.undo.touched.add(account)  # as Pool.borrow does, so a liquidation scan sees the new borrower
         pool.total_borrows += debt
         w.ledger.transfer(pool.account, account, "DEBT", min(debt, pool.cash(w)), tag="borrow")
 

@@ -28,6 +28,12 @@ def checkpoint_world():
              "stability_fee": "0.001", "liquidation_penalty": "0.13"},
     )
     w = build(doc)
+    open_books(w)
+    return w
+
+
+def open_books(w):
+    """Every user deposits COL and GLD, borrows GLD (u1 at a stable rate) and draws from a COL vault."""
     for name in USERS:
         user(w, name, COL=wad(1000), GLD=wad(1000), DAI=wad(1000))
         w.pools["COL"].deposit(w, name, wad(300))
@@ -36,7 +42,6 @@ def checkpoint_world():
         vault_id = w.cdp.open_vault(name)
         w.cdp.lock(w, vault_id, "COL", wad(100))
         w.cdp.draw(w, vault_id, wad(60), 0)
-    return w
 
 
 def dump(x):
