@@ -46,19 +46,6 @@ def div_up(a: int, b: int) -> int:
     return ceil_div(a * WAD, b)
 
 
-def pow_up(base: int, n: int) -> int:
-    """A wad `base` to the power n >= 0, each product rounded up, so never below the exact power."""
-    if n < 0:
-        raise ValueError(f"negative power {n}")
-    result = WAD
-    while n:
-        if n & 1:
-            result = mul_up(result, base)
-        base = mul_up(base, base)
-        n >>= 1
-    return result
-
-
 def scaled_after_repay(scaled: int, index: int, applied: int) -> int:
     """Scaled debt left once `applied` of the debt `mul_up(scaled, index)` is repaid; paying it all clears it."""
     if applied >= mul_up(scaled, index):

@@ -15,9 +15,9 @@ profit curve otherwise; repeated for the same borrower before any ledger
 write, the scan returns its last result again) and liquidation of unhealthy
 accounts or unsafe vaults. The liquidation scan values only the accounts and
 vaults the world's risk screen (liquidation.RiskScreen) names due: those
-written since it last valued them, and those whose anchored bound no longer
-proves them safe; accounts by name, then vaults by id, as a full scan orders
-them. Each one it values is anchored again. A liquidation candidate is sized
+not anchored since they were last written, and those whose anchored bound no
+longer proves them safe; accounts by name, then vaults by id, as a full scan
+orders them. Each one it values is filed with the screen. A candidate is sized
 from the account's one health report (or the vault's collateral), and every
 candidate goes through one plan builder: liquidate, sell the seized asset
 back if it differs, and measure the profit exactly by running the plan on a

@@ -40,7 +40,6 @@ ACCOUNT_KINDS = ("user", "pool", "vault-engine", "venue", "fee-sink")
 
 
 class JournalRecord(NamedTuple):
-    seq: int
     op: str  # transfer | mint | burn
     frm: str | None
     to: str | None
@@ -51,7 +50,6 @@ class JournalRecord(NamedTuple):
     def to_json(self) -> str:
         return json.dumps(
             {
-                "seq": self.seq,
                 "op": self.op,
                 "from": self.frm,
                 "to": self.to,
@@ -234,7 +232,7 @@ class Ledger:
         return table
 
     def _record(self, op: str, frm: str | None, to: str | None, asset: str, amount: int, tag: str) -> None:
-        self.journal.append(JournalRecord(len(self.journal), op, frm, to, asset, amount, tag))
+        self.journal.append(JournalRecord(op, frm, to, asset, amount, tag))
         self._writes[asset] += 1
 
     def transfer(self, frm: str, to: str, asset: str, amount: int, tag: str = "transfer") -> None:
@@ -309,10 +307,6 @@ class Ledger:
     def open_checkpoints(self) -> int:
         return len(self._checkpoints)
 
-    def innermost_checkpoint(self) -> int:
-        """Id of the innermost open checkpoint, 0 when none is open (ids count up from 1)."""
-        return self._checkpoints[-1][0] if self._checkpoints else 0
-
     # ------------------------------------------------------------------
     # audits and export
     # ------------------------------------------------------------------
@@ -336,9 +330,9 @@ class Ledger:
                     raise errors.InvariantViolation(f"negative balance {bal} for {account}/{asset}")
 
     def export_journal(self, fp: IO[str]) -> int:
-        for record in self.journal:
-            fp.write(record.to_json())
-            fp.write("\n")
+        """One JSON object per line, led by "seq", the record's place in the journal."""
+        for seq, record in enumerate(self.journal):
+            fp.write(f'{{"seq":{seq},{record.to_json()[1:]}\n')
         return len(self.journal)
 
     @staticmethod

@@ -30,32 +30,35 @@ least the unrounded value) go into the bucket of the factors they read,
 carried to the bucket's frame (the factor values when it opened: the least
 ratio frame over now for L, rounded down, the greatest for U, rounded up),
 under the key K = floor(WAD * L / U). A factor's value is price x unit rate
-for a deposit, price x borrow index for a variable debt, the price for a
-stable debt or vault collateral, and the fee index for vault debt. A scan
-skips a candidate nothing has written since its anchor while
+for a deposit, price x borrow index for a variable debt, the price for vault
+collateral, and the fee index for vault debt. A scan skips a candidate
+nothing has written since its anchor while
 
     K * c >= WAD * (d + slack)
 
 with c the least collateral ratio now over the frame (rounded down) and d
-the greatest debt ratio (rounded up), in wad. A stable debt's ratio also
-carries the growth (WAD + the largest stable rate filed) ** (periods accrued
-since the frame), which covers stable debt compounding at its own rate. The
-slack is what the roundings of account_totals and the vault valuation can
-lose, in raw units: price // WAD + 3 per deposit, price // WAD + 1 per
-variable debt, ceil(periods x growth x price / WAD**2) per stable debt, 2 per
-vault collateral asset and 1 for vault debt. It bounds the raw sides because
-a debt side under WAD is never anchored (it is valued every scan). The bound
-implies collateral side >= debt side now: not liquidatable, not unsafe. A
-bucket whose prices cannot be read is valued in full. Each bucket keeps its
-anchors in a heap by key, so a scan computes its ratios once per bucket and
-pops only the anchors that cross.
+the greatest debt ratio (rounded up), in wad. The slack is what the roundings
+of account_totals and the vault valuation can lose, in raw units:
+price // WAD + 3 per deposit, price // WAD + 1 per variable debt, 2 per vault
+collateral asset and 1 for vault debt. It bounds the raw sides because a debt
+side under WAD is never anchored (it is valued every scan). The bound implies
+collateral side >= debt side now: not liquidatable, not unsafe. A bucket
+whose prices cannot be read is valued in full. Each bucket keeps its anchors
+in a heap by key, so a scan computes its ratios once per bucket and pops only
+the anchors that cross.
+
+Two rules keep the screen to the traffic the simulation makes. An account
+with a stable borrow position is never anchored, so every scan values it: its
+debt compounds at its own rate, which no factor follows. And a scan made
+while a checkpoint is open files nothing, neither an anchor nor the striking
+off of a candidate with no debt, so a rollback leaves nothing of the screen's
+to undo but the journal position it has read up to. The liquidator agent and
+`lendsim scan` scan with no checkpoint open.
 
 A candidate is dirty once written: an IOU balance (read from the ledger
 journal), a collateral flag or borrow position, or a vault's collateral or
-debt (the undo log's `touched` set). What the screen files while a checkpoint
-is open does not survive that checkpoint's rollback. The screen builds at the
-first scan with every candidate dirty, so a full scan is the same code run
-with no anchors.
+debt (the undo log's `touched` set). The screen builds at the first scan with
+every candidate dirty, so a full scan is the same code run with no anchors.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from . import errors
-from .fixed import WAD, ceil_div, div_down, div_up, mul_down, pow_up, require_amount, to_str
+from .fixed import WAD, ceil_div, div_down, div_up, mul_down, require_amount, to_str
 
 
 @dataclass
@@ -211,9 +214,9 @@ def liquidate(
 # ---------------------------------------------------------------------------
 # risk screen
 # ---------------------------------------------------------------------------
-# A factor is (kind, asset): "supply" (a flagged deposit), "variable" or "stable" (a borrow
-# position), "locked" (vault collateral) or "fee" (vault debt, asset None). Supply and locked
-# are collateral factors, the rest debt factors.
+# A factor is (kind, asset): "supply" (a flagged deposit), "variable" (a variable borrow position),
+# "locked" (vault collateral) or "fee" (vault debt, asset None). Supply and locked are collateral
+# factors, the rest debt factors.
 _COLLATERAL_FACTORS = ("supply", "locked")
 _NO_PRICE = (errors.MissingFeed, errors.StepBeforeFirstPoint, errors.Overflow, ValueError)  # from price_at
 
@@ -221,16 +224,12 @@ _NO_PRICE = (errors.MissingFeed, errors.StepBeforeFirstPoint, errors.Overflow, V
 class _Bucket:
     """Anchored candidates with one factor signature, in a heap by key, against one frame.
 
-    The frame is what each factor read when the bucket opened; a stable debt
-    factor also keeps the least periods count and the largest stable rate of
-    the positions filed since, which only loosen the bound as they move.
+    The frame is what each factor read when the bucket opened.
     """
 
     def __init__(self, signature: tuple):
         self.signature = signature
         self.frame: dict[tuple, int] = {}
-        self.periods: dict[str, int] = {}
-        self.rates: dict[str, int] = {}
         self.heap: list[tuple] = []  # (K, serial, candidate, bucket); stale entries stay until popped
         self.live = 0
 
@@ -247,13 +246,12 @@ class RiskScreen:
         self.dirty: set[str | int] | None = None  # due at the next scan; None until the first builds it
         self.anchors: dict[str | int, tuple] = {}  # candidate -> its heap entry
         self.buckets: dict[tuple, _Bucket] = {}
-        self.stamped: list[tuple] = []  # (innermost open checkpoint, candidate, entry or None), oldest first
         self.ious: frozenset[str] = frozenset()
         self.seen = 0  # journal records read
         self._serial = 0
+        self._filing = False  # this scan runs with no checkpoint open
         self._step = 0
         self._rates: dict[str, int] = {}  # this scan's unit rate per pool
-        self._prices: dict[str, int] = {}  # this scan's prices, read as needed
         self._now: dict[tuple, int] = {}  # this scan's factor values
 
     # ------------------------------------------------------------------
@@ -266,9 +264,8 @@ class RiskScreen:
             self.ious = frozenset(p.params.iou_asset for p in world.pools.values())
             self.seen = len(world.ledger.journal)
         self._sync(world)
-        if self.stamped and not world.ledger.open_checkpoints():
-            self.stamped.clear()  # their checkpoints committed: nothing can undo them now
-        self._step, self._prices, self._now = step, {}, {}
+        self._filing = not world.ledger.open_checkpoints()
+        self._step, self._now = step, {}
         self._rates = {asset: rate for asset, _, rate, _ in reads}
 
         for bucket in list(self.buckets.values()):
@@ -291,41 +288,34 @@ class RiskScreen:
             elif cdp is not None:
                 vault = cdp.vaults.get(key)
                 (vaults if vault is not None and vault.debt_scaled else idle).append(key)
-        stamp = world.ledger.innermost_checkpoint()
-        for key in idle:  # no borrow position, or a vault without debt: never liquidatable
-            self.dirty.discard(key)
-            if stamp:
-                self.stamped.append((stamp, key, None))
+        if self._filing:
+            self.dirty.difference_update(idle)  # no borrow position, or a vault without debt: never liquidatable
         accounts.sort()
         vaults.sort()
         return accounts, vaults
 
     def anchor_account(self, world, account: str, report: HealthReport, reads: list[tuple]) -> None:
         """File an account that the scan of the last `due` call valued with account_totals and its reads."""
-        signature, rates = [], {}
+        signature = []
         for asset, p, rate, units in reads:
             if p.collateral_on.get(account, False) and p.claim(units.get(account, 0), rate):
                 signature.append(("supply", asset))
             pos = p.positions.get(account)
             if pos is not None:
-                signature.append((pos.rate_mode, asset))  # "variable" or "stable"
-                rates[asset] = pos.stable_rate
-        debt_side = report.debt_value + len(rates)
-        self._anchor(world, account, tuple(signature), report.threshold_value, debt_side, rates)
+                if pos.rate_mode == "stable":
+                    return  # stable debt grows at its own rate: valued at every scan
+                signature.append(("variable", asset))
+        debts = sum(1 for kind, _ in signature if kind == "variable")
+        self._anchor(world, account, tuple(signature), report.threshold_value, report.debt_value + debts)
 
     def anchor_vault(self, world, vault_id: int, vault, bound: int, debt: int) -> None:
         """File a vault that the scan of the last `due` call valued: its issuance bound and debt."""
         signature = (*sorted(("locked", a) for a, amt in vault.collateral.items() if amt), ("fee", None))
-        self._anchor(world, vault_id, signature, bound, debt, {})
+        self._anchor(world, vault_id, signature, bound, debt)
 
-    def rolled_back(self, checkpoint: int, journal_len: int) -> None:
-        """Undo what the screen filed while the rolled-back checkpoint was open: those candidates are due."""
+    def rolled_back(self, journal_len: int) -> None:
+        """Rewind the journal cursor past the records a rollback truncated."""
         self.seen = min(self.seen, journal_len)
-        stamped = self.stamped
-        while stamped and stamped[-1][0] >= checkpoint:
-            _, key, entry = stamped.pop()
-            if entry is None or self.anchors.get(key) is entry:
-                self._unanchor(key)
 
     # ------------------------------------------------------------------
     def _sync(self, world) -> None:
@@ -348,12 +338,6 @@ class RiskScreen:
                     self._unanchor(record.to)
         self.seen = len(journal)
 
-    def _price(self, world, asset: str) -> int:
-        price = self._prices.get(asset)
-        if price is None:
-            price = self._prices[asset] = world.oracle.price_at(asset, self._step)
-        return price
-
     def _value(self, world, factor: tuple) -> int:
         """A factor's value in this scan's state."""
         value = self._now.get(factor)
@@ -362,11 +346,11 @@ class RiskScreen:
             if kind == "fee":
                 value = world.cdp.fee_index
             elif kind == "supply":
-                value = self._rates[asset] * self._price(world, asset)
+                value = self._rates[asset] * world.oracle.price_at(asset, self._step)
             elif kind == "variable":
-                value = world.pools[asset].borrow_index * self._price(world, asset)
-            else:  # stable, locked
-                value = self._price(world, asset)
+                value = world.pools[asset].borrow_index * world.oracle.price_at(asset, self._step)
+            else:  # locked
+                value = world.oracle.price_at(asset, self._step)
             self._now[factor] = value
         return value
 
@@ -379,39 +363,29 @@ class RiskScreen:
             if kind in _COLLATERAL_FACTORS:
                 ratio = WAD * now // then
                 low = ratio if low is None or ratio < low else low
-                slack += 2 if kind == "locked" else self._price(world, asset) // WAD + 3
-                continue
-            if kind == "stable":
-                periods = world.pools[asset].periods - bucket.periods[asset]
-                growth = pow_up(WAD + bucket.rates[asset], periods)
-                ratio = ceil_div(growth * now, then)
-                slack += ceil_div(periods * growth * now, WAD * WAD)
+                slack += 2 if kind == "locked" else world.oracle.price_at(asset, self._step) // WAD + 3
             else:
-                ratio = ceil_div(WAD * now, then)
-                slack += 1 if kind == "fee" else self._price(world, asset) // WAD + 1
-            high = max(high, ratio)
+                high = max(high, ceil_div(WAD * now, then))
+                slack += 1 if kind == "fee" else world.oracle.price_at(asset, self._step) // WAD + 1
         return low or 0, WAD * (high + slack)
 
-    def _anchor(self, world, key, signature: tuple, collateral_side: int, debt_side: int, rates: dict) -> None:
-        """File a valued candidate; `rates` holds its stable rate (or 0) per debt pool."""
+    def _anchor(self, world, key, signature: tuple, collateral_side: int, debt_side: int) -> None:
+        """File a valued candidate."""
+        if not self._filing:
+            return  # stays dirty: a rollback could undo what it was valued in
         bucket = self.buckets.get(signature)
         if bucket is None:
             bucket = self.buckets[signature] = _Bucket(signature)
         low = high = None
         for factor in signature:
-            kind, asset = factor
             now = self._value(world, factor)
             then = bucket.frame.setdefault(factor, now)
-            if kind in _COLLATERAL_FACTORS:
+            if factor[0] in _COLLATERAL_FACTORS:
                 side = collateral_side * then // now
                 low = side if low is None or side < low else low
             else:
                 side = ceil_div(debt_side * then, now)
                 high = side if high is None or side > high else high
-            if kind == "stable":
-                periods = world.pools[asset].periods
-                bucket.periods[asset] = min(bucket.periods.get(asset, periods), periods)
-                bucket.rates[asset] = max(bucket.rates.get(asset, 0), rates[asset])
         if high < WAD:
             if not bucket.live:
                 del self.buckets[signature]
@@ -422,9 +396,6 @@ class RiskScreen:
         bucket.live += 1
         self.anchors[key] = entry
         self.dirty.discard(key)
-        stamp = world.ledger.innermost_checkpoint()
-        if stamp:
-            self.stamped.append((stamp, key, entry))
 
     def _unanchor(self, key: str | int) -> None:
         """Make a candidate dirty, dropping its anchor and a bucket it leaves empty."""

@@ -101,7 +101,6 @@ class Pool:
         self.reserves = 0
         self.borrow_index = WAD
         self.liquidity_index = WAD
-        self.periods = 0  # compounding periods accrued, which bound a stable position's growth
         self.positions: dict[str, BorrowPosition] = {}
         self.collateral_on: dict[str, bool] = {}
         self.paused = False
@@ -180,8 +179,7 @@ class Pool:
             raise ValueError("dt must be >= 1")
         model = self.params.rate_model
         cash = self.cash(world)  # constant across accrual steps
-        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves", "periods")
-        self.periods += dt
+        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves")
         for _ in range(dt):
             borrows = self.total_borrows
             total = cash + borrows

@@ -11,9 +11,8 @@ events, so a rolled-back transaction leaves the world bit-identical to before
 simulations. Its cost follows the writes made since the checkpoint, not the
 size of the world. Rollback restores values in place: every pool, position,
 vault and dict stays the same object, so references held across a rollback
-stay valid. It also drops what the liquidation risk screen (`World.screen`)
-anchored while the checkpoint was open, so no anchor outlives the state it
-was taken in.
+stay valid. The liquidation risk screen (`World.screen`) files nothing while
+a checkpoint is open, so a rollback only moves its journal position back.
 
 Checkpoints do not cover the reward ledger. Rewards are paid only in phase
 (3) of a step, before any agent acts, and no checkpoint is open then: every
@@ -180,7 +179,7 @@ class World:
     def rollback(self, cp: WorldCheckpoint) -> None:
         self.ledger.rollback(cp.ledger_cp)  # raises on LIFO violation first
         del self.events[cp.events_len :]
-        self.screen.rolled_back(cp.ledger_cp, len(self.ledger.journal))
+        self.screen.rolled_back(len(self.ledger.journal))
 
     def commit(self, cp: WorldCheckpoint) -> None:
         self.ledger.commit(cp.ledger_cp)

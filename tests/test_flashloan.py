@@ -576,9 +576,14 @@ def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkey
              "stability_fee": "0.0001", "liquidation_penalty": "0.13"},
     )
     w = build(doc)
-    user(w, "alice", COL=wad(2000))
+    user(w, "alice", COL=wad(2000), DAI=wad(10))  # DAI to repay in full below
     w.pools["COL"].deposit(w, "alice", wad(1000))
     w.pools["DAI"].borrow(w, "alice", wad(400), step=0)  # health 800 / 400 = 2
+    user(w, "sam", COL=wad(1000))
+    w.pools["COL"].deposit(w, "sam", wad(1000))
+    w.pools["DAI"].borrow(w, "sam", wad(400), STABLE, step=0)  # as healthy, at a stable rate
+    user(w, "carol", COL=wad(1000))
+    w.pools["COL"].deposit(w, "carol", wad(1000))
     empty = w.cdp.open_vault("alice")
     w.cdp.lock(w, empty, "COL", wad(500))
     valued, vaults_valued = [], []
@@ -600,7 +605,32 @@ def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkey
         w.cdp.accrue(w, t)
         assert flashloan.scan_liquidations(w, t) == []
     assert valued.count("alice") <= 1
+    assert valued.count("sam") == 50  # an account with stable debt is never anchored
     assert w.cdp.vault(empty) not in vaults_valued
+
+    # a scan inside a checkpoint files nothing, so its rollback leaves no anchor or strike-off behind
+    anchored = set(w.screen.anchors)
+    cp = w.checkpoint()
+    w.pools["DAI"].repay(w, "alice", w.pools["DAI"].debt_of("alice"))
+    w.pools["DAI"].borrow(w, "carol", wad(100), step=49)
+    valued.clear()
+    assert flashloan.scan_liquidations(w, 49) == []
+    assert "carol" in valued and "alice" not in valued
+    assert set(w.screen.anchors) <= anchored
+    w.rollback(cp)
+    valued.clear()
+    assert flashloan.scan_liquidations(w, 49) == []
+    assert "alice" in valued  # her debt is back, so she is due again
+
+    # the journal records a scan inside a checkpoint read are given back by its rollback
+    cp = w.checkpoint()
+    w.ledger.transfer("alice", "carol", "COL", wad(1))
+    assert flashloan.scan_liquidations(w, 49) == []
+    w.rollback(cp)
+    w.ledger.transfer("alice", "carol", "cCOL", w.ledger.balance("alice", "cCOL") * 6 // 10)  # health 0.8
+    valued.clear()
+    flashloan.scan_liquidations(w, 49)
+    assert "alice" in valued
 
 
 def test_scan_needs_a_price_only_for_what_a_candidate_holds_or_owes():

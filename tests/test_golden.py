@@ -154,6 +154,7 @@ def test_liquidation_fixture_outputs_pinned(tmp_path):
     assert "exchange-rate" in seized_modes and "rebasing" in seized_modes
     assert any(e["kind"] == "vault-liquidation" for e in world.events)
     assert any(e["kind"] == "flash" and e["outcome"] == "committed" for e in world.events)
+    assert world.screen.anchors  # the liquidator agent's scans file anchors
     assert dir_digest(tmp_path) == FIXTURE_DIGEST
 
 
