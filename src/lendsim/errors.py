@@ -53,10 +53,6 @@ class StepBeforeFirstPoint(SimError):
 
 
 # lending pool
-class PoolPaused(SimError):
-    pass
-
-
 class InsufficientLiquidity(SimError):
     pass
 

@@ -21,6 +21,9 @@ writes, and rollback counts each write it undoes once more, so the count never
 returns to a value read while those writes stood: equal counts read at any two
 points prove the asset's balances unchanged, and a cache of something derived
 from them (the supply-side reward shares, the last arbitrage scan) stays valid.
+Every write also names its accounts in the undo log's `touched` set, which is
+how the liquidation risk screen learns what changed; outside the ledger, the
+journal is only an audit and export record.
 
 Mint/burn authority is a static per-asset whitelist fixed at world
 construction; the "genesis" authority funds initial endowments.
@@ -75,10 +78,12 @@ class UndoLog:
     Each record is a (restore, args) pair; `restore(*args)` puts one value
     back. With no checkpoint open (depth 0) the helpers record nothing.
 
-    `touched` collects, checkpoint or not, the pool accounts (by name) and
-    vaults (by id) whose health inputs a pool or the CDP engine wrote: flags,
-    borrow positions, vault collateral and debt. The liquidation risk screen
-    (liquidation.RiskScreen) drains it.
+    `touched` collects, checkpoint or not, every key a write named: the
+    accounts (by name) of each ledger transfer, mint and burn, the pool
+    accounts whose collateral flags or borrow positions a pool wrote, and the
+    vaults (by id) whose collateral or debt the CDP engine wrote. A rollback
+    leaves it as it is. The liquidation risk screen (liquidation.RiskScreen)
+    drains it.
     """
 
     def __init__(self) -> None:
@@ -244,6 +249,8 @@ class Ledger:
             self.undo.save_items(table, frm, to)
         table[frm] = table.get(frm, 0) - amount
         table[to] = table.get(to, 0) + amount
+        self.undo.touched.add(frm)
+        self.undo.touched.add(to)
         self._record("transfer", frm, to, asset, amount, tag)
 
     def mint(self, to: str, asset: str, amount: int, authority: str, tag: str = "mint") -> None:
@@ -256,6 +263,7 @@ class Ledger:
             self.undo.save_items(self._minted, asset)
         table[to] = table.get(to, 0) + amount
         self._minted[asset] += amount
+        self.undo.touched.add(to)
         self._record("mint", None, to, asset, amount, tag)
 
     def burn(self, frm: str, asset: str, amount: int, authority: str, tag: str = "burn") -> None:
@@ -270,6 +278,7 @@ class Ledger:
             self.undo.save_items(self._minted, asset)
         table[frm] = table.get(frm, 0) - amount
         self._minted[asset] -= amount
+        self.undo.touched.add(frm)
         self._record("burn", frm, None, asset, amount, tag)
 
     # ------------------------------------------------------------------

@@ -52,13 +52,18 @@ with a stable borrow position is never anchored, so every scan values it: its
 debt compounds at its own rate, which no factor follows. And a scan made
 while a checkpoint is open files nothing, neither an anchor nor the striking
 off of a candidate with no debt, so a rollback leaves nothing of the screen's
-to undo but the journal position it has read up to. The liquidator agent and
-`lendsim scan` scan with no checkpoint open.
+to undo: the keys its undone writes named stay in `touched` or dirty, and the
+next scan values them. The liquidator agent and `lendsim scan` scan with no
+checkpoint open.
 
-A candidate is dirty once written: an IOU balance (read from the ledger
-journal), a collateral flag or borrow position, or a vault's collateral or
-debt (the undo log's `touched` set). The screen builds at the first scan with
-every candidate dirty, so a full scan is the same code run with no anchors.
+A candidate is dirty once a write names it in the undo log's `touched` set:
+a ledger transfer, mint or burn names its accounts (so every IOU balance
+change does), a pool an account whose collateral flag or borrow position it
+writes, the CDP engine a vault whose collateral or debt it writes. Each scan
+moves the set into its dirty set and clears it; a key that names no candidate
+is struck off there. The screen builds at the first scan with every candidate
+dirty and what was written before dropped, so a full scan is the same code run
+with no anchors.
 """
 
 from __future__ import annotations
@@ -238,16 +243,14 @@ class RiskScreen:
     """Which pool accounts and CDP vaults a liquidation scan must value exactly (module docstring).
 
     A scan calls `due`, values what it names, and files each one it valued
-    with `anchor_account` or `anchor_vault`; `World.rollback` calls
-    `rolled_back`.
+    with `anchor_account` or `anchor_vault`. What changed reaches it only
+    through the undo log's `touched` set, which `due` drains.
     """
 
     def __init__(self) -> None:
         self.dirty: set[str | int] | None = None  # due at the next scan; None until the first builds it
         self.anchors: dict[str | int, tuple] = {}  # candidate -> its heap entry
         self.buckets: dict[tuple, _Bucket] = {}
-        self.ious: frozenset[str] = frozenset()
-        self.seen = 0  # journal records read
         self._serial = 0
         self._filing = False  # this scan runs with no checkpoint open
         self._step = 0
@@ -257,13 +260,16 @@ class RiskScreen:
     # ------------------------------------------------------------------
     def due(self, world, step: int, reads: list[tuple]) -> tuple[list[str], list[int]]:
         """The accounts (by name) and vaults (by id) a scan at `step` must value; the rest are safe."""
-        if self.dirty is None:  # every candidate is due, so the journal so far can be skipped
+        touched = world.ledger.undo.touched
+        if self.dirty is None:  # every candidate is due, so what was written so far can be dropped
             self.dirty = {a for p in world.pools.values() for a in p.positions}
             if world.cdp is not None:
                 self.dirty.update(world.cdp.vaults)
-            self.ious = frozenset(p.params.iou_asset for p in world.pools.values())
-            self.seen = len(world.ledger.journal)
-        self._sync(world)
+            touched.clear()
+        for key in touched & self.anchors.keys():
+            self._unanchor(key)
+        self.dirty |= touched
+        touched.clear()
         self._filing = not world.ledger.open_checkpoints()
         self._step, self._now = step, {}
         self._rates = {asset: rate for asset, _, rate, _ in reads}
@@ -288,8 +294,8 @@ class RiskScreen:
             elif cdp is not None:
                 vault = cdp.vaults.get(key)
                 (vaults if vault is not None and vault.debt_scaled else idle).append(key)
-        if self._filing:
-            self.dirty.difference_update(idle)  # no borrow position, or a vault without debt: never liquidatable
+        if self._filing and idle:  # no borrow position, or a vault without debt: never liquidatable
+            self.dirty = self.dirty.difference(idle)  # a new set: one drained in place keeps its table
         accounts.sort()
         vaults.sort()
         return accounts, vaults
@@ -313,31 +319,7 @@ class RiskScreen:
         signature = (*sorted(("locked", a) for a, amt in vault.collateral.items() if amt), ("fee", None))
         self._anchor(world, vault_id, signature, bound, debt)
 
-    def rolled_back(self, journal_len: int) -> None:
-        """Rewind the journal cursor past the records a rollback truncated."""
-        self.seen = min(self.seen, journal_len)
-
     # ------------------------------------------------------------------
-    def _sync(self, world) -> None:
-        """Make every candidate written since the last scan dirty.
-
-        Only a position or vault-debt write (`touched`) makes a candidate of
-        a non-candidate, so an IOU write matters only to an anchored account.
-        """
-        touched = world.ledger.undo.touched
-        for key in touched:
-            self._unanchor(key)
-        touched.clear()
-        journal, ious, anchors = world.ledger.journal, self.ious, self.anchors
-        for i in range(self.seen, len(journal)):
-            record = journal[i]
-            if record.asset in ious:
-                if record.frm in anchors:
-                    self._unanchor(record.frm)
-                if record.to in anchors:
-                    self._unanchor(record.to)
-        self.seen = len(journal)
-
     def _value(self, world, factor: tuple) -> int:
         """A factor's value in this scan's state."""
         value = self._now.get(factor)

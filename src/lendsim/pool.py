@@ -25,7 +25,7 @@ first records the old value in its undo log (the world ledger's), so a world
 rollback restores it in place. A write to an account's collateral flag or
 borrow position also names the account in the log's `touched` set, which the
 liquidation scan's risk screen reads; deposits and seizures need not, since
-the IOU they move already names the account in the ledger journal.
+the ledger writes of the IOU they move already name the account there.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class Pool:
         self.liquidity_index = WAD
         self.positions: dict[str, BorrowPosition] = {}
         self.collateral_on: dict[str, bool] = {}
-        self.paused = False
         self.undo = undo
 
     # ------------------------------------------------------------------
@@ -206,8 +205,6 @@ class Pool:
     # ------------------------------------------------------------------
     def deposit(self, world, account: str, amount: int) -> int:
         require_amount(amount)
-        if self.paused:
-            raise errors.PoolPaused(self.params.asset)
         minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
         world.ledger.mint(account, self.params.iou_asset, minted, self.account, tag="deposit-iou")

@@ -238,7 +238,7 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
         where = f"venues[{i}]"
         v = _obj(v, where, problems)
         kind = _str(v.get("kind", "quote"), f"{where}.kind", problems)
-        venue_id = str(v.get("id", f"venue{i}"))
+        venue_id = _str(v.get("id", f"venue{i}"), f"{where}.id", problems)
         if kind == "quote":
             numeraire = _str(v.get("numeraire", ""), f"{where}.numeraire", problems)
             quotes = _amounts(v.get("quotes", {}), f"{where}.quotes", problems)
@@ -305,7 +305,7 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
             problems.append(f"{where}.params.use_flashloan: expected a boolean, got {params['use_flashloan']!r}")
         agents.append(
             AgentSpec(
-                agent_id=str(a.get("id", f"agent{i}")),
+                agent_id=_str(a.get("id", f"agent{i}"), f"{where}.id", problems),
                 kind=_str(a.get("kind", ""), f"{where}.kind", problems),
                 endowment=_amounts(a.get("endowment", {}), f"{where}.endowment", problems),
                 params=params,

@@ -11,14 +11,16 @@ events, so a rolled-back transaction leaves the world bit-identical to before
 simulations. Its cost follows the writes made since the checkpoint, not the
 size of the world. Rollback restores values in place: every pool, position,
 vault and dict stays the same object, so references held across a rollback
-stay valid. The liquidation risk screen (`World.screen`) files nothing while
-a checkpoint is open, so a rollback only moves its journal position back.
+stay valid. A rollback does not reach the liquidation risk screen
+(`World.screen`): the screen files nothing while a checkpoint is open, and a
+rollback leaves the undo log's `touched` set as it is, so every candidate an
+undone write named is due at the next scan.
 
 Checkpoints do not cover the reward ledger. Rewards are paid only in phase
 (3) of a step, before any agent acts, and no checkpoint is open then: every
 checkpoint is opened and closed within the agent phase, which Ledger.audit
-checks at the end of each step. Nor do they cover account registration or
-`Pool.paused`, which nothing writes while a checkpoint is open.
+checks at the end of each step. Nor do they cover account registration, which
+nothing does while a checkpoint is open.
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ class World:
     def rollback(self, cp: WorldCheckpoint) -> None:
         self.ledger.rollback(cp.ledger_cp)  # raises on LIFO violation first
         del self.events[cp.events_len :]
-        self.screen.rolled_back(len(self.ledger.journal))
 
     def commit(self, cp: WorldCheckpoint) -> None:
         self.ledger.commit(cp.ledger_cp)

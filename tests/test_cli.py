@@ -104,6 +104,9 @@ REJECTED = {
     "window_float": (_set("agents", 0, "window", [0, 1.5]), []),
     "seed_string": (_set("seed", "7"), []),
     "drift_bool": (_set("price_feeds", "drift", True), []),
+    # ids are JSON strings: no null read as "None", no number read as its digits
+    "agent_id_null": (_set("agents", 0, "id", None), []),
+    "venue_id_number": (_set("venues", 1, "id", 7), []),  # the quote venue, which no agent names
     "steps_zero": (lambda doc: None, ["--steps", "0"]),
     "steps_negative": (lambda doc: None, ["--steps", "-3"]),
 }

@@ -477,7 +477,7 @@ screen_ops = st.lists(
             st.sampled_from([
                 "deposit", "redeem", VARIABLE, STABLE, "switch", "repay", "repay_all", "flag", "liquidate",
                 "accrue", "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "execute", "nest",
-                "close",
+                "close", "iou_transfer",
             ]),
             st.integers(0, 2),
             st.integers(0, 2),
@@ -491,8 +491,17 @@ screen_ops = st.lists(
 )
 
 
-def _op(kind, a=0, sym="GLD", tenths=1, t=0, borrower=None):
-    return (kind, a, 0, sym, tenths, t), borrower
+def _op(kind, a=0, sym="GLD", tenths=1, t=0, borrower=None, b=0):
+    return (kind, a, b, sym, tenths, t), borrower
+
+
+def written_inputs(w, key):
+    """What a write can change of a candidate's health: IOU balances, flags and positions, or a vault."""
+    if isinstance(key, int):
+        vault = w.cdp.vaults.get(key)
+        return vault and (dict(vault.collateral), vault.debt_scaled)
+    return [(w.ledger.balance_table(p.params.iou_asset).get(key, 0), p.collateral_on.get(key),
+             copy.copy(p.positions.get(key))) for p in w.pools.values()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,14 +511,20 @@ def _op(kind, a=0, sym="GLD", tenths=1, t=0, borrower=None):
 @example([_op("deposit", 0, tenths=5, t=3), _op("deposit", 1, tenths=5, t=3)] + [_op("accrue", t=3)] * 8)
 # u0 repays in full inside a checkpoint and is struck off; the rollback restores the debt
 @example([_op("nest"), _op("repay_all"), _op("close", tenths=2), _op("accrue", sym="COL", t=5)])
+# u1 hands anchored u0 half its cCOL; u0 repays in full and is struck off
+@example([_op("accrue"), _op("iou_transfer", 1, sym="COL", tenths=200, b=0), _op("repay_all")])
 def test_screened_liquidation_scan_equals_a_full_scan(ops):
     w = screen_world()
     checkpoints = []
+    anchored = {}  # candidate -> (its anchor entry, its written_inputs when first seen anchored)
     for op, borrower in ops:
-        kind, a, _, sym, tenths, t = op
+        kind, a, b, sym, tenths, t = op
         try:
             if kind == "repay":
                 w.pools[sym].repay(w, USERS[a], wad(tenths) // 10)
+            elif kind == "iou_transfer":  # a raw ledger write of cCOL or aGLD, outside any pool method
+                iou = w.pools[sym].params.iou_asset
+                w.ledger.transfer(USERS[a], USERS[b], iou, w.ledger.balance(USERS[a], iou) * tenths // 400)
             elif kind == "execute":
                 found = flashloan.scan_liquidations(w, t, "keeper")
                 if found:
@@ -524,6 +539,12 @@ def test_screened_liquidation_scan_equals_a_full_scan(ops):
         except errors.SimError:
             pass
         assert flashloan.scan_liquidations(w, t, borrower) == fresh_scan(w, t, borrower)
+        # a candidate stays anchored only while nothing has written what its health reads
+        for key, entry in w.screen.anchors.items():
+            if key in anchored and anchored[key][0] is entry:
+                assert written_inputs(w, key) == anchored[key][1], key
+            else:
+                anchored[key] = entry, written_inputs(w, key)
     while checkpoints:
         w.rollback(checkpoints.pop())
     w.ledger.full_audit()
@@ -622,7 +643,7 @@ def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkey
     assert flashloan.scan_liquidations(w, 49) == []
     assert "alice" in valued  # her debt is back, so she is due again
 
-    # the journal records a scan inside a checkpoint read are given back by its rollback
+    # after a scan inside a checkpoint and its rollback, an IOU transfer still makes its sender due
     cp = w.checkpoint()
     w.ledger.transfer("alice", "carol", "COL", wad(1))
     assert flashloan.scan_liquidations(w, 49) == []

@@ -90,6 +90,26 @@ def test_rollback_restores_checkpointed_state():
     assert len(lg.journal) == journal_len
 
 
+def test_writes_name_their_accounts_in_touched():
+    for inside_checkpoint in (False, True):
+        lg = fresh()
+        touched = lg.undo.touched
+        cp = lg.checkpoint() if inside_checkpoint else None
+        lg.mint("a", "ETH", wad(10), GENESIS_AUTHORITY)
+        assert touched == {"a"}
+        touched.clear()
+        lg.transfer("a", "b", "ETH", wad(4))
+        assert touched == {"a", "b"}
+        touched.clear()
+        lg.burn("b", "ETH", wad(1), GENESIS_AUTHORITY)
+        assert touched == {"b"}
+        if inside_checkpoint:
+            lg.transfer("a", "c", "ETH", wad(2))
+            lg.rollback(cp)
+            assert lg.balance("c", "ETH") == 0
+            assert touched == {"a", "b", "c"}  # the rollback undoes the writes, not the names
+
+
 def test_commit_keeps_mutations():
     lg = fresh()
     lg.mint("a", "ETH", wad(100), GENESIS_AUTHORITY)

@@ -126,15 +126,6 @@ def test_redeem_requires_iou_balance():
         p.redeem(w, "alice", wad(11), step=0)
 
 
-def test_paused_pool_rejects_deposits():
-    w = eth_dai_world()
-    p = w.pools["ETH"]
-    p.paused = True
-    user(w, "alice", ETH=wad(10))
-    with pytest.raises(errors.PoolPaused):
-        p.deposit(w, "alice", wad(10))
-
-
 # ---------------------------------------------------------------------------
 # collateral flags
 # ---------------------------------------------------------------------------
