@@ -12,6 +12,10 @@ controller available) consulted once per step with the stablecoin's oracle
 price. Debt issuance treats one stablecoin as one USD regardless of its
 market price; the market price only matters to traders and the fee policy.
 
+`telemetry_rows` renders every vault's row from one price table per step:
+each held collateral asset's price and issuance fraction are read once, and
+the value/bound arithmetic is the same helper `_valuation` uses.
+
 Every write to the engine's state first records the old value in its undo log
 (the world ledger's), so a world rollback restores it in place. A write to a
 vault's collateral or debt also names the vault id in the log's `touched`
@@ -50,11 +54,34 @@ def proportional_fee(base: int, gain: int, target: int = WAD) -> FeePolicy:
     return policy
 
 
+class _Marks(dict):
+    """(price, issuance fraction) of each collateral asset at one step, read on first use."""
+
+    def __init__(self, world, fractions: dict[str, int], step: int):
+        self._price_at, self._fractions, self._step = world.oracle.price_at, fractions, step
+
+    def __missing__(self, asset: str) -> tuple[int, int]:
+        mark = self[asset] = (self._price_at(asset, self._step), self._fractions.get(asset, 0))
+        return mark
+
+
 @dataclass
 class Vault:
     owner: str
     collateral: dict[str, int] = field(default_factory=dict)
     debt_scaled: int = 0  # debt / fee_index at last touch
+
+
+def _value_and_bound(vault: Vault, marks: _Marks) -> tuple[int, int]:
+    """A vault's collateral value in USD and the issuance bound it supports, at the marks' step."""
+    value = bound = 0
+    for asset, amt in vault.collateral.items():
+        if amt:
+            price, fraction = marks[asset]
+            asset_value = mul_down(amt, price)
+            value += asset_value
+            bound += mul_down(asset_value, fraction)
+    return value, bound
 
 
 class CdpEngine:
@@ -94,13 +121,7 @@ class CdpEngine:
 
     def _valuation(self, world, vault: Vault, step: int) -> tuple[int, int]:
         """One walk over a vault's collateral: (USD value, issuance bound)."""
-        value = bound = 0
-        for asset, amt in vault.collateral.items():
-            if amt:
-                asset_value = world.oracle.value_usd(amt, asset, step)
-                value += asset_value
-                bound += mul_down(asset_value, self.issuance_fraction.get(asset, 0))
-        return value, bound
+        return _value_and_bound(vault, _Marks(world, self.issuance_fraction, step))
 
     def collateral_value(self, world, vault: Vault, step: int) -> int:
         return self._valuation(world, vault, step)[0]
@@ -249,11 +270,12 @@ class CdpEngine:
 
     # ------------------------------------------------------------------
     def telemetry_rows(self, world, step: int) -> list[str]:
+        marks = _Marks(world, self.issuance_fraction, step)
         step_cell, fee_index = str(step), to_str(self.fee_index)  # the same in every row
         rows = []
         for vault_id in sorted(self.vaults):
             vault = self.vaults[vault_id]
-            value, bound = self._valuation(world, vault, step)
+            value, bound = _value_and_bound(vault, marks)
             debt = self.debt_of(vault)
             cells = (str(vault_id), to_str(value), to_str(debt), to_str(bound), str(int(debt <= bound)))
             rows.append(",".join((step_cell, *cells, fee_index)))

@@ -3,14 +3,15 @@
 Each step runs a fixed phase order: (1) advance price feeds, (2) accrue all
 pools and the vault fee index, (3) distribute governance-token rewards,
 (4) agents act in an order shuffled by a seed derived from (master seed, t),
-(5) flush telemetry. In (3) the borrow side is paid every step, since
-accrual moves every debt; the supply side, weighted by IOU balances, is paid
-as a stream that recomputes its shares only after a ledger write of the IOU
-and is multiplied out (steps owed x share) when the reward totals are read.
-Agent failures become events, never aborts. Before the telemetry flush,
-World.audit checks that no ledger checkpoint outlived the step and that the
-vault engine's ledger holdings equal the vaults' recorded collateral, per
-asset; the full conservation audit runs at the end of the run.
+(5) render the step's telemetry rows, which `run` streams to disk. In (3)
+the borrow side is paid every step, since accrual moves every debt; the
+supply side, weighted by IOU balances, is paid as a stream that recomputes
+its shares only after a ledger write of the IOU and is multiplied out (steps
+owed x share) when the reward totals are read. Agent failures become events,
+never aborts. Before the rows render, World.audit checks that no ledger
+checkpoint outlived the step and that the vault engine's ledger holdings
+equal the vaults' recorded collateral, per asset; the full conservation
+audit runs at the end of the run.
 
 In (4) the agents act in the order `random.Random(seed).shuffle` gives the
 list of all agents, but a step touches only live agents. A calendar sorted
@@ -22,9 +23,12 @@ skipping steps is fine.
 
 Outputs per run directory: pools.csv, vaults.csv, events.jsonl, rewards.csv
 and summary.json (initial/final value locked per pool, liquidation count,
-flash-loan profit, per-agent P&L in USD). Every value is rendered as an exact
-decimal string so identical (scenario, seed) runs produce byte-identical
-output directories.
+flash-loan profit, per-agent P&L in USD). The two CSVs are opened before
+step 0, and a step appends its rows once all of them have rendered, so their
+memory stays bounded and a failed run leaves whole steps and no summary.json;
+the other files are written when the run ends. Every value is rendered as an
+exact decimal string so identical (scenario, seed) runs produce
+byte-identical output directories.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterable
+from contextlib import ExitStack
 from pathlib import Path
+from typing import TextIO
 
 from . import errors
 from .agents import BaseAgent, make_agent
@@ -44,10 +50,12 @@ from .scenario import Scenario, build_world
 from .world import World
 
 REWARD_DUST_ACCOUNT = "reward-dust"
+# the streamed CSVs write through a buffer this large, so a flush is rare on the step path
+ROW_BUFFER_BYTES = 256 * 1024
 
 
 def net_worth_usd(world: World, account: str, step: int) -> int:
-    """Mark an account to market: balances + deposit claims - debts (+ vaults)."""
+    """Mark an account to market: balances + deposit claims - debts (vaults: SimulationEngine._net_worth)."""
     total = 0
     for asset in world.oracle.assets():
         bal = world.ledger.balance(account, asset)
@@ -60,11 +68,6 @@ def net_worth_usd(world: World, account: str, step: int) -> int:
         debt = p.debt_of(account)
         if debt:
             total -= world.oracle.value_usd(debt, p.params.asset, step)
-    if world.cdp is not None:
-        for vault in world.cdp.vaults.values():
-            if vault.owner == account:
-                total += world.cdp.collateral_value(world, vault, step)
-                total -= world.oracle.value_usd(world.cdp.debt_of(vault), world.cdp.dai_asset, step)
     return total
 
 
@@ -112,8 +115,7 @@ class SimulationEngine:
         self._calendar = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
         self._live: list[int] = []
         self._pool_order = sorted(self.world.pools)
-        self.pool_rows: list[str] = []
-        self.vault_rows: list[str] = []
+        self._csv: tuple[TextIO, TextIO] | None = None  # (pools.csv, vaults.csv) while run streams them
         self.initial_tvl: dict[str, int] = {}
         self._initial_worth: dict[str, int] = {}
 
@@ -152,10 +154,13 @@ class SimulationEngine:
                 )
 
         world.audit()
-        for sym in self._pool_order:
-            self.pool_rows.append(world.pools[sym].telemetry_row(world, t))
-        if world.cdp is not None:
-            self.vault_rows.extend(world.cdp.telemetry_rows(world, t))
+        # rendered even when no file takes them: a value too long to render fails the step either way
+        pool_rows = [world.pools[sym].telemetry_row(world, t) for sym in self._pool_order]
+        vault_rows = world.cdp.telemetry_rows(world, t) if world.cdp is not None else []
+        if self._csv is not None:
+            for fp, rows in zip(self._csv, (pool_rows, vault_rows)):
+                if rows:
+                    fp.write("\n".join(rows) + "\n")
 
     # ------------------------------------------------------------------
     def distribute_rewards(self, t: int) -> None:
@@ -174,16 +179,24 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def run(self, out_dir: str | Path | None = None) -> dict:
         world = self.world
-        world.oracle.ensure_step(0)
-        agent_accounts = [a.account for a in self.agents]
-        for sym in self._pool_order:
-            p = world.pools[sym]
-            self.initial_tvl[sym] = world.oracle.value_usd(p.cash(world), sym, 0)
-        for account in agent_accounts:
-            self._initial_worth[account] = net_worth_usd(world, account, 0)
+        with ExitStack() as files:
+            if out_dir is not None:
+                out_dir = Path(out_dir)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                pools_csv = files.enter_context(open(out_dir / "pools.csv", "w", buffering=ROW_BUFFER_BYTES))
+                vaults_csv = files.enter_context(open(out_dir / "vaults.csv", "w", buffering=ROW_BUFFER_BYTES))
+                pools_csv.write(TELEMETRY_HEADER + "\n")
+                vaults_csv.write(VAULT_TELEMETRY_HEADER + "\n")
+                self._csv = pools_csv, vaults_csv
+                files.callback(setattr, self, "_csv", None)  # unset before the files close
 
-        for t in range(self.horizon):
-            self.step(t)
+            world.oracle.ensure_step(0)
+            for sym in self._pool_order:
+                p = world.pools[sym]
+                self.initial_tvl[sym] = world.oracle.value_usd(p.cash(world), sym, 0)
+            self._initial_worth = self._net_worth(0)
+            for t in range(self.horizon):
+                self.step(t)
         world.ledger.full_audit()
 
         liquidations, flash_profit = 0, {}
@@ -195,6 +208,7 @@ class SimulationEngine:
                 asset = event.get("profit_asset")
                 flash_profit[asset] = flash_profit.get(asset, 0) + (event.get("profit") or 0)
         last = self.horizon - 1
+        final_worth = self._net_worth(last)
         summary = {
             "schema_version": 1,
             "seed": self.seed,
@@ -207,26 +221,28 @@ class SimulationEngine:
             "total_liquidations": liquidations,
             "total_flash_profit": {a: to_str(v) for a, v in sorted(flash_profit.items())},
             "agent_pnl_usd": {
-                account: to_str(net_worth_usd(world, account, last) - self._initial_worth[account])
-                for account in sorted(agent_accounts)
+                account: to_str(final_worth[account] - self._initial_worth[account])
+                for account in sorted(final_worth)
             },
             "rewards_distributed": to_str(world.rewards.distributed),
             "rewards_dust": to_str(world.rewards.dust),
         }
         if out_dir is not None:
-            self._write_outputs(Path(out_dir), summary)
+            self._write_outputs(out_dir, summary)
         return summary
 
+    def _net_worth(self, step: int) -> dict[str, int]:
+        """Each agent's net_worth_usd plus its vaults' value minus debt, from one pass over the vaults."""
+        world, cdp = self.world, self.world.cdp
+        worth = {a.account: net_worth_usd(world, a.account, step) for a in self.agents}
+        for vault in cdp.vaults.values() if cdp is not None else ():
+            if vault.owner in worth:
+                worth[vault.owner] += cdp.collateral_value(world, vault, step)
+                worth[vault.owner] -= world.oracle.value_usd(cdp.debt_of(vault), cdp.dai_asset, step)
+        return worth
+
     def _write_outputs(self, out_dir: Path, summary: dict) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "pools.csv", "w") as fp:
-            fp.write(TELEMETRY_HEADER + "\n")
-            for row in self.pool_rows:
-                fp.write(row + "\n")
-        with open(out_dir / "vaults.csv", "w") as fp:
-            fp.write(VAULT_TELEMETRY_HEADER + "\n")
-            for row in self.vault_rows:
-                fp.write(row + "\n")
+        """The files written once the run ends; pools.csv and vaults.csv streamed as the steps ended."""
         with open(out_dir / "events.jsonl", "w") as fp:
             for event in self.world.events:
                 fp.write(json.dumps(event, sort_keys=True, default=str) + "\n")

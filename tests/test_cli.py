@@ -1,13 +1,16 @@
 """CLI contract: subcommands, exit codes, deterministic run outputs."""
 
 import filecmp
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from lendsim.cli import main
 from lendsim.fixed import to_str
+from lendsim.simulation import SimulationEngine
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -144,7 +147,7 @@ def test_walk_overflow_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):
         assert err == "runtime error: walk price of WBTC leaves the float range at step 731\n", err
 
 
-def test_value_too_long_to_render_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):
+def runaway_scenario(tmp_path):
     # a per-step base rate of 1e20 passes validation, but compounding it for
     # 400 steps gives an index with more digits than can be rendered
     doc = json.loads((SCENARIOS / "table1.json").read_text())
@@ -152,12 +155,58 @@ def test_value_too_long_to_render_is_a_runtime_error_for_run_and_scan(tmp_path, 
     doc["horizon"] = 400
     path = tmp_path / "runaway.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def completed_steps(monkeypatch):
+    """Count the engine's steps that return, from here on."""
+    done = []
+    step = SimulationEngine.step
+
+    def counted(self, t):
+        step(self, t)
+        done.append(t)
+
+    monkeypatch.setattr(SimulationEngine, "step", counted)
+    return done
+
+
+def test_value_too_long_to_render_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):
+    path = runaway_scenario(tmp_path)
     assert main(["validate", "--scenario", str(path)]) == 0
     capsys.readouterr()
     for argv in (["run", "--out", str(tmp_path / "out")], ["scan", "--step", "399"]):
         assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 2, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("runtime error: "), lines
+
+
+def test_failed_run_leaves_the_csv_rows_of_its_completed_steps(tmp_path, monkeypatch, capsys):
+    path, out = runaway_scenario(tmp_path), tmp_path / "out"
+    done = completed_steps(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)], caught
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert 0 < len(done) < 400 and done == list(range(len(done)))
+    assert not (out / "summary.json").exists()
+    rows = (out / "pools.csv").read_text().splitlines()
+    assert rows[0].startswith("step,") and len(rows) == 1 + 3 * len(done)  # header + one row per pool
+    assert rows[-1].startswith(f"{done[-1]},")
+    assert (out / "vaults.csv").read_text().splitlines()[0].startswith("step,vault_id,")
+
+
+def test_unwritable_output_path_is_an_io_error_before_any_step(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    done = completed_steps(monkeypatch)
+    assert main(["run", "--scenario", str(SCENARIOS / "table1.json"), "--out", str(taken)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("io error: "), lines
+    assert done == []
+    assert taken.read_text() == "a regular file\n"
 
 
 def test_run_writes_output_contract(tmp_path, capsys):

@@ -465,10 +465,19 @@ def screen_world():
 
 
 def fresh_scan(w, t, borrower):
-    """The scan of a copy of the world whose screen has no anchors: every candidate valued."""
-    unscreened = copy.deepcopy(w)
-    unscreened.screen = RiskScreen()
-    return flashloan.scan_liquidations(unscreened, t, borrower)
+    """The scan of the world under a screen with no anchors: every candidate valued.
+
+    The scan's scratch simulations roll back, so the world is left as it was;
+    the screen and the undo log's `touched` set, which the fresh screen drains,
+    are put back afterwards."""
+    screen, touched = w.screen, set(w.ledger.undo.touched)
+    w.screen = RiskScreen()
+    try:
+        return flashloan.scan_liquidations(w, t, borrower)
+    finally:
+        w.screen = screen
+        w.ledger.undo.touched.clear()
+        w.ledger.undo.touched.update(touched)
 
 
 screen_ops = st.lists(
