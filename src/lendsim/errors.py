@@ -73,10 +73,6 @@ class NoDebt(SimError):
     pass
 
 
-class RateModeMismatch(SimError):
-    pass
-
-
 # liquidation
 class NotLiquidatable(SimError):
     pass

@@ -30,7 +30,7 @@ least the unrounded value) go into the bucket of the factors they read,
 carried to the bucket's frame (the factor values when it opened: the least
 ratio frame over now for L, rounded down, the greatest for U, rounded up),
 under the key K = floor(WAD * L / U). A factor's value is price x unit rate
-for a deposit, price x borrow index for a variable debt, the price for vault
+for a deposit, price x borrow index for a debt, the price for vault
 collateral, and the fee index for vault debt. A scan skips a candidate
 nothing has written since its anchor while
 
@@ -39,7 +39,7 @@ nothing has written since its anchor while
 with c the least collateral ratio now over the frame (rounded down) and d
 the greatest debt ratio (rounded up), in wad. The slack is what the roundings
 of account_totals and the vault valuation can lose, in raw units:
-price // WAD + 3 per deposit, price // WAD + 1 per variable debt, 2 per vault
+price // WAD + 3 per deposit, price // WAD + 1 per debt, 2 per vault
 collateral asset and 1 for vault debt. It bounds the raw sides because a debt
 side under WAD is never anchored (it is valued every scan). The bound implies
 collateral side >= debt side now: not liquidatable, not unsafe. A bucket
@@ -47,9 +47,7 @@ whose prices cannot be read is valued in full. Each bucket keeps its anchors
 in a heap by key, so a scan computes its ratios once per bucket and pops only
 the anchors that cross.
 
-Two rules keep the screen to the traffic the simulation makes. An account
-with a stable borrow position is never anchored, so every scan values it: its
-debt compounds at its own rate, which no factor follows. And a scan made
+One rule keeps the screen to the traffic the simulation makes: a scan made
 while a checkpoint is open files nothing, neither an anchor nor the striking
 off of a candidate with no debt, so a rollback leaves nothing of the screen's
 to undo: the keys its undone writes named stay in `touched` or dirty, and the
@@ -219,7 +217,7 @@ def liquidate(
 # ---------------------------------------------------------------------------
 # risk screen
 # ---------------------------------------------------------------------------
-# A factor is (kind, asset): "supply" (a flagged deposit), "variable" (a variable borrow position),
+# A factor is (kind, asset): "supply" (a flagged deposit), "variable" (a borrow position),
 # "locked" (vault collateral) or "fee" (vault debt, asset None). Supply and locked are collateral
 # factors, the rest debt factors.
 _COLLATERAL_FACTORS = ("supply", "locked")
@@ -306,10 +304,7 @@ class RiskScreen:
         for asset, p, rate, units in reads:
             if p.collateral_on.get(account, False) and p.claim(units.get(account, 0), rate):
                 signature.append(("supply", asset))
-            pos = p.positions.get(account)
-            if pos is not None:
-                if pos.rate_mode == "stable":
-                    return  # stable debt grows at its own rate: valued at every scan
+            if account in p.positions:
                 signature.append(("variable", asset))
         debts = sum(1 for kind, _ in signature if kind == "variable")
         self._anchor(world, account, tuple(signature), report.threshold_value, report.debt_value + debts)

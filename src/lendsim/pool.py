@@ -15,17 +15,18 @@ Interest compounds discretely once per step. The borrow rate is a two-slope
 earn r_b * U * (1 - reserve_factor) while the reserve fraction accrues to the
 pool's reserves, rounding in the pool's favor.
 
-Borrow positions are variable (indexed against borrow_index) or stable
-(principal compounded at a per-position snapshot rate of r_b + premium, never
-rebalanced, and booked into total_borrows at that rate). Positions may switch
-modes at any time with continuous debt value. All cash lives in the pool's
-ledger account `pool:<asset>`, also its IOU's mint/burn authority, so pool cash
-can never drift from the balance sheet. Every write to the pool's own state
-first records the old value in its undo log (the world ledger's), so a world
-rollback restores it in place. A write to an account's collateral flag or
-borrow position also names the account in the log's `touched` set, which the
-liquidation scan's risk screen reads; deposits and seizures need not, since
-the ledger writes of the IOU they move already name the account there.
+There are no rate modes: every borrow accrues at the pool's borrow rate. A
+borrow position is its scaled debt, the debt divided by borrow_index at its
+last touch, so the debt is scaled * borrow_index (rounded up), and accrual
+compounds total_borrows as one sum without visiting positions. All cash lives
+in the pool's ledger account `pool:<asset>`, also its IOU's mint/burn
+authority, so pool cash can never drift from the balance sheet. Every write
+to the pool's own state first records the old value in its undo log (the world
+ledger's), so a world rollback restores it in place. A write to an account's
+collateral flag or borrow position also names the account in the log's
+`touched` set, which the liquidation scan's risk screen reads; deposits and
+seizures need not, since the ledger writes of the IOU they move already name
+the account there.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from .ledger import UndoLog
 
 EXCHANGE_RATE = "exchange-rate"
 REBASING = "rebasing"
-
-VARIABLE = "variable"
-STABLE = "stable"
 
 TELEMETRY_HEADER = (
     "step,asset,cash,total_borrows,reserves,utilization,"
@@ -81,16 +79,6 @@ class PoolParams:
     close_factor: int  # in (0, 1]
     rate_model: RateModelParams
     flash_fee: int = 0
-    stable_rate_premium: int = 0
-
-
-@dataclass
-class BorrowPosition:
-    account: str
-    rate_mode: str = VARIABLE
-    scaled: int = 0  # variable debt / borrow_index at last touch
-    stable_principal: int = 0
-    stable_rate: int = 0
 
 
 class Pool:
@@ -101,7 +89,7 @@ class Pool:
         self.reserves = 0
         self.borrow_index = WAD
         self.liquidity_index = WAD
-        self.positions: dict[str, BorrowPosition] = {}
+        self.positions: dict[str, int] = {}  # account -> debt / borrow_index at its last touch
         self.collateral_on: dict[str, bool] = {}
         self.undo = undo
 
@@ -135,9 +123,6 @@ class Pool:
     def borrow_rate(self, world) -> int:
         return self.params.rate_model.borrow_rate(self.utilization(world))
 
-    def current_stable_rate(self, world) -> int:
-        return self.borrow_rate(world) + self.params.stable_rate_premium
-
     def underlying_claim(self, world, account: str) -> int:
         """Underlying value of an account's IOU holding (displayed balance)."""
         units = world.ledger.balance(account, self.params.iou_asset)
@@ -163,12 +148,8 @@ class Pool:
         return mul_down(units, self.liquidity_index)
 
     def debt_of(self, account: str) -> int:
-        pos = self.positions.get(account)
-        if pos is None:
-            return 0
-        if pos.rate_mode == VARIABLE:
-            return mul_up(pos.scaled, self.borrow_index)
-        return pos.stable_principal
+        scaled = self.positions.get(account)
+        return mul_up(scaled, self.borrow_index) if scaled else 0
 
     # ------------------------------------------------------------------
     # accrual
@@ -187,18 +168,8 @@ class Pool:
             r_s = model.supply_rate(r_b, util)
             self.borrow_index = mul_down(self.borrow_index, WAD + r_b)
             self.liquidity_index = mul_down(self.liquidity_index, WAD + r_s)
-            # stable debt grows at each position's own rate; only the rest compounds at r_b
-            variable, stable_growth = borrows, 0
-            for pos in self.positions.values():
-                if pos.rate_mode == STABLE and pos.stable_principal:
-                    self.undo.save_attrs(pos, "stable_principal")
-                    grown = mul_up(pos.stable_principal, WAD + pos.stable_rate)
-                    variable -= pos.stable_principal
-                    stable_growth += grown - pos.stable_principal
-                    pos.stable_principal = grown
-            self.total_borrows = borrows + mul_up(variable, r_b) + stable_growth
-            rf = model.reserve_factor
-            self.reserves += ceil_div(variable * r_b * rf, WAD * WAD) + ceil_div(stable_growth * rf, WAD)
+            self.total_borrows = borrows + mul_up(borrows, r_b)
+            self.reserves += ceil_div(borrows * r_b * model.reserve_factor, WAD * WAD)
 
     # ------------------------------------------------------------------
     # deposits
@@ -267,10 +238,8 @@ class Pool:
     # ------------------------------------------------------------------
     # borrows
     # ------------------------------------------------------------------
-    def borrow(self, world, account: str, amount: int, mode: str = VARIABLE, *, step: int) -> None:
+    def borrow(self, world, account: str, amount: int, *, step: int) -> None:
         require_amount(amount)
-        if mode not in (VARIABLE, STABLE):
-            raise ValueError(f"unknown rate mode {mode!r}")
         if amount > self.cash(world):
             raise errors.InsufficientLiquidity(
                 f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}"
@@ -279,34 +248,12 @@ class Pool:
         debt_value = totals.debt_value + world.oracle.value_usd(amount, self.params.asset, step)
         if debt_value > totals.borrowing_power:
             raise errors.ExceedsBorrowingPower(f"{account}: debt value {debt_value} > power {totals.borrowing_power}")
-        pos = self.positions.get(account)
-        if pos is None:
-            pos = BorrowPosition(account=account, rate_mode=mode)
-            self.undo.save_items(self.positions, account)
-            self.positions[account] = pos
-        elif pos.rate_mode != mode:
-            raise errors.RateModeMismatch(
-                f"{account} already borrows {self.params.asset} at {pos.rate_mode}; switch first"
-            )
-        # move funds first: stable snapshots price the post-trade utilization
         self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
-        self.undo.save_attrs(pos, "scaled", "stable_principal", "stable_rate")
+        self.undo.save_items(self.positions, account)
+        self.positions[account] = self.positions.get(account, 0) + div_up(amount, self.borrow_index)
         self.total_borrows += amount
         world.ledger.transfer(self.account, account, self.params.asset, amount, tag="borrow")
-        if mode == VARIABLE:
-            pos.scaled += div_up(amount, self.borrow_index)
-        else:
-            snapshot = self.current_stable_rate(world)
-            if pos.stable_principal:
-                # weighted-average rate keeps existing accrual continuous
-                total = pos.stable_principal + amount
-                pos.stable_rate = ceil_div(
-                    pos.stable_principal * pos.stable_rate + amount * snapshot, total
-                )
-            else:
-                pos.stable_rate = snapshot
-            pos.stable_principal += amount
 
     def repay(self, world, account: str, amount: int) -> int:
         require_amount(amount)
@@ -320,40 +267,20 @@ class Pool:
 
     def reduce_debt(self, account: str, applied: int) -> None:
         """Book a repayment, already in the pool's cash, of at most the account's debt."""
-        pos = self.positions[account]
+        scaled = scaled_after_repay(self.positions[account], self.borrow_index, applied)
         self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
-        self.undo.save_attrs(pos, "scaled", "stable_principal")
-        if pos.rate_mode == VARIABLE:
-            pos.scaled = scaled_after_repay(pos.scaled, self.borrow_index, applied)
-        else:
-            pos.stable_principal -= applied
         self.total_borrows = max(0, self.total_borrows - applied)
-        if pos.scaled == 0 and pos.stable_principal == 0:
+        if scaled:
+            self.undo.save_items(self.positions, account)
+            self.positions[account] = scaled
+        else:
             self.undo.del_item(self.positions, account)
 
     def credit_flash_fee(self, fee: int) -> None:
         """Book a flash loan's fee, already in the pool's cash, to reserves."""
         self.undo.save_attrs(self, "reserves")
         self.reserves += fee
-
-    def switch_rate_mode(self, world, account: str) -> None:
-        pos = self.positions.get(account)
-        debt = self.debt_of(account)
-        if pos is None or debt == 0:
-            raise errors.NoDebt(f"{account} owes nothing in {self.params.asset}")
-        self.undo.touched.add(account)
-        self.undo.save_attrs(pos, "rate_mode", "scaled", "stable_principal", "stable_rate")
-        if pos.rate_mode == VARIABLE:
-            pos.rate_mode = STABLE
-            pos.stable_principal = debt
-            pos.stable_rate = self.current_stable_rate(world)
-            pos.scaled = 0
-        else:
-            pos.rate_mode = VARIABLE
-            pos.scaled = div_up(debt, self.borrow_index)
-            pos.stable_principal = 0
-            pos.stable_rate = 0
 
     # ------------------------------------------------------------------
     # telemetry

@@ -229,7 +229,6 @@ def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
             close_factor=_amt(p.get("close_factor", "0.5"), f"{where}.close_factor", problems),
             rate_model=rate_model,
             flash_fee=_amt(p.get("flash_fee", "0.0009"), f"{where}.flash_fee", problems),
-            stable_rate_premium=_amt(p.get("stable_rate_premium", "0"), f"{where}.stable_rate_premium", problems),
         )
         pools.append(PoolSpec(params=params, initial_cash=_amt(p.get("initial_cash", "0"), f"{where}.initial_cash", problems)))
 
@@ -404,7 +403,6 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if not 0 < p.close_factor <= WAD:
             problems.append(f"{where}.close_factor: must lie in (0, 1]")
         at_least(f"{where}.flash_fee", p.flash_fee)
-        at_least(f"{where}.stable_rate_premium", p.stable_rate_premium)
         for name in ("base_rate", "slope1", "slope2"):
             at_least(f"{where}.rate_model.{name}", getattr(model, name))
         if not 0 < model.kink < WAD:

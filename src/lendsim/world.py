@@ -9,8 +9,8 @@ of the event list; rollback undoes the log and truncates the journal and the
 events, so a rolled-back transaction leaves the world bit-identical to before
 — the mechanism behind atomic flash loans and the scanner's scratch
 simulations. Its cost follows the writes made since the checkpoint, not the
-size of the world. Rollback restores values in place: every pool, position,
-vault and dict stays the same object, so references held across a rollback
+size of the world. Rollback restores values in place: every pool, vault and
+dict stays the same object, so references held across a rollback
 stay valid. A rollback does not reach the liquidation risk screen
 (`World.screen`): the screen files nothing while a checkpoint is open, and a
 rollback leaves the undo log's `touched` set as it is, so every candidate an

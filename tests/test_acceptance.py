@@ -23,7 +23,7 @@ from lendsim.cli import main
 from lendsim.fixed import WAD, ceil_div, from_str, mul_down, mul_up, to_str, wad
 from lendsim.flashloan import BuyStep, Committed, FlashPlan, LiquidateStep, Reverted, SellStep
 from lendsim.ledger import GENESIS_AUTHORITY
-from lendsim.pool import BorrowPosition, RateModelParams
+from lendsim.pool import RateModelParams
 from lendsim.scenario import parse_scenario, validate_scenario
 from lendsim.simulation import SimulationEngine
 
@@ -337,7 +337,7 @@ def liquidation_grid_world(li):
         for d in range(1, 21):
             account = user(w, f"u-{c}-{d}", COL=wad(c))
             w.pools["COL"].deposit(w, account, wad(c))
-            w.pools["DEBT"].positions[account] = BorrowPosition(account=account, scaled=wad(d))
+            w.pools["DEBT"].positions[account] = wad(d)
             w.pools["DEBT"].total_borrows += wad(d)
     return w
 

@@ -1,17 +1,15 @@
 """Flash loans: atomicity, the two canonical plan shapes, scanner soundness."""
 
-import copy
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from lendsim import cdp, errors, flashloan, liquidation
 from lendsim.fixed import WAD, from_str, mul_up, to_str, wad
 from lendsim.flashloan import BuyStep, Committed, FlashPlan, LiquidateStep, Reverted, SellStep
 from lendsim.liquidation import RiskScreen
-from lendsim.pool import STABLE, VARIABLE
 
 from conftest import build, make_doc, pool_doc, user
 from test_liquidation import health_world
@@ -440,9 +438,8 @@ def screen_world():
     rich = "1000000"
     doc = make_doc(
         assets=["COL", "GLD", "DAI"],
-        pools=[pool_doc("COL", "cCOL", initial_cash="1000", rate_model=rated, stable_rate_premium="0.003"),
-               pool_doc("GLD", "aGLD", "rebasing", initial_cash="1000", rate_model=rated,
-                        stable_rate_premium="0.003"),
+        pools=[pool_doc("COL", "cCOL", initial_cash="1000", rate_model=rated),
+               pool_doc("GLD", "aGLD", "rebasing", initial_cash="1000", rate_model=rated),
                pool_doc("DAI", "aDAI", "rebasing", initial_cash=rich)],
         venues=[
             {"kind": "quote", "id": "to-gld", "numeraire": "GLD", "quotes": {"COL": "0.7"},
@@ -484,7 +481,7 @@ screen_ops = st.lists(
     st.tuples(
         st.tuples(
             st.sampled_from([
-                "deposit", "redeem", VARIABLE, STABLE, "switch", "repay", "repay_all", "flag", "liquidate",
+                "deposit", "redeem", "borrow", "repay", "repay_all", "flag", "liquidate",
                 "accrue", "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "execute", "nest",
                 "close", "iou_transfer",
             ]),
@@ -510,13 +507,13 @@ def written_inputs(w, key):
         vault = w.cdp.vaults.get(key)
         return vault and (dict(vault.collateral), vault.debt_scaled)
     return [(w.ledger.balance_table(p.params.iou_asset).get(key, 0), p.collateral_on.get(key),
-             copy.copy(p.positions.get(key))) for p in w.pools.values()]
+             p.positions.get(key)) for p in w.pools.values()]
 
 
-@settings(max_examples=100, deadline=None)
+# no explain phase: re-running each failing variant to annotate it took most of the time to report a failure
+@settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(screen_ops)
-# at step 3 u0 and u1 sit just above health 1, and accrual alone carries them across:
-# u0 by the borrow index, u1 by its stable rate
+# at step 3 u0 and u1 sit just above health 1, and accrual alone carries both across by the borrow index
 @example([_op("deposit", 0, tenths=5, t=3), _op("deposit", 1, tenths=5, t=3)] + [_op("accrue", t=3)] * 8)
 # u0 repays in full inside a checkpoint and is struck off; the rollback restores the debt
 @example([_op("nest"), _op("repay_all"), _op("close", tenths=2), _op("accrue", sym="COL", t=5)])
@@ -559,13 +556,13 @@ def test_screened_liquidation_scan_equals_a_full_scan(ops):
     w.ledger.full_audit()
 
 
-def stable_crossing_world():
-    # constant prices; the stable rate (utilization rate + 0.002 premium) outruns the variable one
+def accrual_crossing_world():
+    # constant prices; only the DEBT pool's borrow index (about 0.002 per step) moves anyone's health
     doc = make_doc(
         assets=["COL", "DEBT"],
         pools=[pool_doc("COL", "cCOL"),
-               pool_doc("DEBT", "cDEBT", initial_cash="100000", stable_rate_premium="0.002",
-                        rate_model={"slope1": "0.0001", "slope2": "0.001"})],
+               pool_doc("DEBT", "cDEBT", initial_cash="100000",
+                        rate_model={"base_rate": "0.002", "slope1": "0.0001", "slope2": "0.001"})],
         venues=[{"kind": "quote", "id": "V", "numeraire": "DEBT", "quotes": {"COL": "1"},
                  "fee_bps": 0, "inventory": {"COL": "0", "DEBT": "1000000"}}],
         prices={"COL": [[0, "1"]], "DEBT": [[0, "1"]]},
@@ -573,17 +570,15 @@ def stable_crossing_world():
     w = build(doc)
     user(w, "victim", COL=wad(1000))
     w.pools["COL"].deposit(w, "victim", wad(1000))
-    w.pools["DEBT"].borrow(w, "victim", wad(740), STABLE, step=0)  # health 800 / 740
-    user(w, "saver", COL=wad(1000))  # a variable borrower far from 1 keeps a second bucket
+    w.pools["DEBT"].borrow(w, "victim", wad(740), step=0)  # health 800 / 740
+    user(w, "saver", COL=wad(1000))  # a borrower far from 1 stays anchored in the victim's bucket
     w.pools["COL"].deposit(w, "saver", wad(1000))
-    w.pools["DEBT"].borrow(w, "saver", wad(100), VARIABLE, step=0)
+    w.pools["DEBT"].borrow(w, "saver", wad(100), step=0)
     return w
 
 
-def test_stable_debt_crossing_is_reported_at_the_first_unhealthy_step():
-    w = stable_crossing_world()
-    pos = w.pools["DEBT"].positions["victim"]
-    assert pos.stable_rate > w.pools["DEBT"].borrow_rate(w)
+def test_borrow_index_crossing_is_reported_at_the_first_unhealthy_step():
+    w = accrual_crossing_world()
     first = None
     for t in range(80):
         for pool in w.pools.values():
@@ -609,9 +604,6 @@ def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkey
     user(w, "alice", COL=wad(2000), DAI=wad(10))  # DAI to repay in full below
     w.pools["COL"].deposit(w, "alice", wad(1000))
     w.pools["DAI"].borrow(w, "alice", wad(400), step=0)  # health 800 / 400 = 2
-    user(w, "sam", COL=wad(1000))
-    w.pools["COL"].deposit(w, "sam", wad(1000))
-    w.pools["DAI"].borrow(w, "sam", wad(400), STABLE, step=0)  # as healthy, at a stable rate
     user(w, "carol", COL=wad(1000))
     w.pools["COL"].deposit(w, "carol", wad(1000))
     empty = w.cdp.open_vault("alice")
@@ -635,7 +627,6 @@ def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkey
         w.cdp.accrue(w, t)
         assert flashloan.scan_liquidations(w, t) == []
     assert valued.count("alice") <= 1
-    assert valued.count("sam") == 50  # an account with stable debt is never anchored
     assert w.cdp.vault(empty) not in vaults_valued
 
     # a scan inside a checkpoint files nothing, so its rollback leaves no anchor or strike-off behind

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lendsim import errors, liquidation
 from lendsim.fixed import WAD, from_str, mul_down, to_str, wad
 from lendsim.oracle import PriceOracle
-from lendsim.pool import STABLE, VARIABLE, BorrowPosition
 
 from conftest import build, make_doc, pool_doc, user
 from test_world import USERS, apply_op, world_ops
@@ -35,7 +34,7 @@ def rig_position(w, account, collateral, debt):
     w.pools["COL"].deposit(w, account, collateral)
     if debt:
         pool = w.pools["DEBT"]
-        pool.positions[account] = BorrowPosition(account=account, scaled=debt)
+        pool.positions[account] = debt
         pool.undo.touched.add(account)  # as Pool.borrow does, so a liquidation scan sees the new borrower
         pool.total_borrows += debt
         w.ledger.transfer(pool.account, account, "DEBT", min(debt, pool.cash(w)), tag="borrow")
@@ -237,8 +236,8 @@ def test_health_never_worsens_when_hf_at_least_bonus_weighted_threshold(
 # one valuation: account_totals over shared pool reads against a reference walk
 # ---------------------------------------------------------------------------
 def priced_world(prices):
-    """test_world's checkpoint world (an exchange-rate and a rebasing pool, a
-    stable borrower, vaults) on a replay feed with a given price per step, with
+    """test_world's checkpoint world (an exchange-rate and a rebasing pool,
+    borrowers, vaults) on a replay feed with a given price per step, with
     claims that round."""
     rated = {"slope1": "0.002", "slope2": "0.02"}
     doc = make_doc(
@@ -256,7 +255,7 @@ def priced_world(prices):
         w.pools["COL"].deposit(w, name, wad(300))
         w.pools["GLD"].deposit(w, name, wad(100))
         try:
-            w.pools["GLD"].borrow(w, name, wad(150), STABLE if name == "u1" else VARIABLE, step=0)
+            w.pools["GLD"].borrow(w, name, wad(150), step=0)
         except errors.SimError:
             pass
         vault_id = w.cdp.open_vault(name)

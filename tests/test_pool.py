@@ -337,108 +337,6 @@ def test_exchange_rate_never_decreases_under_accrual():
 
 
 # ---------------------------------------------------------------------------
-# stable rate mode
-# ---------------------------------------------------------------------------
-def stable_world():
-    return eth_dai_world(dai_pool_overrides={"initial_cash": "1000", "rate_model": RATED, "stable_rate_premium": "0.0002"})
-
-
-def test_switch_back_and_forth_preserves_debt():
-    w = stable_world()
-    p = w.pools["DAI"]
-    user(w, "alice", ETH=wad(100))
-    w.pools["ETH"].deposit(w, "alice", wad(100))
-    p.borrow(w, "alice", wad(500), step=0)
-    before = p.debt_of("alice")
-    p.switch_rate_mode(w, "alice")
-    mid = p.debt_of("alice")
-    p.switch_rate_mode(w, "alice")
-    after = p.debt_of("alice")
-    assert abs(mid - before) <= 1
-    assert abs(after - mid) <= 1
-
-
-def test_stable_debt_accrues_at_snapshot_despite_utilization_change():
-    w = stable_world()
-    p = w.pools["DAI"]
-    user(w, "alice", ETH=wad(1000))
-    user(w, "bob", ETH=wad(10000))
-    w.pools["ETH"].deposit(w, "alice", wad(1000))
-    w.pools["ETH"].deposit(w, "bob", wad(10000))
-    p.borrow(w, "alice", wad(100), stable := "stable", step=0)
-    snapshot = p.positions["alice"].stable_rate
-    p.borrow(w, "bob", wad(700), step=0)  # utilization jumps, variable rate rises
-    assert p.current_stable_rate(w) > snapshot
-    debt0 = p.debt_of("alice")
-    p.accrue(w, 20)
-    expected = debt0
-    for _ in range(20):
-        expected = ceil_div(expected * (WAD + snapshot), WAD)
-    assert p.debt_of("alice") == expected
-
-
-def test_stable_with_zero_premium_matches_variable_at_constant_utilization():
-    # two identical pools, one borrower each, same utilization path
-    doc = make_doc(
-        assets=["ETH", "DAI"],
-        pools=[
-            pool_doc("ETH", "cETH"),
-            pool_doc("DAI", "aDAI", "rebasing", collateral_factor="0.8", liquidation_threshold="0.85",
-                     initial_cash="1000", rate_model=RATED, stable_rate_premium="0"),
-        ],
-        prices={"ETH": [[0, "2000"]], "DAI": [[0, "1"]]},
-    )
-    w1, w2 = build(doc), build(doc)
-    for w, mode in ((w1, "variable"), (w2, "stable")):
-        user(w, "alice", ETH=wad(100))
-        w.pools["ETH"].deposit(w, "alice", wad(100))
-        w.pools["DAI"].borrow(w, "alice", wad(500), mode, step=0)
-        w.pools["DAI"].accrue(w, 1)  # one step: same starting utilization
-    v = w1.pools["DAI"].debt_of("alice")
-    s = w2.pools["DAI"].debt_of("alice")
-    assert abs(v - s) <= 2
-
-
-def test_borrow_in_conflicting_mode_rejected():
-    w = stable_world()
-    p = w.pools["DAI"]
-    user(w, "alice", ETH=wad(100))
-    w.pools["ETH"].deposit(w, "alice", wad(100))
-    p.borrow(w, "alice", wad(100), "variable", step=0)
-    with pytest.raises(errors.RateModeMismatch):
-        p.borrow(w, "alice", wad(100), "stable", step=0)
-
-
-def test_stable_debt_is_booked_into_total_borrows_at_its_own_rate():
-    # alice's stable snapshot is below bob's variable rate: booking her debt
-    # at the variable rate overstated the pool's borrows (and utilization)
-    w = stable_world()
-    p = w.pools["DAI"]
-    user(w, "alice", ETH=wad(1000))
-    user(w, "bob", ETH=wad(10000))
-    w.pools["ETH"].deposit(w, "alice", wad(1000))
-    w.pools["ETH"].deposit(w, "bob", wad(10000))
-    p.borrow(w, "alice", wad(100), "stable", step=0)
-    p.borrow(w, "bob", wad(700), step=0)
-    for _ in range(199):
-        p.accrue(w, 1)
-    assert abs(p.total_borrows - (p.debt_of("alice") + p.debt_of("bob"))) <= 10**6  # variable-side rounding
-
-
-def test_stable_only_pool_books_its_borrows_exactly():
-    w = stable_world()
-    p = w.pools["DAI"]
-    for name, amount in (("alice", 100), ("bob", 500)):  # bob's snapshot prices a higher utilization
-        user(w, name, ETH=wad(1000))
-        w.pools["ETH"].deposit(w, name, wad(1000))
-        p.borrow(w, name, wad(amount), "stable", step=0)
-    assert p.positions["alice"].stable_rate < p.positions["bob"].stable_rate
-    for _ in range(199):
-        p.accrue(w, 1)
-    assert p.total_borrows == p.debt_of("alice") + p.debt_of("bob")
-
-
-# ---------------------------------------------------------------------------
 # randomized mode properties
 # ---------------------------------------------------------------------------
 ops = st.lists(

@@ -98,7 +98,7 @@ def test_every_pool_bound_names_its_field():
     doc["pools"][0] = pool_doc(
         "ETH", "cETH", "bogus",
         collateral_factor="1", liquidation_threshold="1.5", liquidation_bonus="-0.1", close_factor="0",
-        flash_fee="-0.01", stable_rate_premium="-0.01", initial_cash="-1",
+        flash_fee="-0.01", initial_cash="-1",
         rate_model={"base_rate": "-0.01", "slope2": "-1", "kink": "1", "reserve_factor": "1"},
     )
     with pytest.raises(ValidationError) as info:
@@ -110,7 +110,6 @@ def test_every_pool_bound_names_its_field():
         "pools[0].liquidation_bonus: must be >= 0",
         "pools[0].close_factor: must lie in (0, 1]",
         "pools[0].flash_fee: must be >= 0",
-        "pools[0].stable_rate_premium: must be >= 0",
         "pools[0].rate_model.base_rate: must be >= 0",
         "pools[0].rate_model.slope2: must be >= 0",
         "pools[0].rate_model.kink: must lie in (0, 1)",

@@ -536,7 +536,7 @@ def test_two_liquidators_only_first_clears_shallow_position():
     w.pools["XYZ"].borrow(w, "victim", wad(7500), step=0)
     # post-crash threshold is 9800 * 0.8 = 7840; raise debt just above it so a
     # single half-debt liquidation restores health
-    w.pools["XYZ"].positions["victim"].scaled = wad(7900)
+    w.pools["XYZ"].positions["victim"] = wad(7900)
     w.pools["XYZ"].total_borrows += wad(400)
     for t in range(3):
         engine.step(t)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lendsim import errors, liquidation
 from lendsim.fixed import wad
-from lendsim.pool import STABLE, VARIABLE
 
 from conftest import build, make_doc, pool_doc, user
 
@@ -15,9 +14,9 @@ USERS = ("u0", "u1", "u2")
 
 
 def checkpoint_world():
-    # every user deposits COL and GLD, borrows GLD (u1 at a stable rate) and
-    # draws from a COL vault; COL falls from 1 to 0.3 at step 2, which makes
-    # each position and vault liquidatable at that step
+    # every user deposits COL and GLD, borrows GLD and draws from a COL
+    # vault; COL falls from 1 to 0.3 at step 2, which makes each position and
+    # vault liquidatable at that step
     rated = {"slope1": "0.002", "slope2": "0.02"}
     doc = make_doc(
         assets=["COL", "GLD", "DAI"],
@@ -33,12 +32,12 @@ def checkpoint_world():
 
 
 def open_books(w):
-    """Every user deposits COL and GLD, borrows GLD (u1 at a stable rate) and draws from a COL vault."""
+    """Every user deposits COL and GLD, borrows GLD and draws from a COL vault."""
     for name in USERS:
         user(w, name, COL=wad(1000), GLD=wad(1000), DAI=wad(1000))
         w.pools["COL"].deposit(w, name, wad(300))
         w.pools["GLD"].deposit(w, name, wad(100))
-        w.pools["GLD"].borrow(w, name, wad(200), STABLE if name == "u1" else VARIABLE, step=0)
+        w.pools["GLD"].borrow(w, name, wad(200), step=0)
         vault_id = w.cdp.open_vault(name)
         w.cdp.lock(w, vault_id, "COL", wad(100))
         w.cdp.draw(w, vault_id, wad(60), 0)
@@ -71,10 +70,8 @@ def apply_op(w, op):
         p.deposit(w, USERS[a], amount)
     elif kind == "redeem":
         p.redeem(w, USERS[a], amount, t)
-    elif kind in (VARIABLE, STABLE):
-        p.borrow(w, USERS[a], amount, kind, step=t)
-    elif kind == "switch":
-        p.switch_rate_mode(w, USERS[a])
+    elif kind == "borrow":
+        p.borrow(w, USERS[a], amount, step=t)
     elif kind == "repay_all":  # deletes the position
         p.repay(w, USERS[a], p.debt_of(USERS[a]))
     elif kind == "flag":
@@ -105,7 +102,7 @@ def apply_op(w, op):
 world_ops = st.lists(
     st.tuples(
         st.sampled_from([
-            "deposit", "redeem", VARIABLE, STABLE, "switch", "repay_all", "flag", "liquidate", "accrue",
+            "deposit", "redeem", "borrow", "repay_all", "flag", "liquidate", "accrue",
             "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "fee", "nest", "close",
         ]),
         st.integers(0, 2),
