@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from lendsim.ledger import GENESIS_AUTHORITY
 from lendsim.scenario import build_world, parse_scenario, validate_scenario
+
+# every pinned output digest: the golden runs, criterion 11's summary and the benchmark's seed-1
+# outputs (which CI reads), so a deliberate byte change re-pins in this one file
+DIGESTS = json.loads((Path(__file__).resolve().parent / "digests.json").read_text())
 
 
 def pool_doc(asset, iou, mode="exchange-rate", **overrides):

@@ -27,7 +27,7 @@ from lendsim.pool import RateModelParams
 from lendsim.scenario import parse_scenario, validate_scenario
 from lendsim.simulation import SimulationEngine
 
-from conftest import build, make_doc, pool_doc, user
+from conftest import DIGESTS, build, make_doc, pool_doc, user
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -642,6 +642,6 @@ def test_criterion_11_desk_scale_performance():
     summary = engine.run(out_dir=None)
     elapsed = time.process_time() - started
     digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
-    assert digest == "42a95875c4dc6fb7e2ce7c179c388796192a965426b553aaae16283f819287f2"
+    assert digest == DIGESTS["criterion_11_summary"]
     assert elapsed < 5.0, f"run took {elapsed:.2f}s"
     ok(11, f"10,000 steps x 100 agents x 3 pools x 2 venues in {elapsed:.2f}s")

@@ -1,8 +1,10 @@
 """Golden digests: run outputs pinned byte for byte.
 
 Each bundled scenario's run directory, a liquidation fixture's run directory
-and (in test_acceptance) the desk run's summary are pinned by sha256, so a
-change that alters any output byte fails here and has to say why. The bundled
+and (in test_acceptance) the desk run's summary are pinned by sha256 in
+tests/digests.json, so a change that alters any output byte fails here and has
+to say why. The "table1 --verbosity 2" pin adds every step's agent-order
+event: the full shuffle of all agents. The bundled
 scenarios liquidate nothing, so the fixture below drives every liquidation
 path: pool liquidations seizing from an exchange-rate and from a rebasing
 pool, vault liquidations, and flash loans that redeem the seized claim. The
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_doc, pool_doc
+from conftest import DIGESTS, make_doc, pool_doc
 from lendsim.cli import main
 from lendsim.fixed import wad
 from lendsim.scenario import parse_scenario, validate_scenario
@@ -27,16 +29,6 @@ from lendsim.simulation import SimulationEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-
-SCENARIO_DIGESTS = {
-    "table1": "571487eeea81f759c6a2f3ceb3aad3dec8847a555afc0536a23af86d9d9f5984",
-    "arb_gap": "018ad397c6d420603f6619d4f9031e7f4d0a1e71c9eaaa00e55f835dec880d16",
-    "crash_flash2": "4995e88144d9d0a38b075492823073095863ecd98d41fadbf47d2df149a3e71e",
-    # adds every step's agent-order event: the full shuffle of all agents
-    "table1 --verbosity 2": "bd704c06f904bb59a531ab7ae529ae6bc6770a7cb175069dbbcfb2f1b94a0dd9",
-}
-FIXTURE_DIGEST = "cbbd36b9c18aee977389c2a6839a1f277bb1a8f92f3a7f86818aeca8de2367fe"
-CASCADE_DIGEST = "f942c7d47e3291cf6a70eb59d0aef6a1087e6fe4bd1271a952ba7b333e5ef30f"
 
 FIXTURE_HORIZON = 80
 FIXTURE_CRASH_STEP = 50
@@ -135,12 +127,12 @@ def liquidation_fixture() -> SimulationEngine:
     return engine
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+@pytest.mark.parametrize("name", sorted(DIGESTS["scenarios"]))
 def test_bundled_scenario_outputs_pinned(name, tmp_path):
     scenario, *flags = name.split()
     out = tmp_path / scenario
     assert main(["run", "--scenario", str(SCENARIOS / f"{scenario}.json"), "--out", str(out), *flags]) == 0
-    assert dir_digest(out) == SCENARIO_DIGESTS[name]
+    assert dir_digest(out) == DIGESTS["scenarios"][name]
 
 
 def test_liquidation_fixture_outputs_pinned(tmp_path):
@@ -155,7 +147,7 @@ def test_liquidation_fixture_outputs_pinned(tmp_path):
     assert any(e["kind"] == "vault-liquidation" for e in world.events)
     assert any(e["kind"] == "flash" and e["outcome"] == "committed" for e in world.events)
     assert world.screen.anchors  # the liquidator agent's scans file anchors
-    assert dir_digest(tmp_path) == FIXTURE_DIGEST
+    assert dir_digest(tmp_path) == DIGESTS["liquidation_fixture"]
 
 
 def perfbench_workloads():
@@ -176,4 +168,4 @@ def test_cascade_workload_outputs_pinned(tmp_path):
     events = engine.world.events
     assert any(e["kind"] == "flash" and e["plan"] == "liquidation" and e["outcome"] == "committed" for e in events)
     assert any(e["kind"] == "vault-liquidation" for e in events)
-    assert dir_digest(tmp_path) == CASCADE_DIGEST
+    assert dir_digest(tmp_path) == DIGESTS["cascade_workload"]
