@@ -2,24 +2,25 @@
 
 Each step runs a fixed phase order: (1) advance price feeds, (2) accrue all
 pools and the vault fee index, (3) distribute governance-token rewards,
-(4) agents act in an order shuffled by a seed derived from (master seed, t),
-(5) render the step's telemetry rows, which `run` streams to disk. In (3)
-the borrow side is paid every step, since accrual moves every debt; the
-supply side, weighted by IOU balances, is paid as a stream that recomputes
-its shares only after a ledger write of the IOU and is multiplied out (steps
-owed x share) when the reward totals are read. Agent failures become events,
-never aborts. Before the rows render, World.audit checks that no ledger
-checkpoint outlived the step and that the vault engine's ledger holdings
-equal the vaults' recorded collateral, per asset; the full conservation
-audit runs at the end of the run.
+(4) the live agents act in an order shuffled by a seed derived from (master
+seed, t), (5) render the step's telemetry rows, which `run` streams to disk.
+In (3) the borrow side is paid every step, since accrual moves every debt;
+the supply side, weighted by IOU balances, is paid as a stream that
+recomputes its shares only after a ledger write of the IOU and is multiplied
+out (steps owed x share) when the reward totals are read. Agent failures
+become events, never aborts. Before the rows render, World.audit checks that
+no ledger checkpoint outlived the step and that the vault engine's ledger
+holdings equal the vaults' recorded collateral, per asset; the full
+conservation audit runs at the end of the run.
 
-In (4) the agents act in the order `random.Random(seed).shuffle` gives the
-list of all agents, but a step touches only live agents. A calendar sorted
-by window start admits every agent whose window has opened by t and drops
-each whose `active(t)` is false; `shuffled_order` replays the shuffle's draws
-exactly, following only the live agents' slots and stopping once their
-relative order is settled. Steps must therefore run in non-decreasing t;
-skipping steps is fine.
+In (4) only the live agents act, in the order `random.Random(seed).shuffle`
+gives the list of their indices in scenario order: k - 1 draws for k live
+agents, however many agents the scenario holds. A calendar sorted by window
+start admits every agent whose window has opened by t and drops, for good,
+each whose `active(t)` is false, since its window has closed. Steps must
+therefore run in non-decreasing t, as a dropped agent never returns;
+skipping steps is fine. At verbosity 2 each step emits an `agent-order`
+event naming the agents that act, in the order they act.
 
 Outputs per run directory: pools.csv, vaults.csv, events.jsonl, rewards.csv
 and summary.json (initial/final value locked per pool, liquidation count,
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable
 from contextlib import ExitStack
 from pathlib import Path
 from typing import TextIO
@@ -71,37 +71,6 @@ def net_worth_usd(world: World, account: str, step: int) -> int:
     return total
 
 
-def shuffled_order(n: int, picks: Iterable[int], seed: int) -> list[int]:
-    """The picks, distinct indices below n, in the order that
-    `random.Random(seed).shuffle(list(range(n)))` leaves them.
-
-    Replays the shuffle's Fisher-Yates swaps: slot i, from n - 1 down to 1,
-    swaps with a draw j below i + 1, taken as CPython's `_randbelow` takes it
-    (getrandbits of (i + 1).bit_length() bits, drawn again while > i). Only
-    slots holding a pick are followed. Slot i is final after its swap, so once
-    all but one pick are final, the last one comes before them all and the
-    remaining draws are skipped.
-    """
-    at = {p: p for p in picks}  # slot -> the pick it holds now
-    placed = []  # picks in their final slots, from the last slot down
-    getrandbits = random.Random(seed).getrandbits
-    i = n - 1
-    while len(at) > 1:
-        bound = i + 1
-        bits = bound.bit_length()
-        j = getrandbits(bits)
-        while j >= bound:
-            j = getrandbits(bits)
-        if j in at or i in at:
-            moved = at.pop(j, None)
-            if i in at:
-                at[j] = at.pop(i)
-            if moved is not None:
-                placed.append(moved)
-        i -= 1
-    return [*at.values(), *reversed(placed)]
-
-
 class SimulationEngine:
     def __init__(self, scenario: Scenario, seed: int | None = None, horizon: int | None = None, verbosity: int = 0):
         self.scenario = scenario
@@ -132,13 +101,11 @@ class SimulationEngine:
         agents, calendar = self.agents, self._calendar
         while calendar and agents[calendar[-1]].spec.window[0] <= t:
             self._live.append(calendar.pop())
-        self._live = live = [i for i in self._live if agents[i].active(t)]
-        picks = range(len(agents)) if self.verbosity >= 2 else live
-        order = shuffled_order(len(agents), picks, derive_seed(self.seed, "order", t))
+        self._live = [i for i in self._live if agents[i].active(t)]
+        order = sorted(self._live)
+        random.Random(derive_seed(self.seed, "order", t)).shuffle(order)
         if self.verbosity >= 2:
             world.emit(kind="agent-order", step=t, order=[agents[i].account for i in order])
-            acting = set(live)
-            order = [i for i in order if i in acting]
         for i in order:
             agent = agents[i]
             try:

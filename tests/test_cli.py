@@ -240,6 +240,22 @@ def test_same_command_twice_identical_directories(tmp_path):
     assert match == names and not mismatch and not errs
 
 
+def test_verbosity_adds_only_agent_order_events(tmp_path):
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    args = ["run", "--scenario", str(SCENARIOS / "table1.json"), "--out"]
+    assert main(args + [str(quiet)]) == 0
+    assert main(args + [str(loud), "--verbosity", "2"]) == 0
+    names = ["pools.csv", "vaults.csv", "rewards.csv", "summary.json"]
+    match, mismatch, errs = filecmp.cmpfiles(quiet, loud, names, shallow=False)
+    assert match == names and not mismatch and not errs
+    assert sorted(p.name for p in loud.iterdir()) == sorted(p.name for p in quiet.iterdir())
+    loud_events = (loud / "events.jsonl").read_text().splitlines()
+    kinds = [json.loads(line)["kind"] for line in loud_events]
+    assert kinds.count("agent-order") == 50  # one per step
+    others = [line for line, kind in zip(loud_events, kinds) if kind != "agent-order"]
+    assert others == (quiet / "events.jsonl").read_text().splitlines()
+
+
 def test_seed_override_changes_walk_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["run", "--scenario", str(SCENARIOS / "table1.json")]

@@ -4,13 +4,13 @@ Each bundled scenario's run directory, a liquidation fixture's run directory
 and (in test_acceptance) the desk run's summary are pinned by sha256 in
 tests/digests.json, so a change that alters any output byte fails here and has
 to say why. The "table1 --verbosity 2" pin adds every step's agent-order
-event: the full shuffle of all agents. The bundled
-scenarios liquidate nothing, so the fixture below drives every liquidation
-path: pool liquidations seizing from an exchange-rate and from a rebasing
-pool, vault liquidations, and flash loans that redeem the seized claim. The
-benchmark's cascade workload, on a short horizon, pins the same paths on a
-world of 253 accounts, where the liquidation scanner prices every candidate
-on a scratch checkpoint that it rolls back.
+event: the agents that act, in the order they act. The bundled scenarios
+liquidate nothing, so the fixture below drives every liquidation path: pool
+liquidations seizing from an exchange-rate and from a rebasing pool, vault
+liquidations, and flash loans that redeem the seized claim. The benchmark's
+cascade workload, on a short horizon, pins the same paths on a world of 253
+accounts, where the liquidation scanner prices every candidate on a scratch
+checkpoint that it rolls back.
 """
 
 from __future__ import annotations

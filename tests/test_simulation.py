@@ -13,7 +13,7 @@ from lendsim import errors, liquidation
 from lendsim.agents import run_borrow_spiral, run_leverage_spiral
 from lendsim.fixed import WAD, from_str, mul_down, wad
 from lendsim.oracle import derive_seed
-from lendsim.simulation import SimulationEngine, shuffled_order
+from lendsim.simulation import SimulationEngine
 from lendsim.scenario import parse_scenario, validate_scenario
 from lendsim.world import RewardLedger
 
@@ -99,27 +99,7 @@ def test_different_seeds_shuffle_agents_differently():
     assert orders(1) == orders(1)
 
 
-@st.composite
-def shuffle_cases(draw):
-    n = draw(st.integers(0, 600))
-    slots = st.integers(0, max(n - 1, 0))
-    picks = set() if n == 0 else draw(st.one_of(
-        st.just(set()), st.just(set(range(n))), st.sets(slots, min_size=1, max_size=1), st.sets(slots)
-    ))
-    return n, sorted(picks, reverse=draw(st.booleans())), draw(st.integers(0, 2**64 - 1))
-
-
-@given(shuffle_cases())
-@settings(max_examples=300, deadline=None)
-def test_shuffled_order_matches_a_full_shuffle(case):
-    n, picks, seed = case
-    full = list(range(n))
-    random.Random(seed).shuffle(full)
-    chosen = set(picks)
-    assert shuffled_order(n, picks, seed) == [i for i in full if i in chosen]
-
-
-def test_step_acts_on_live_agents_in_full_shuffle_order():
+def test_step_acts_on_live_agents_in_a_seeded_live_shuffle():
     horizon = 10
     windows = [(0, 0), (3, 5), (7, 2**40), (horizon + 5, horizon + 9)]
     doc = empty_doc(horizon=horizon, seed=3)
@@ -139,21 +119,64 @@ def test_step_acts_on_live_agents_in_full_shuffle_order():
             engine.step(t)
         return engine, acted
 
-    def full_shuffle(engine, t):
-        # the scheduler this one replaced: shuffle every agent, then poll each
-        order = list(engine.agents)
+    def live_shuffle(engine, t):
+        # the indices of the agents whose window holds t, in scenario order, shuffled by the step's seed
+        order = [i for i, a in enumerate(engine.agents) if a.active(t)]
         random.Random(derive_seed(engine.seed, "order", t)).shuffle(order)
-        return order
+        return [engine.agents[i].account for i in order]
 
     engine, acted = run(verbosity=0)
-    expected = [(t, a.account) for t in steps for a in full_shuffle(engine, t) if a.active(t)]
+    expected = [(t, account) for t in steps for account in live_shuffle(engine, t)]
     assert acted == expected
     assert {account for _, account in acted} == {f"w{w}-{k}" for k in range(3) for w in range(3)}
 
     engine, acted = run(verbosity=2)
     assert acted == expected
     orders = [(e["step"], e["order"]) for e in engine.world.events if e["kind"] == "agent-order"]
-    assert orders == [(t, [a.account for a in full_shuffle(engine, t)]) for t in steps]
+    assert orders == [(t, live_shuffle(engine, t)) for t in steps]
+    assert [(t, account) for t, order in orders for account in order] == acted  # exactly the agents that act
+
+
+@st.composite
+def idle_insertions(draw):
+    """Agents whose windows hold the last step t, and the same list with idle agents (windows
+    closed by t, or opening after it) inserted at drawn positions."""
+    steps = sorted(draw(st.sets(st.integers(0, 20), min_size=1, max_size=4)))
+    t = steps[-1]
+    live_windows = draw(st.lists(st.tuples(st.integers(0, t), st.integers(t, 40)), max_size=8))
+    live = [(f"live{k}", window) for k, window in enumerate(live_windows)]
+    idle_windows = [st.integers(t + 1, 40).flatmap(lambda start: st.tuples(st.just(start), st.integers(start, 50)))]
+    if t:
+        idle_windows.append(st.integers(0, t - 1).flatmap(lambda end: st.tuples(st.integers(0, end), st.just(end))))
+    agents = list(live)
+    for k, window in enumerate(draw(st.lists(st.one_of(idle_windows), min_size=1, max_size=8))):
+        agents.insert(draw(st.integers(0, len(agents))), (f"idle{k}", window))
+    return draw(st.integers(0, 2**32)), steps, live, agents
+
+
+@given(idle_insertions())
+@settings(max_examples=100, deadline=None)
+def test_idle_agents_do_not_change_the_acting_order(case):
+    """Agents whose window does not hold step t, wherever they sit in the agent list, leave the
+    order of the others at t unchanged: what lets a step draw only for its live agents."""
+    seed, steps, live, agents = case
+    t = steps[-1]
+
+    def order_at_t(agents):
+        doc = empty_doc(seed=seed)
+        doc["agents"] = [
+            {"id": account, "kind": "depositor", "endowment": {}, "params": {"pool": "ETH"}, "window": list(window)}
+            for account, window in agents
+        ]
+        engine = engine_for(doc)
+        acted = []
+        for agent in engine.agents:
+            agent.act = lambda world, step, account=agent.account: acted.append(account) if step == t else None
+        for step in steps:
+            engine.step(step)
+        return acted
+
+    assert order_at_t(agents) == order_at_t(live)
 
 
 def test_agent_protocol_errors_become_events_not_aborts():
