@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--steps", type=int, default=None)
-    p_run.add_argument("--verbosity", type=int, default=0)
+    p_run.add_argument("--verbosity", type=int, choices=(0, 2), default=0, help="2 adds one agent-order event per step")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="check a scenario file")

@@ -27,6 +27,14 @@ collateral flag or borrow position also names the account in the log's
 `touched` set, which the liquidation scan's risk screen reads; deposits and
 seizures need not, since the ledger writes of the IOU they move already name
 the account there.
+
+A step costs the pool only what moved in it. `accrue` returns at once while
+nothing is borrowed and the base rate is 0, since then no index, total or
+reserve can change. Each write to a borrow position counts in
+`position_writes`, and a rollback counts each write it undoes once more, as
+`Ledger.writes` does, so equal counts prove the positions (the borrow-side
+reward weights) unchanged. `telemetry_row` re-renders its cells only when
+the raw state they are a function of differs from the last rendered one.
 """
 
 from __future__ import annotations
@@ -92,6 +100,10 @@ class Pool:
         self.positions: dict[str, int] = {}  # account -> debt / borrow_index at its last touch
         self.collateral_on: dict[str, bool] = {}
         self.undo = undo
+        self.position_writes = 0  # writes to positions, plus one per write a rollback undoes
+        # (cash, total_borrows, reserves, liquidity_index, iou_supply) last rendered, and the row after its step cell
+        self._row_state: tuple | None = None
+        self._row_cells = ""
 
     # ------------------------------------------------------------------
     # state views
@@ -158,6 +170,8 @@ class Pool:
         if dt < 1:
             raise ValueError("dt must be >= 1")
         model = self.params.rate_model
+        if self.total_borrows == 0 and model.base_rate == 0:
+            return  # a zero rate: every index, total and reserve would stay as it is
         cash = self.cash(world)  # constant across accrual steps
         self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves")
         for _ in range(dt):
@@ -250,6 +264,7 @@ class Pool:
             raise errors.ExceedsBorrowingPower(f"{account}: debt value {debt_value} > power {totals.borrowing_power}")
         self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
+        self._count_position_write()
         self.undo.save_items(self.positions, account)
         self.positions[account] = self.positions.get(account, 0) + div_up(amount, self.borrow_index)
         self.total_borrows += amount
@@ -271,11 +286,20 @@ class Pool:
         self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
         self.total_borrows = max(0, self.total_borrows - applied)
+        self._count_position_write()
         if scaled:
             self.undo.save_items(self.positions, account)
             self.positions[account] = scaled
         else:
             self.undo.del_item(self.positions, account)
+
+    def _count_position_write(self) -> None:
+        self.position_writes += 1
+        if self.undo.depth:  # undoing the write counts it once more, so the count never falls
+            self.undo.records.append((self._count_undone_write, ()))
+
+    def _count_undone_write(self) -> None:
+        self.position_writes += 1
 
     def credit_flash_fee(self, fee: int) -> None:
         """Book a flash loan's fee, already in the pool's cash, to reserves."""
@@ -286,20 +310,24 @@ class Pool:
     # telemetry
     # ------------------------------------------------------------------
     def telemetry_row(self, world, step: int) -> str:
-        util = self.utilization(world)
-        r_b = self.params.rate_model.borrow_rate(util)
-        r_s = self.params.rate_model.supply_rate(r_b, util)
-        index = self.unit_rate(world)
-        cells = (
-            str(step),
-            self.params.asset,
-            to_str(self.cash(world)),
-            to_str(self.total_borrows),
-            to_str(self.reserves),
-            to_str(util),
-            to_str(r_b),
-            to_str(r_s),
-            to_str(index),
-            to_str(self.iou_supply(world)),
-        )
-        return ",".join(cells)
+        # every cell after the step is a function of this state and the immutable params
+        state = (self.cash(world), self.total_borrows, self.reserves, self.liquidity_index, self.iou_supply(world))
+        if state != self._row_state:
+            cash, borrows, reserves, _, supply = state
+            util = self.utilization(world)
+            r_b = self.params.rate_model.borrow_rate(util)
+            r_s = self.params.rate_model.supply_rate(r_b, util)
+            cells = (
+                self.params.asset,
+                to_str(cash),
+                to_str(borrows),
+                to_str(reserves),
+                to_str(util),
+                to_str(r_b),
+                to_str(r_s),
+                to_str(self.unit_rate(world)),
+                to_str(supply),
+            )
+            self._row_cells = ",".join(cells)
+            self._row_state = state
+        return f"{step},{self._row_cells}"

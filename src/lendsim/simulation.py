@@ -4,14 +4,16 @@ Each step runs a fixed phase order: (1) advance price feeds, (2) accrue all
 pools and the vault fee index, (3) distribute governance-token rewards,
 (4) the live agents act in an order shuffled by a seed derived from (master
 seed, t), (5) render the step's telemetry rows, which `run` streams to disk.
-In (3) the borrow side is paid every step, since accrual moves every debt;
-the supply side, weighted by IOU balances, is paid as a stream that
-recomputes its shares only after a ledger write of the IOU and is multiplied
-out (steps owed x share) when the reward totals are read. Agent failures
-become events, never aborts. Before the rows render, World.audit checks that
-no ledger checkpoint outlived the step and that the vault engine's ledger
-holdings equal the vaults' recorded collateral, per asset; the full
-conservation audit runs at the end of the run.
+In (3) both sides of each pool are paid as streams that recompute their
+shares only after a write to their weights and are multiplied out (steps
+owed x share) when the reward totals are read: the supply side is weighted
+by IOU balances and recomputed after a ledger write of the IOU, the borrow
+side by scaled principal (`Pool.positions`, which accrual leaves alone) and
+recomputed after a borrow or a repayment. Agent failures become events,
+never aborts. Before the rows render, World.audit checks that no ledger
+checkpoint outlived the step and that the vault engine's ledger holdings
+equal the vaults' recorded collateral, per asset; the full conservation audit
+runs at the end of the run.
 
 In (4) only the live agents act, in the order `random.Random(seed).shuffle`
 gives the list of their indices in scenario order: k - 1 draws for k live
@@ -37,38 +39,21 @@ from __future__ import annotations
 import json
 import random
 from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 from typing import TextIO
 
-from . import errors
+from . import errors, liquidation
 from .agents import BaseAgent, make_agent
 from .cdp import VAULT_TELEMETRY_HEADER
 from .fixed import mul_down, to_str
 from .oracle import derive_seed
 from .pool import TELEMETRY_HEADER
 from .scenario import Scenario, build_world
-from .world import World
 
 REWARD_DUST_ACCOUNT = "reward-dust"
 # the streamed CSVs write through a buffer this large, so a flush is rare on the step path
 ROW_BUFFER_BYTES = 256 * 1024
-
-
-def net_worth_usd(world: World, account: str, step: int) -> int:
-    """Mark an account to market: balances + deposit claims - debts (vaults: SimulationEngine._net_worth)."""
-    total = 0
-    for asset in world.oracle.assets():
-        bal = world.ledger.balance(account, asset)
-        if bal:
-            total += world.oracle.value_usd(bal, asset, step)
-    for p in world.pools.values():
-        claim = p.underlying_claim(world, account)
-        if claim:
-            total += world.oracle.value_usd(claim, p.params.asset, step)
-        debt = p.debt_of(account)
-        if debt:
-            total -= world.oracle.value_usd(debt, p.params.asset, step)
-    return total
 
 
 class SimulationEngine:
@@ -135,13 +120,12 @@ class SimulationEngine:
         if emission == 0:
             return
         supply_tranche = mul_down(emission, self.scenario.rewards.supply_split)
-        world = self.world
-        rewards = world.rewards
+        ledger, rewards = self.world.ledger, self.world.rewards
         for sym in self._pool_order:
-            p = world.pools[sym]
-            rewards.pay_holders(world.ledger, p.params.iou_asset, supply_tranche)
-            # accrual moves every debt each step, so the borrow side is paid eagerly
-            rewards.pay(emission - supply_tranche, [(a, p.debt_of(a)) for a in p.positions])
+            p = self.world.pools[sym]
+            iou = p.params.iou_asset
+            rewards.pay_stream(("supply", sym), ledger.writes(iou), supply_tranche, partial(ledger.iter_holders, iou))
+            rewards.pay_stream(("borrow", sym), p.position_writes, emission - supply_tranche, p.positions.items)
 
     # ------------------------------------------------------------------
     def run(self, out_dir: str | Path | None = None) -> dict:
@@ -199,13 +183,33 @@ class SimulationEngine:
         return summary
 
     def _net_worth(self, step: int) -> dict[str, int]:
-        """Each agent's net_worth_usd plus its vaults' value minus debt, from one pass over the vaults."""
+        """Mark each agent to market: balances + deposit claims - debts + its vaults' value - their debt.
+
+        One pass: every balance table and pool unit rate is read once, not once per agent.
+        """
         world, cdp = self.world, self.world.cdp
-        worth = {a.account: net_worth_usd(world, a.account, step) for a in self.agents}
+        value = world.oracle.value_usd
+        tables = [(asset, world.ledger.balance_table(asset)) for asset in world.oracle.assets()]
+        reads = liquidation.pool_reads(world)
+        worth = {}
+        for agent in self.agents:
+            account, total = agent.account, 0
+            for asset, table in tables:
+                bal = table.get(account, 0)
+                if bal:
+                    total += value(bal, asset, step)
+            for _, p, rate, units in reads:
+                claim = p.claim(units.get(account, 0), rate)
+                if claim:
+                    total += value(claim, p.params.asset, step)
+                debt = p.debt_of(account)
+                if debt:
+                    total -= value(debt, p.params.asset, step)
+            worth[account] = total
         for vault in cdp.vaults.values() if cdp is not None else ():
             if vault.owner in worth:
                 worth[vault.owner] += cdp.collateral_value(world, vault, step)
-                worth[vault.owner] -= world.oracle.value_usd(cdp.debt_of(vault), cdp.dai_asset, step)
+                worth[vault.owner] -= value(cdp.debt_of(vault), cdp.dai_asset, step)
         return worth
 
     def _write_outputs(self, out_dir: Path, summary: dict) -> None:

@@ -6,12 +6,13 @@ checkpoint is open (pool scalars, borrow positions, collateral flags, the fee
 index, vaults and their collateral) records the value it overwrites, as a
 balance write does. A world checkpoint is a ledger checkpoint plus the length
 of the event list; rollback undoes the log and truncates the journal and the
-events, so a rolled-back transaction leaves the world bit-identical to before
-— the mechanism behind atomic flash loans and the scanner's scratch
-simulations. Its cost follows the writes made since the checkpoint, not the
-size of the world. Rollback restores values in place: every pool, vault and
-dict stays the same object, so references held across a rollback
-stay valid. A rollback does not reach the liquidation risk screen
+events, so a rolled-back transaction leaves the world bit-identical to before,
+bar the write counts (`Ledger.writes`, `Pool.position_writes`), which count
+each undone write once more — the mechanism behind atomic flash loans and the
+scanner's scratch simulations. Its cost follows the writes made since the
+checkpoint, not the size of the world. Rollback restores values in place:
+every pool, vault and dict stays the same object, so references held across a
+rollback stay valid. A rollback does not reach the liquidation risk screen
 (`World.screen`): the screen files nothing while a checkpoint is open, and a
 rollback leaves the undo log's `touched` set as it is, so every candidate an
 undone write named is due at the next scan.
@@ -26,7 +27,7 @@ nothing does while a checkpoint is open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cdp import CdpEngine
 from .ledger import Ledger
@@ -68,9 +69,9 @@ def _pro_rata(tranche: int, weights: Iterable[tuple[str, int]]) -> tuple[list[tu
 
 @dataclass
 class _Stream:
-    """One pool's supply-side payout: per-step shares and the steps owed."""
+    """One tranche's payout: per-step shares and the steps owed."""
 
-    writes: int  # Ledger.writes of the IOU when the shares were computed
+    writes: int  # write count of the weights when the shares were computed
     shares: list[tuple[str, int]]
     dust: int
     owed: int = 0  # steps paid but not yet added to the totals
@@ -79,9 +80,12 @@ class _Stream:
 class RewardLedger:
     """Governance-token accrual, tracked outside the asset ledger.
 
-    The supply side of a pool is paid as a stream. Its weights are IOU
-    balances, which change only through ledger writes of that IOU, so while
-    the IOU's write count stands still every step pays the same rounded-down
+    Every tranche is paid as a stream. Its weights change only through writes
+    that a count records, a count no rollback lowers: the supply side of a
+    pool is weighted by IOU balances (`Ledger.writes` of the IOU), the borrow
+    side by scaled principal, `Pool.positions` (`Pool.position_writes`), as
+    Compound's borrow index and Aave's scaled debt balance weight a borrower.
+    While the count stands still every step pays the same rounded-down
     shares: a step only counts itself, and k owed steps are later added as
     k x share and k x dust, which is exactly what k payments add. Reading
     `accrued`, `dust` or `distributed` settles every stream first, so a
@@ -91,7 +95,7 @@ class RewardLedger:
     def __init__(self) -> None:
         self._accrued: dict[str, int] = {}
         self._dust = 0
-        self._streams: dict[str, _Stream] = {}
+        self._streams: dict[tuple, _Stream] = {}
 
     @property
     def accrued(self) -> dict[str, int]:
@@ -107,34 +111,27 @@ class RewardLedger:
     def distributed(self) -> int:
         return sum(self.accrued.values())
 
-    def pay(self, tranche: int, weights: Iterable[tuple[str, int]]) -> None:
-        """Pay one step of a tranche pro rata to (account, weight) pairs."""
-        self._credit(*_pro_rata(tranche, weights), 1)
+    def pay_stream(self, key: tuple, writes: int, tranche: int, weights: Callable[[], Iterable[tuple[str, int]]]) -> None:
+        """Pay one step of a tranche pro rata to the (account, weight) pairs `weights()` lists.
 
-    def pay_holders(self, ledger: Ledger, asset: str, tranche: int) -> None:
-        """Pay one step of a tranche pro rata to the holders of `asset`.
-
-        The holders are read only when the asset was written since the last
-        payment; otherwise the step is added to the stream's owed count. The
-        tranche of an asset is the same at every payment.
+        The weights are read only when their write count differs from the
+        one the stream's shares were computed at; otherwise the step is added
+        to the stream's owed count. The tranche of a key is the same at every
+        payment.
         """
-        writes = ledger.writes(asset)
-        stream = self._streams.get(asset)
+        stream = self._streams.get(key)
         if stream is None or stream.writes != writes:
             if stream is not None:
                 self._settle_stream(stream)
-            stream = _Stream(writes, *_pro_rata(tranche, ledger.iter_holders(asset)))
-            self._streams[asset] = stream
+            stream = _Stream(writes, *_pro_rata(tranche, weights()))
+            self._streams[key] = stream
         stream.owed += 1
-
-    def _credit(self, shares: list[tuple[str, int]], dust: int, steps: int) -> None:
-        for account, share in shares:
-            self._accrued[account] = self._accrued.get(account, 0) + share * steps
-        self._dust += dust * steps
 
     def _settle_stream(self, stream: _Stream) -> None:
         if stream.owed:
-            self._credit(stream.shares, stream.dust, stream.owed)
+            for account, share in stream.shares:
+                self._accrued[account] = self._accrued.get(account, 0) + share * stream.owed
+            self._dust += stream.dust * stream.owed
             stream.owed = 0
 
     def _settle(self) -> None:

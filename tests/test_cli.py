@@ -256,6 +256,17 @@ def test_verbosity_adds_only_agent_order_events(tmp_path):
     assert others == (quiet / "events.jsonl").read_text().splitlines()
 
 
+@pytest.mark.parametrize("level", ["1", "-5"])
+def test_verbosity_outside_its_choices_is_a_usage_error(level, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(SCENARIOS / "table1.json"), "--out", str(out), "--verbosity", level])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid choice" in err
+    assert not out.exists()
+
+
 def test_seed_override_changes_walk_outputs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["run", "--scenario", str(SCENARIOS / "table1.json")]

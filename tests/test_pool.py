@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lendsim import errors
@@ -322,6 +322,31 @@ def test_borrow_index_closed_form_at_pinned_utilization():
     assert to_str(p.borrow_index).startswith("1.0100451")
 
 
+def test_idle_accrual_at_zero_base_rate_leaves_state_and_undo_log_unchanged():
+    w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000", "rate_model": RATED})
+    p = w.pools["DAI"]
+    user(w, "alice", DAI=wad(100))
+    p.deposit(w, "alice", wad(100))
+    cp = w.checkpoint()  # open, so a saved attribute would show in the log
+    state = (p.borrow_index, p.liquidity_index, p.total_borrows, p.reserves)
+    records = list(w.ledger.undo.records)
+    p.accrue(w, 5)
+    assert (p.borrow_index, p.liquidity_index, p.total_borrows, p.reserves) == state
+    assert w.ledger.undo.records == records
+    w.rollback(cp)
+
+
+def test_idle_accrual_at_nonzero_base_rate_compounds_the_borrow_index():
+    w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000", "rate_model": dict(RATED, base_rate="0.001")})
+    p = w.pools["DAI"]
+    p.accrue(w, 3)
+    index = WAD
+    for _ in range(3):
+        index = index * (WAD + from_str("0.001")) // WAD
+    assert p.borrow_index == index > WAD
+    assert (p.liquidity_index, p.total_borrows, p.reserves) == (WAD, 0, 0)
+
+
 def test_exchange_rate_never_decreases_under_accrual():
     w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000", "rate_model": RATED})
     p = w.pools["DAI"]
@@ -417,6 +442,76 @@ def test_solvency_identity_claims_never_exceed_assets(op_list):
             )
             net = p.cash(w) + p.total_borrows - p.reserves
             assert claims <= net  # dust stays in the pool, never owed
+
+
+def rendered_from_scratch(w, p, step):
+    util = p.utilization(w)
+    r_b = p.params.rate_model.borrow_rate(util)
+    r_s = p.params.rate_model.supply_rate(r_b, util)
+    values = (p.cash(w), p.total_borrows, p.reserves, util, r_b, r_s, p.unit_rate(w), p.iou_supply(w))
+    return ",".join([str(step), p.params.asset] + [to_str(v) for v in values])
+
+
+row_ops = st.lists(
+    st.tuples(st.sampled_from(["deposit", "borrow", "repay", "accrue", "fee", "rollback"]),
+              st.sampled_from(["ETH", "DAI"]),
+              st.integers(min_value=1, max_value=wad(100))),
+    max_size=30,
+)
+
+
+@given(row_ops)
+# a flash loan's fee reaches the pool's cash first, then its reserves: a row rendered in between
+# shares every other raw value with the row after
+@example([("fee", "ETH", wad(1))])
+@settings(max_examples=50, deadline=None)
+def test_telemetry_row_equals_a_row_rendered_from_scratch(op_list):
+    w = eth_dai_world(
+        eth_pool_overrides={"rate_model": dict(RATED, base_rate="0.0001"), "initial_cash": "50"},
+        dai_pool_overrides={"rate_model": RATED, "initial_cash": "50"},
+    )
+    user(w, "alice", ETH=wad(200), DAI=wad(200))
+    user(w, "whale", ETH=wad(100000))
+    w.pools["ETH"].deposit(w, "whale", wad(100000))
+    step = 0
+
+    def check():
+        nonlocal step
+        step += 1
+        for p in w.pools.values():
+            assert p.telemetry_row(w, step) == rendered_from_scratch(w, p, step)
+
+    def apply(op, p, amount):
+        if op == "deposit":
+            p.deposit(w, "alice", amount)
+        elif op == "borrow":
+            p.borrow(w, "alice", amount, step=0)
+        elif op == "repay":
+            p.repay(w, "alice", amount)
+        elif op == "accrue":
+            p.accrue(w, 1)
+        elif op == "fee":
+            w.ledger.transfer("alice", p.account, p.params.asset, amount)
+            check()
+            p.credit_flash_fee(amount)
+
+    check()
+    for op, sym, amount in op_list:
+        p = w.pools[sym]
+        try:
+            if op == "rollback":
+                cp = w.checkpoint()
+                try:
+                    apply("borrow", p, amount)
+                    apply("accrue", p, amount)
+                    check()
+                finally:
+                    w.rollback(cp)
+            else:
+                apply(op, p, amount)
+        except errors.SimError:
+            pass
+        check()
 
 
 def test_telemetry_row_shape():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from lendsim import errors, liquidation
@@ -15,7 +15,6 @@ from lendsim.fixed import WAD, from_str, mul_down, wad
 from lendsim.oracle import derive_seed
 from lendsim.simulation import SimulationEngine
 from lendsim.scenario import parse_scenario, validate_scenario
-from lendsim.world import RewardLedger
 
 from conftest import build, make_doc, pool_doc, user
 
@@ -329,10 +328,33 @@ def test_reward_conservation_over_run(tmp_path):
     assert lines[0] == "account,accrued"
 
 
+class EagerRewards:
+    """Reference payer: every tranche paid at every step, by weights read at that step."""
+
+    def __init__(self):
+        self.accrued, self.dust = {}, 0
+
+    @property
+    def distributed(self):
+        return sum(self.accrued.values())
+
+    def pay(self, tranche, weights):
+        weights = list(weights)
+        total = sum(w for _, w in weights)
+        paid = 0
+        for account, weight in weights:
+            share = tranche * weight // total
+            if share:
+                self.accrued[account] = self.accrued.get(account, 0) + share
+                paid += share
+        self.dust += tranche - paid
+
+
 # (kind, user, other user, pool, amount in tenths of a token)
 reward_ops = st.lists(
     st.tuples(
-        st.sampled_from(["deposit", "redeem", "borrow", "transfer", "reverted", "step", "read"]),
+        st.sampled_from(["deposit", "redeem", "borrow", "repay", "liquidate", "transfer", "reverted",
+                         "reverted-borrow", "step", "read"]),
         st.integers(0, 2),
         st.integers(0, 2),
         st.sampled_from(["COL", "GLD"]),
@@ -344,26 +366,49 @@ reward_ops = st.lists(
 
 
 @given(reward_ops)
-@settings(max_examples=100, deadline=None)
+# repay (b > 0 partial, b == 0 in full) between two steps: reduce_debt must count its write
+@example([("deposit", 0, 0, "COL", 400), ("borrow", 0, 0, "GLD", 200), ("borrow", 1, 0, "GLD", 50),
+          ("step", 0, 0, "COL", 1), ("repay", 0, 1, "GLD", 100), ("step", 0, 0, "COL", 1),
+          ("repay", 0, 0, "GLD", 1), ("step", 0, 0, "COL", 1), ("read", 0, 0, "COL", 1)])
+# shares computed inside a checkpoint, then rolled back: a count the rollback lowered would meet
+# those shares again after the next borrow
+@example([("deposit", 0, 0, "COL", 400), ("deposit", 1, 0, "COL", 400), ("borrow", 0, 0, "GLD", 100),
+          ("step", 0, 0, "COL", 1), ("reverted-borrow", 1, 0, "GLD", 100), ("borrow", 1, 0, "GLD", 10),
+          ("step", 0, 0, "COL", 1), ("read", 0, 0, "COL", 1)])
+# a liquidation after the COL price falls repays part of u0's debt
+@example([("deposit", 0, 0, "COL", 400), ("deposit", 1, 0, "COL", 400), ("borrow", 0, 0, "GLD", 250),
+          ("borrow", 1, 0, "GLD", 50), ("step", 0, 0, "COL", 1), ("liquidate", 0, 0, "GLD", 80),
+          ("step", 0, 0, "COL", 1), ("read", 0, 0, "COL", 1)])
+@settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 def test_reward_streams_match_eager_payment_at_every_read(ops):
-    # the supply side is paid as a stream, settled on read; an eager ledger
-    # paying both sides every step must agree with it whenever it is read
+    # both sides are paid as streams, settled on read; an eager reference paying the supply side by
+    # IOU balance and the borrow side by scaled principal every step must agree whenever it is read
     rated = {"slope1": "0.002", "slope2": "0.02"}
     doc = make_doc(
         assets=["COL", "GLD"],
         pools=[pool_doc("COL", "cCOL", initial_cash="1000", rate_model=rated),
                pool_doc("GLD", "aGLD", "rebasing", initial_cash="1000", rate_model=rated)],
-        prices={"COL": [[0, "1"]], "GLD": [[0, "1"]]},
+        prices={"COL": [[0, "1"], [1, "0.2"]], "GLD": [[0, "1"]]},  # COL-backed debt is liquidatable from step 1
         rewards={"emission_per_pool": "7", "supply_split": "0.3"},
         horizon=100,
     )
     engine = engine_for(doc)
     w = engine.world
-    users = [user(w, f"u{i}", COL=wad(100), GLD=wad(100)) for i in range(3)]
+    users = [user(w, f"u{i}", COL=wad(150), GLD=wad(100)) for i in range(3)]
+    for u in users:  # collateral, so that most borrows succeed
+        w.pools["COL"].deposit(w, u, wad(50))
     emission = engine.scenario.rewards.emission_per_pool
     supply_tranche = mul_down(emission, engine.scenario.rewards.supply_split)
-    reference = RewardLedger()
+    reference = EagerRewards()
     totals = ("accrued", "dust", "distributed")
+
+    def pay_step(t):
+        for pool_sym in sorted(w.pools):
+            pool = w.pools[pool_sym]
+            reference.pay(supply_tranche, w.ledger.holders(pool.params.iou_asset))
+            reference.pay(emission - supply_tranche, pool.positions.items())
+        engine.distribute_rewards(t)
+
     t = 0
     for kind, a, b, sym, tenths in ops:
         amount = wad(tenths) // 10
@@ -375,6 +420,19 @@ def test_reward_streams_match_eager_payment_at_every_read(ops):
                 p.redeem(w, users[a], amount, t)
             elif kind == "borrow":
                 p.borrow(w, users[a], amount, step=t)
+            elif kind in ("repay", "liquidate"):
+                if not p.positions:
+                    continue
+                # the a-th borrower of the pool, so most draws reach a position
+                target = sorted(p.positions)[a % len(p.positions)]
+                debt = p.debt_of(target)
+                if kind == "repay":  # in full, closing the position, when b is 0
+                    p.repay(w, target, debt if b == 0 else min(amount, debt))
+                else:
+                    liquidator = users[(users.index(target) + 1) % 3]
+                    cap = mul_down(debt, p.params.close_factor)
+                    other = "GLD" if sym == "COL" else "COL"
+                    liquidation.liquidate(w, liquidator, target, sym, other, min(amount, cap), t)
             elif kind == "transfer":
                 w.ledger.transfer(users[a], users[b], p.params.iou_asset, amount)
             elif kind == "reverted":
@@ -384,14 +442,20 @@ def test_reward_streams_match_eager_payment_at_every_read(ops):
                     p.deposit(w, users[a], amount)
                 finally:
                     w.rollback(cp)
+            elif kind == "reverted-borrow":
+                # a borrow rolled back; when b is 0, a payment computes shares inside the checkpoint
+                cp = w.checkpoint()
+                try:
+                    p.borrow(w, users[a], amount, step=t)
+                    if b == 0:
+                        pay_step(t)
+                        t += 1
+                finally:
+                    w.rollback(cp)
             elif kind == "step":
                 for pool_sym in sorted(w.pools):
                     w.pools[pool_sym].accrue(w, 1)
-                for pool_sym in sorted(w.pools):
-                    pool = w.pools[pool_sym]
-                    reference.pay(supply_tranche, w.ledger.holders(pool.params.iou_asset))
-                    reference.pay(emission - supply_tranche, [(x, pool.debt_of(x)) for x in pool.positions])
-                engine.distribute_rewards(t)
+                pay_step(t)
                 t += 1
             else:
                 # one total alone: reading it must settle what it reports
