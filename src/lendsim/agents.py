@@ -143,7 +143,7 @@ class BaseAgent:
     def _spiral_limits(self) -> dict[str, int]:
         """The run_*_spiral keyword limits the agent's params set, already in raw units."""
         params = self.spec.params
-        return {key: params[key] for key in ("iteration_cap", "min_action", "buffer") if params.get(key) is not None}
+        return {key: params[key] for key in ("iteration_cap", "min_action", "buffer") if params[key] is not None}
 
     def _execute(self, world: World, best: flashloan.Opportunity, t: int) -> None:
         outcome = flashloan.execute(world, best.plan, t)
@@ -225,7 +225,7 @@ class LeverageSpiralAgent(BaseAgent):
 
 class LiquidatorAgent(BaseAgent):
     def act(self, world: World, t: int) -> None:
-        use_flash = self.spec.params.get("use_flashloan", True)
+        use_flash = self.spec.params["use_flashloan"]
         found = flashloan.scan_liquidations(world, t, borrower=self.account)
         if not found:
             return

@@ -92,7 +92,7 @@ class CdpEngine:
         issuance_fraction: dict[str, int],
         stability_fee: int,
         liquidation_penalty: int,
-        fee_policy: FeePolicy | None = None,
+        fee_policy: FeePolicy | None,
     ):
         self.dai_asset = dai_asset
         self.issuance_fraction = dict(issuance_fraction)

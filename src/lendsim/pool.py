@@ -86,7 +86,7 @@ class PoolParams:
     liquidation_bonus: int  # b, >= 0
     close_factor: int  # in (0, 1]
     rate_model: RateModelParams
-    flash_fee: int = 0
+    flash_fee: int
 
 
 class Pool:
@@ -212,7 +212,7 @@ class Pool:
             burn_units = iou_amount
         else:
             payout = iou_amount  # 1:1 redemption of the displayed balance
-            burn_units = min(div_up(iou_amount, self.liquidity_index), bal)
+            burn_units = div_up(iou_amount, self.liquidity_index)  # <= bal, as iou_amount <= displayed(bal)
         if payout > self.cash(world):
             raise errors.InsufficientLiquidity(
                 f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}"

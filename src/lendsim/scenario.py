@@ -2,13 +2,14 @@
 
 A scenario is one JSON document (schema_version 1). All amounts, prices,
 rates and fractions are decimal strings so no precision is lost in transit.
-Parsing checks only that each field has its type and reads it into raw units
-once; it builds the venue objects themselves, each paired with its genesis
-holdings. Validation is the one home of every bound and cross-reference, the
-venues' included: it collects *every* violation instead of stopping at the
+Parsing reads each JSON object through its key table, which states every key
+once with its reader (its type) and default; a key the table lacks is a
+problem naming its path, as under JSON Schema's `additionalProperties: false`.
+A venue's or fee policy's `kind`, a feed's `mode` and an agent's `kind` (for
+its `params`) choose the table. Validation is the one home of every bound and
+cross-reference: it collects *every* violation instead of stopping at the
 first, names the field of each, and separates hard errors from warnings (e.g.
 a liquidation bonus large enough that liquidation may not improve health).
-Which routes a venue converts is its own `converts` rule.
 
 Pools are funded at construction through a bootstrap depositor account per
 pool ("lp:<asset>"), so initial cash is real deposited liquidity with matching
@@ -17,10 +18,12 @@ IOU supply and conservation holds from the genesis journal onwards.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any
+import os
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 from . import oracle as oracle_mod
 from .agents import AGENT_CLASSES
@@ -57,15 +60,15 @@ class ValidationError(Exception):
 class AgentSpec:
     agent_id: str
     kind: str
-    endowment: dict[str, int] = field(default_factory=dict)
-    params: dict[str, Any] = field(default_factory=dict)
-    window: tuple[int, int] = (0, 2**62)
+    endowment: dict[str, int]
+    params: dict[str, Any]
+    window: tuple[int, int]
 
 
 @dataclass
 class PoolSpec:
     params: PoolParams
-    initial_cash: int = 0
+    initial_cash: int
 
 
 @dataclass
@@ -76,7 +79,7 @@ class CdpSpec:
     issuance_fraction: dict[str, int]
     stability_fee: int
     liquidation_penalty: int
-    fee_policy: FeePolicy | None = None
+    fee_policy: FeePolicy | None
 
 
 @dataclass
@@ -85,106 +88,225 @@ class Scenario:
     pools: list[PoolSpec]
     venues: list[tuple[QuoteVenue | AmmVenue, list[tuple[str, int]]]]  # (venue, genesis holdings)
     feed_mode: str
-    feed_series: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    feed_walk: WalkParams | None = None  # set in walk mode
-    cdp: CdpSpec | None = None
-    agents: list[AgentSpec] = field(default_factory=list)
-    rewards: RewardConfig = field(default_factory=RewardConfig)
-    gas: GasConfig = field(default_factory=GasConfig)
-    horizon: int = 1
-    seed: int = 0
+    feed_series: dict[str, list[tuple[int, int]]]
+    feed_walk: WalkParams | None  # set in walk mode
+    cdp: CdpSpec | None
+    agents: list[AgentSpec]
+    rewards: RewardConfig
+    gas: GasConfig
+    horizon: int
+    seed: int
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-def _amt(raw: Any, where: str, problems: list[str]) -> int:
+# A reader takes (raw JSON value, its path, the problem list) and returns the value read;
+# a value of the wrong type is a problem and reads as a zero of its kind.
+Reader = Callable[[Any, str, list], Any]
+
+# a document repeats its amounts (an endowment per agent, a pool's parameters): each is read once per parse
+_from_str = functools.cache(from_str)
+
+
+def _amt(raw: Any, where: str, problems: list[str], convert: Callable[[str], int] = _from_str) -> int:
     if not isinstance(raw, str):
         problems.append(f"{where}: amounts must be decimal strings, got {type(raw).__name__}")
         return 0
     try:
-        value = from_str(raw)
+        return convert(raw)
     except AmountError as exc:
         problems.append(f"{where}: {exc}")
         return 0
-    return value
 
 
-def _num(raw: Any, cast: type, where: str, problems: list[str]):
-    """An int field takes a JSON integer, a float field a finite number or decimal string;
-    anything else (a boolean included) is a problem and reads as 0."""
-    if cast is int or isinstance(raw, bool):
-        value = raw if type(raw) is int else None  # a bool is an int subclass, not a JSON integer
-    else:
-        try:
-            value = float(raw)
-        except (TypeError, ValueError, OverflowError):
-            value = None
-    if value is None or (cast is float and not math.isfinite(value)):
-        problems.append(f"{where}: expected a finite {cast.__name__}, got {raw!r}")
-        return cast(0)
-    return value
+def _float(raw: Any, where: str, problems: list[str]) -> float:
+    """A finite JSON number or decimal string, never a boolean."""
+    try:
+        if not isinstance(raw, bool) and math.isfinite(value := float(raw)):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    problems.append(f"{where}: expected a finite float, got {raw!r}")
+    return 0.0
 
 
-def _str(raw: Any, where: str, problems: list[str]) -> str:
-    """A JSON string field; anything else is a problem and reads as ""."""
-    if isinstance(raw, str):
-        return raw
-    problems.append(f"{where}: expected a string, got {type(raw).__name__}")
-    return ""
+def _typed(kind: type, noun: str, zero: Any) -> Reader:
+    """A reader of a JSON value of type `kind` exactly (a bool is no int)."""
+
+    def read(raw: Any, where: str, problems: list[str]) -> Any:
+        if type(raw) is kind:
+            return raw
+        problems.append(f"{where}: expected {noun}, got {type(raw).__name__}")
+        return zero
+
+    return read
 
 
-def _obj(raw: Any, where: str, problems: list[str]) -> dict:
-    """A JSON object field; anything else is a problem and reads as {}."""
-    if isinstance(raw, dict):
-        return raw
-    problems.append(f"{where}: expected an object, got {type(raw).__name__}")
-    return {}
+# the zeros are shared: no reader changes what it reads
+_int = _typed(int, "an integer", 0)
+_str = _typed(str, "a string", "")
+_bool = _typed(bool, "a boolean", False)
+_obj = _typed(dict, "an object", {})
+_list = _typed(list, "a list", [])
 
 
-def _list(raw: Any, where: str, problems: list[str]) -> list:
-    """A JSON array field; anything else is a problem and reads as []."""
-    if isinstance(raw, (list, tuple)):
-        return list(raw)
-    problems.append(f"{where}: expected a list, got {type(raw).__name__}")
-    return []
+def _pair_of(first: Reader, second: Reader) -> Reader:
+    def read(raw: Any, where: str, problems: list[str]) -> tuple:
+        if type(raw) is list and len(raw) == 2:
+            return first(raw[0], where, problems), second(raw[1], where, problems)
+        problems.append(f"{where}: expected a pair, got {raw!r}")
+        return None, None
+
+    return read
 
 
-def _pair(raw: Any, where: str, problems: list[str]) -> list | None:
-    """A two-element JSON array; anything else is a problem and reads as None."""
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return list(raw)
-    problems.append(f"{where}: expected a pair, got {raw!r}")
-    return None
+def _list_of(read: Reader) -> Reader:
+    return lambda raw, where, problems: [
+        read(item, f"{where}[{i}]", problems) for i, item in enumerate(_list(raw, where, problems))
+    ]
 
 
-def _int_pair(raw: Any, where: str, problems: list[str]) -> tuple[int, int]:
-    """A two-element JSON array of integers; anything else is a problem and reads as (0, 0)."""
-    if isinstance(raw, (list, tuple)) and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int:
-        return raw[0], raw[1]
-    problems.append(f"{where}: expected a pair of integers, got {raw!r}")
-    return 0, 0
+def _mapping(read: Reader) -> Reader:
+    """A reader of a JSON object keyed by asset symbol."""
+    return lambda raw, where, problems: {
+        key: read(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()
+    }
 
 
-def _amounts(raw: Any, where: str, problems: list[str]) -> dict[str, int]:
-    """A JSON object of decimal-string amounts keyed by symbol."""
-    return {key: _amt(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()}
+_amounts = _mapping(_amt)
+_limit = lambda raw, where, problems: _amt(str(raw), where, problems)  # noqa: E731 -- a JSON number reads as its str()
+
+# A key table maps each JSON key of an object to (reader, default). The default is the JSON value read
+# when the key is absent, or a function of the object's context (its index, the horizon) giving it. A key
+# whose default is null may be null, read as None; a key whose reader is None keeps its value as written.
+Table = dict[str, tuple]
 
 
-def _fee_policy(raw: Any, problems: list[str]) -> FeePolicy | None:
-    """cdp.fee_policy: null, {"kind": "constant", "fee"} or {"kind": "proportional", "base", "gain"}."""
-    if raw is None:
-        return None
-    doc = _obj(raw, "cdp.fee_policy", problems)
-    kind = doc.get("kind")
-    if kind == "constant":
-        return constant_fee(_amt(doc.get("fee", "0"), "cdp.fee_policy.fee", problems))
-    if kind == "proportional":
-        base = _amt(doc.get("base", "0"), "cdp.fee_policy.base", problems)
-        return proportional_fee(base, _amt(doc.get("gain", "0"), "cdp.fee_policy.gain", problems))
-    if isinstance(raw, dict):
-        problems.append(f"cdp.fee_policy.kind: unknown fee policy kind {kind!r}")
-    return None
+def _fields(raw: Any, where: str, table: Table, problems: list[str], context: tuple = (), tag: str | None = None):
+    """Read a JSON object through `table` into {key: value}, visiting only the keys it
+    holds; each absent key takes its default. A key the table lacks, bar the `tag`
+    that chose the table, is a problem naming its path."""
+    prefix = where + "." if where else ""
+    fields = {}
+    for key, value in (raw if type(raw) is dict else _obj(raw, where, problems)).items():
+        entry = table.get(key)
+        if entry is None:
+            if key != tag:
+                problems.append(f"{prefix}{key}: unknown key")
+        else:
+            read, default = entry
+            fields[key] = value if read is None or value is default is None else read(value, prefix + key, problems)
+    if len(fields) < len(table):
+        for key, (read, default) in table.items():
+            if key not in fields:
+                value = default(*context) if callable(default) else default
+                fields[key] = value if read is None or value is None else read(value, prefix + key, problems)
+    return fields
+
+
+def _object(build: Callable, table: Table) -> Reader:
+    return lambda raw, where, problems: build(**_fields(raw, where, table, problems))
+
+
+def _variant(tag: str, default: str | None, variants: dict[str, tuple[Callable, Table]]):
+    """A reader of a JSON object whose `tag` key (`default` when absent) chooses its
+    (build, table) from `variants`; an unknown tag is a problem and reads as None."""
+
+    def read(raw: Any, where: str, problems: list[str], context: tuple = ()):
+        doc = _obj(raw, where, problems)
+        kind = doc.get(tag, default)
+        if type(kind) is not str or kind not in variants:
+            if doc is raw:  # a non-object is reported already
+                problems.append(f"{where}.{tag}: unknown {tag} {kind!r}")
+            return None
+        build, table = variants[kind]
+        return build(**_fields(doc, where, table, problems, context, tag))
+
+    return read
+
+
+def _agent(raw: Any, where: str, problems: list[str], i: int, horizon: int) -> AgentSpec:
+    fields = _fields(raw, where, _AGENT, problems, (i, horizon))
+    table = _PARAMS.get(fields["kind"])  # validate_scenario reports an unknown kind, whose params go unread
+    params = {} if table is None else _fields(fields["params"], where + ".params", table, problems)
+    return AgentSpec(fields["id"], fields["kind"], fields["endowment"], params, fields["window"])
+
+
+_VENUE_ID = (_str, lambda i: f"venue{i}")
+_QUOTE: Table = {"id": _VENUE_ID, "numeraire": (_str, ""), "quotes": (_amounts, {}), "inventory": (_amounts, {}),
+                 "fee_bps": (_int, 0)}
+_AMM: Table = {"id": _VENUE_ID, "pair": (_pair_of(_str, _str), ["", ""]),
+               "reserves": (_pair_of(_amt, _amt), ["0", "0"]), "fee_bps": (_int, 30)}
+_VENUE = _variant("kind", "quote", {  # (venue, genesis holdings)
+    "quote": (lambda id, numeraire, quotes, inventory, fee_bps: (
+        QuoteVenue(id, numeraire, quotes, fee_bps), list(inventory.items())), _QUOTE),
+    "amm": (lambda id, pair, reserves, fee_bps: (AmmVenue(id, pair, fee_bps), list(zip(pair, reserves))), _AMM),
+})
+
+_POINT = _pair_of(_int, lambda raw, where, problems: _amt(raw, where, problems, from_str))  # prices seldom repeat
+_REPLAY: Table = {
+    "csv": (_str, None),  # a path relative to the scenario file's directory
+    # [[step, price], ...] by asset; a problem names the series, not the point, as series run long
+    "series": (_mapping(lambda raw, where, problems: [
+        _POINT(point, where, problems) for point in _list(raw, where, problems)]), {}),
+}
+_WALK: Table = {"seed": (_int, 0), "drift": (_float, 0), "volatility": (_float, 0), "initial": (_amounts, {})}
+_FEEDS = _variant("mode", "replay", {  # (mode, CSV path, series, walk); parse_scenario reads the CSV
+    "replay": (lambda csv, series: ("replay", csv, series, None), _REPLAY),
+    "walk": (lambda **walk: ("walk", None, {}, WalkParams(**walk)), _WALK),
+})
+
+_RATE_MODEL: Table = {"base_rate": (_amt, "0"), "slope1": (_amt, "0"), "slope2": (_amt, "0"), "kink": (_amt, "0.8"),
+                      "reserve_factor": (_amt, "0")}
+_POOL: Table = {
+    "asset": (_str, ""), "iou_symbol": (_str, ""), "iou_mode": (_str, EXCHANGE_RATE),
+    "collateral_factor": (_amt, "0"), "liquidation_threshold": (_amt, "0"), "liquidation_bonus": (_amt, "0"),
+    "close_factor": (_amt, "0.5"), "flash_fee": (_amt, "0.0009"), "initial_cash": (_amt, "0"),
+    "rate_model": (_object(RateModelParams, _RATE_MODEL), {}),
+}
+
+_CONSTANT_FEE: Table = {"fee": (_amt, "0")}
+_PROPORTIONAL_FEE: Table = {"base": (_amt, "0"), "gain": (_amt, "0")}
+_CDP: Table = {
+    "dai_symbol": (_str, "DAI"), "issuance_fractions": (_amounts, {}),
+    "stability_fee": (_amt, "0"), "liquidation_penalty": (_amt, "0.13"),
+    "fee_policy": (_variant("kind", None, {
+        "constant": (constant_fee, _CONSTANT_FEE), "proportional": (proportional_fee, _PROPORTIONAL_FEE)}), None),
+}
+
+_AGENT: Table = {  # _agent reads the params through the table of the kind
+    "id": (_str, lambda i, horizon: f"agent{i}"), "kind": (_str, ""), "endowment": (_amounts, {}), "params": (_obj, {}),
+    "window": (_pair_of(_int, _int), lambda i, horizon: [0, horizon]),
+}
+# the pool or venue an agent names is kept as written, for validate_scenario to look up;
+# a spiral limit left null takes run_*_spiral's own default
+_SPIRAL: Table = {"iteration_cap": (_int, None), "min_action": (_limit, None), "buffer": (_limit, None)}
+_PARAMS: dict[str, Table] = {
+    "depositor": {"pool": (None, None)},
+    "borrow_spiral": {"pool": (None, None), **_SPIRAL},
+    "leverage_spiral": {"collateral": (None, None), "borrow": (None, None), "venue": (None, None), **_SPIRAL},
+    "liquidator": {"use_flashloan": (_bool, True)},
+    "arbitrageur": {},
+}
+
+_REWARDS: Table = {"emission_per_pool": (_amt, "0"), "supply_split": (_amt, "0.5")}
+_GAS: Table = {"asset": (_str, None), "fee": (_amt, "0")}
+_SCENARIO: Table = {
+    "schema_version": (_int, SCHEMA_VERSION),  # checked before the rest is read
+    "assets": (_list_of(_str), []),
+    "pools": (_list_of(_object(lambda iou_symbol, initial_cash, **params: PoolSpec(
+        PoolParams(iou_asset=iou_symbol, **params), initial_cash), _POOL)), []),
+    "venues": (_list, []),  # read by parse_scenario, each with its index
+    "price_feeds": (_FEEDS, {}),
+    "cdp": (_object(lambda dai_symbol, issuance_fractions, **fees: CdpSpec(
+        dai_symbol, issuance_fractions, **fees), _CDP), None),
+    "agents": (_list, []),  # read by parse_scenario, each with its index and the horizon
+    "rewards": (_object(RewardConfig, _REWARDS), {}),
+    "gas": (_object(GasConfig, _GAS), {}),
+    "horizon": (_int, 1),
+    "seed": (_int, 0),
+}
 
 
 def load_scenario(path: str) -> Scenario:
@@ -196,151 +318,28 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc, base_path=path)
 
 
-def parse_scenario(doc: dict, base_path: str = "<memory>") -> Scenario:
+def parse_scenario(doc: dict, base_path: str | None = None) -> Scenario:
+    """Read a scenario document; a relative `price_feeds.csv` is found beside the file `base_path`."""
     problems: list[str] = []
+    _from_str.cache_clear()  # so the cache holds one document's amounts at most
     if not isinstance(doc, dict):
         raise ParseError("scenario root must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
-
-    assets = [_str(a, f"assets[{i}]", problems) for i, a in enumerate(_list(doc.get("assets", []), "assets", problems))]
-    horizon = _num(doc.get("horizon", 1), int, "horizon", problems)
-    seed = _num(doc.get("seed", 0), int, "seed", problems)
-
-    pools = []
-    for i, p in enumerate(_list(doc.get("pools", []), "pools", problems)):
-        where = f"pools[{i}]"
-        p = _obj(p, where, problems)
-        model = _obj(p.get("rate_model", {}), f"{where}.rate_model", problems)
-        rate_model = RateModelParams(
-            base_rate=_amt(model.get("base_rate", "0"), f"{where}.rate_model.base_rate", problems),
-            slope1=_amt(model.get("slope1", "0"), f"{where}.rate_model.slope1", problems),
-            slope2=_amt(model.get("slope2", "0"), f"{where}.rate_model.slope2", problems),
-            kink=_amt(model.get("kink", "0.8"), f"{where}.rate_model.kink", problems),
-            reserve_factor=_amt(model.get("reserve_factor", "0"), f"{where}.rate_model.reserve_factor", problems),
-        )
-        params = PoolParams(
-            asset=_str(p.get("asset", ""), f"{where}.asset", problems),
-            iou_asset=_str(p.get("iou_symbol", ""), f"{where}.iou_symbol", problems),
-            iou_mode=_str(p.get("iou_mode", EXCHANGE_RATE), f"{where}.iou_mode", problems),
-            collateral_factor=_amt(p.get("collateral_factor", "0"), f"{where}.collateral_factor", problems),
-            liquidation_threshold=_amt(p.get("liquidation_threshold", "0"), f"{where}.liquidation_threshold", problems),
-            liquidation_bonus=_amt(p.get("liquidation_bonus", "0"), f"{where}.liquidation_bonus", problems),
-            close_factor=_amt(p.get("close_factor", "0.5"), f"{where}.close_factor", problems),
-            rate_model=rate_model,
-            flash_fee=_amt(p.get("flash_fee", "0.0009"), f"{where}.flash_fee", problems),
-        )
-        pools.append(PoolSpec(params=params, initial_cash=_amt(p.get("initial_cash", "0"), f"{where}.initial_cash", problems)))
-
-    venues = []
-    for i, v in enumerate(_list(doc.get("venues", []), "venues", problems)):
-        where = f"venues[{i}]"
-        v = _obj(v, where, problems)
-        kind = _str(v.get("kind", "quote"), f"{where}.kind", problems)
-        venue_id = _str(v.get("id", f"venue{i}"), f"{where}.id", problems)
-        if kind == "quote":
-            numeraire = _str(v.get("numeraire", ""), f"{where}.numeraire", problems)
-            quotes = _amounts(v.get("quotes", {}), f"{where}.quotes", problems)
-            inventory = _amounts(v.get("inventory", {}), f"{where}.inventory", problems)
-            fee_bps = _num(v.get("fee_bps", 0), int, f"{where}.fee_bps", problems)
-            venues.append((QuoteVenue(venue_id, numeraire, quotes, fee_bps), list(inventory.items())))
-        elif kind == "amm":
-            pair = _pair(v.get("pair", ["", ""]), f"{where}.pair", problems) or ["", ""]
-            reserves = _pair(v.get("reserves", ["0", "0"]), f"{where}.reserves", problems) or ["0", "0"]
-            pair = (_str(pair[0], f"{where}.pair[0]", problems), _str(pair[1], f"{where}.pair[1]", problems))
-            reserves = [_amt(amount, f"{where}.reserves[{j}]", problems) for j, amount in enumerate(reserves)]
-            fee_bps = _num(v.get("fee_bps", 30), int, f"{where}.fee_bps", problems)
-            venues.append((AmmVenue(venue_id, pair, fee_bps), list(zip(pair, reserves))))
-        else:
-            problems.append(f"{where}.kind: unknown venue kind {kind!r}")
-
-    feeds = _obj(doc.get("price_feeds", {}), "price_feeds", problems)
-    feed_mode = _str(feeds.get("mode", "replay"), "price_feeds.mode", problems)
-    feed_series: dict[str, list[tuple[int, int]]] = {}
-    feed_walk = None
-    if feed_mode == "replay":
-        if "csv" in feeds:
-            try:
-                feed_series = oracle_mod.load_feed_csv(_str(feeds["csv"], "price_feeds.csv", problems))
-            except (OSError, TypeError, ValueError) as exc:
-                problems.append(f"price_feeds.csv: {exc}")
-        for asset, points in _obj(feeds.get("series", {}), "price_feeds.series", problems).items():
-            where = f"price_feeds.series.{asset}"
-            pairs = [_pair(point, where, problems) or [0, "0"] for point in _list(points, where, problems)]
-            feed_series[asset] = [(_num(s, int, where, problems), _amt(p, where, problems)) for s, p in pairs]
-    elif feed_mode == "walk":
-        feed_walk = WalkParams(
-            seed=_num(feeds.get("seed", 0), int, "price_feeds.seed", problems),
-            drift=_num(feeds.get("drift", 0.0), float, "price_feeds.drift", problems),
-            volatility=_num(feeds.get("volatility", 0.0), float, "price_feeds.volatility", problems),
-            initial=_amounts(feeds.get("initial", {}), "price_feeds.initial", problems),
-        )
-    else:
-        problems.append(f"price_feeds.mode: unknown mode {feed_mode!r}")
-
-    cdp_spec = None
-    if "cdp" in doc:
-        c = _obj(doc["cdp"], "cdp", problems)
-        cdp_spec = CdpSpec(
-            dai_asset=_str(c.get("dai_symbol", "DAI"), "cdp.dai_symbol", problems),
-            issuance_fraction=_amounts(c.get("issuance_fractions", {}), "cdp.issuance_fractions", problems),
-            stability_fee=_amt(c.get("stability_fee", "0"), "cdp.stability_fee", problems),
-            liquidation_penalty=_amt(c.get("liquidation_penalty", "0.13"), "cdp.liquidation_penalty", problems),
-            fee_policy=_fee_policy(c.get("fee_policy"), problems),
-        )
-
-    agents = []
-    for i, a in enumerate(_list(doc.get("agents", []), "agents", problems)):
-        where = f"agents[{i}]"
-        a = _obj(a, where, problems)
-        params = dict(_obj(a.get("params", {}), f"{where}.params", problems))
-        # spiral limits in raw units; a JSON number is read through its str()
-        for key in ("min_action", "buffer"):
-            if params.get(key) is not None:
-                params[key] = _amt(str(params[key]), f"{where}.params.{key}", problems)
-        if params.get("iteration_cap") is not None:
-            params["iteration_cap"] = _num(params["iteration_cap"], int, f"{where}.params.iteration_cap", problems)
-        if not isinstance(params.get("use_flashloan", True), bool):
-            problems.append(f"{where}.params.use_flashloan: expected a boolean, got {params['use_flashloan']!r}")
-        agents.append(
-            AgentSpec(
-                agent_id=_str(a.get("id", f"agent{i}"), f"{where}.id", problems),
-                kind=_str(a.get("kind", ""), f"{where}.kind", problems),
-                endowment=_amounts(a.get("endowment", {}), f"{where}.endowment", problems),
-                params=params,
-                window=_int_pair(a.get("window", (0, horizon)), f"{where}.window", problems),
-            )
-        )
-
-    rewards_doc = _obj(doc.get("rewards", {}), "rewards", problems)
-    rewards = RewardConfig(
-        emission_per_pool=_amt(rewards_doc.get("emission_per_pool", "0"), "rewards.emission_per_pool", problems),
-        supply_split=_amt(rewards_doc.get("supply_split", "0.5"), "rewards.supply_split", problems),
-    )
-
-    gas_doc = _obj(doc.get("gas", {}), "gas", problems)
-    gas = GasConfig(
-        asset=None if gas_doc.get("asset") is None else _str(gas_doc["asset"], "gas.asset", problems),
-        fee=_amt(gas_doc.get("fee", "0"), "gas.fee", problems) if gas_doc else 0,
-    )
-
+    top = _fields(doc, "", _SCENARIO, problems)
+    del top["schema_version"]
+    top["venues"] = [_VENUE(v, f"venues[{i}]", problems, (i,)) for i, v in enumerate(top["venues"])]
+    top["agents"] = [_agent(a, f"agents[{i}]", problems, i, top["horizon"]) for i, a in enumerate(top["agents"])]
+    feed_mode, csv, feed_series, feed_walk = top.pop("price_feeds") or (None, None, {}, None)
+    if csv is not None:
+        try:  # the inline series overrides the file's, asset by asset
+            csv = os.path.join(os.path.dirname(base_path or ""), csv)
+            feed_series = {**oracle_mod.load_feed_csv(csv), **feed_series}
+        except (OSError, TypeError, ValueError) as exc:
+            problems.append(f"price_feeds.csv: {exc}")
     if problems:
-        raise ParseError(f"{base_path}: " + "; ".join(problems), problems)
-
-    return Scenario(
-        assets=assets,
-        pools=pools,
-        venues=venues,
-        feed_mode=feed_mode,
-        feed_series=feed_series,
-        feed_walk=feed_walk,
-        cdp=cdp_spec,
-        agents=agents,
-        rewards=rewards,
-        gas=gas,
-        horizon=horizon,
-        seed=seed,
-    )
+        raise ParseError(f"{base_path or '<memory>'}: " + "; ".join(problems), problems)
+    return Scenario(**top, feed_mode=feed_mode, feed_series=feed_series, feed_walk=feed_walk)
 
 
 # ---------------------------------------------------------------------------

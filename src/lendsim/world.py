@@ -41,14 +41,14 @@ SCANNER_ACCOUNT = "scanner"
 
 @dataclass
 class GasConfig:
-    asset: str | None = None
-    fee: int = 0
+    asset: str | None
+    fee: int
 
 
 @dataclass
 class RewardConfig:
-    emission_per_pool: int = 0  # governance tokens minted per pool per step
-    supply_split: int = 0  # sigma: fraction of emission to the supply side
+    emission_per_pool: int  # governance tokens minted per pool per step
+    supply_split: int  # sigma: fraction of emission to the supply side
 
 
 def _pro_rata(tranche: int, weights: Iterable[tuple[str, int]]) -> tuple[list[tuple[str, int]], int]:
@@ -152,15 +152,15 @@ class World:
         oracle: PriceOracle,
         pools: dict[str, Pool],
         venues: dict[str, object],
-        cdp: CdpEngine | None = None,
-        gas: GasConfig | None = None,
+        cdp: CdpEngine | None,
+        gas: GasConfig,
     ):
         self.ledger = ledger
         self.oracle = oracle
         self.pools = pools
         self.venues = venues
         self.cdp = cdp
-        self.gas = gas or GasConfig()
+        self.gas = gas
         self.rewards = RewardLedger()
         self.events: list[dict] = []
         # ((borrower, ledger total writes), opportunities) of the last flashloan.scan_arbitrage

@@ -5,12 +5,32 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from lendsim import scenario
 from lendsim.ledger import GENESIS_AUTHORITY
 from lendsim.scenario import build_world, parse_scenario, validate_scenario
 
 # every pinned output digest: the golden runs, criterion 11's summary and the benchmark's seed-1
 # outputs (which CI reads), so a deliberate byte change re-pins in this one file
 DIGESTS = json.loads((Path(__file__).resolve().parent / "digests.json").read_text())
+
+# the keys of each scenario object in the parser's tables, by the README heading that documents them;
+# a variant's table leaves out the tag key (`kind`, `mode`) that chose it
+KEY_TABLES = {
+    "Top level": set(scenario._SCENARIO),
+    "`pools[]`": set(scenario._POOL),
+    "`pools[].rate_model`": set(scenario._RATE_MODEL),
+    "`venues[]` of kind `quote`": {"kind", *scenario._QUOTE},
+    "`venues[]` of kind `amm`": {"kind", *scenario._AMM},
+    "`price_feeds` of mode `replay`": {"mode", *scenario._REPLAY},
+    "`price_feeds` of mode `walk`": {"mode", *scenario._WALK},
+    "`cdp`": set(scenario._CDP),
+    "`cdp.fee_policy` of kind `constant`": {"kind", *scenario._CONSTANT_FEE},
+    "`cdp.fee_policy` of kind `proportional`": {"kind", *scenario._PROPORTIONAL_FEE},
+    "`agents[]`": set(scenario._AGENT),
+    **{f"`agents[].params` of kind `{kind}`": set(table) for kind, table in scenario._PARAMS.items()},
+    "`rewards`": set(scenario._REWARDS),
+    "`gas`": set(scenario._GAS),
+}
 
 
 def pool_doc(asset, iou, mode="exchange-rate", **overrides):

@@ -112,6 +112,37 @@ REJECTED = {
     "venue_id_number": (_set("venues", 1, "id", 7), []),  # the quote venue, which no agent names
     "steps_zero": (lambda doc: None, ["--steps", "0"]),
     "steps_negative": (lambda doc: None, ["--steps", "-3"]),
+    # a key its object's table lacks, at every level; the problem names its path
+    "unknown_top_key": (_set("horizn", 10), []),
+    "unknown_pool_key": (_set("pools", 0, "close_factr", "0.5"), []),
+    "unknown_rate_model_key": (_set("pools", 1, "rate_model", "kinq", "0.8"), []),
+    "unknown_cdp_key": (_set("cdp", "stability_fees", "0"), []),
+    "unknown_fee_policy_key": (_set("cdp", "fee_policy", "gain", "0.1"), []),  # a proportional key on a constant policy
+    "unknown_rewards_key": (_set("rewards", "supply_splt", "0.5"), []),
+    "unknown_gas_key": (_set("gas", {"asset": "DAI", "fees": "1"}), []),
+    "unknown_agent_key": (_set("agents", 0, "windows", [0, 1]), []),
+    "walk_key_on_replay_feed": (_set("price_feeds", {"mode": "replay", "series": {}, "volatility": "0.01"}), []),
+    "amm_key_on_quote_venue": (_set("venues", 1, "reserves", ["1", "1"]), []),
+    "depositor_iteration_cap": (_set("agents", 0, "params", "iteration_cap", 5), []),
+    "liquidator_pool": (_set("agents", 4, "params", "pool", "DAI"), []),
+    "pool_stable_rate_premium": (_set("pools", 0, "stable_rate_premium", "0.02"), []),
+}
+
+# the path each rejected key's problem names
+UNKNOWN_KEY_PATHS = {
+    "unknown_top_key": "horizn",
+    "unknown_pool_key": "pools[0].close_factr",
+    "unknown_rate_model_key": "pools[1].rate_model.kinq",
+    "unknown_cdp_key": "cdp.stability_fees",
+    "unknown_fee_policy_key": "cdp.fee_policy.gain",
+    "unknown_rewards_key": "rewards.supply_splt",
+    "unknown_gas_key": "gas.fees",
+    "unknown_agent_key": "agents[0].windows",
+    "walk_key_on_replay_feed": "price_feeds.volatility",
+    "amm_key_on_quote_venue": "venues[1].reserves",
+    "depositor_iteration_cap": "agents[0].params.iteration_cap",
+    "liquidator_pool": "agents[4].params.pool",
+    "pool_stable_rate_premium": "pools[0].stable_rate_premium",
 }
 
 
@@ -130,6 +161,25 @@ def test_bad_input_is_a_validation_error_for_validate_and_run(name, tmp_path, ca
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert any(line.startswith("validation error: ") for line in err.splitlines()), err
+        if name in UNKNOWN_KEY_PATHS:
+            assert f"validation error: {UNKNOWN_KEY_PATHS[name]}: unknown key" in err.splitlines(), err
+
+
+def test_misspelt_keys_fail_validate_and_run_each_named(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "table1.json").read_text())
+    doc["pools"][0]["close_factr"] = "0.4"
+    doc["agents"][2]["params"]["iteration_caps"] = 3
+    doc["rewards"]["supply_splt"] = "0.9"
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [
+            "validation error: pools[0].close_factr: unknown key",
+            "validation error: rewards.supply_splt: unknown key",
+            "validation error: agents[2].params.iteration_caps: unknown key",
+        ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_walk_overflow_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lendsim import errors
-from lendsim.fixed import WAD, ceil_div, from_str, to_str, wad
+from lendsim.fixed import WAD, ceil_div, div_up, from_str, to_str, wad
 from lendsim.ledger import GENESIS_AUTHORITY
 from lendsim.pool import RateModelParams
 
@@ -115,6 +115,23 @@ def test_redeem_beyond_cash_is_rejected_unchanged():
     with pytest.raises(errors.InsufficientLiquidity):
         p.redeem(w, "alice", wad(20), step=0)
     assert p.cash(w) == before
+
+
+@given(st.integers(WAD, 2**100), st.integers(1, 2**100), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rebasing_redeem_of_any_displayed_amount_burns_its_units_rounded_up(index, units, data):
+    # iou_amount <= floor(units * index / WAD) gives ceil(iou_amount * WAD / index) <= units, so the
+    # burn never needs clamping to the balance
+    w = eth_dai_world()
+    p = w.pools["DAI"]
+    p.liquidity_index = index
+    user(w, "alice")
+    w.ledger.mint("alice", "aDAI", units, p.account)
+    amount = data.draw(st.integers(1, p.displayed(units)))
+    w.ledger.mint(p.account, "DAI", amount, GENESIS_AUTHORITY, tag="genesis")
+    assert p.redeem(w, "alice", amount, step=0) == amount
+    assert w.ledger.balance("alice", "aDAI") == units - div_up(amount, index)
+    assert w.ledger.balance("alice", "DAI") == amount
 
 
 def test_redeem_requires_iou_balance():

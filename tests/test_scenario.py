@@ -1,10 +1,16 @@
 """Scenario parsing and validation: referential checks, parameter invariants."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from lendsim.agents import AGENT_CLASSES
+from lendsim.cli import main
+from lendsim.fixed import from_str
 from lendsim.scenario import (
+    _PARAMS,
     ParseError,
     ValidationError,
     build_world,
@@ -13,7 +19,9 @@ from lendsim.scenario import (
     validate_scenario,
 )
 
-from conftest import make_doc, pool_doc
+from conftest import KEY_TABLES, make_doc, pool_doc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def check(doc):
@@ -264,3 +272,91 @@ def test_csv_feed_reference(tmp_path):
     assert check(doc) == []
     w = build_world(parse_scenario(doc))
     assert w.oracle.price_at("ETH", 5) == 2000 * 10**18
+
+
+def test_relative_csv_feed_is_read_beside_the_scenario_file(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "feed.csv").write_text("step,asset,price\n0,ETH,2000\n0,DAI,1\n")
+    doc = base_doc()
+    doc["price_feeds"] = {"mode": "replay", "csv": "feed.csv"}
+    (sub / "sc.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--scenario", "sub/sc.json"]) == 0
+    sc = load_scenario("sub/sc.json")
+    assert sc.feed_series == {"ETH": [(0, from_str("2000"))], "DAI": [(0, from_str("1"))]}
+    # a document parsed from memory has no file: its CSV path is read from the working directory
+    with pytest.raises(ParseError, match="price_feeds.csv"):
+        parse_scenario(doc)
+    monkeypatch.chdir(sub)
+    assert parse_scenario(doc).feed_series == sc.feed_series
+
+
+def test_unknown_keys_are_collected_each_with_its_path():
+    doc = base_doc(
+        venues=[{"kind": "quote", "id": "q", "numeraire": "DAI", "quotes": {"ETH": "2000"}, "pair": ["ETH", "DAI"]}],
+        agents=[{"id": "d", "kind": "depositor", "params": {"pool": "ETH", "iteration_cap": 3}},
+                {"id": "k", "kind": "liquidator", "params": {"pool": "ETH"}}],
+        rewards={"supply_splt": "0.5"},
+    )
+    doc["pools"][0]["close_factr"] = "0.5"
+    doc["pools"][1]["stable_rate_premium"] = "0.02"
+    doc["price_feeds"]["drift"] = "0"
+    with pytest.raises(ParseError) as info:
+        parse_scenario(doc)
+    assert info.value.problems == [
+        "pools[0].close_factr: unknown key",
+        "pools[1].stable_rate_premium: unknown key",
+        "price_feeds.drift: unknown key",
+        "rewards.supply_splt: unknown key",
+        "venues[0].pair: unknown key",
+        "agents[0].params.iteration_cap: unknown key",
+        "agents[1].params.pool: unknown key",
+    ]
+
+
+def test_absent_keys_take_their_table_defaults():
+    doc = {
+        "schema_version": 1,
+        "assets": ["ETH", "DAI"],
+        "pools": [{"asset": "ETH", "iou_symbol": "cETH"}],
+        "venues": [{"kind": "amm"}, {}],
+        "price_feeds": {"mode": "walk"},
+        "cdp": {"fee_policy": {"kind": "proportional"}},
+        "agents": [{"kind": "liquidator"}, {"kind": "borrow_spiral", "params": {"pool": "ETH"}}],
+        "horizon": 7,
+    }
+    sc = parse_scenario(doc)
+    pool, model = sc.pools[0].params, sc.pools[0].params.rate_model
+    assert (pool.iou_mode, pool.collateral_factor, pool.close_factor, pool.flash_fee, sc.pools[0].initial_cash) == (
+        "exchange-rate", 0, from_str("0.5"), from_str("0.0009"), 0)
+    assert (model.base_rate, model.kink, model.reserve_factor) == (0, from_str("0.8"), 0)
+    (amm, reserves), (quote, inventory) = sc.venues
+    assert (amm.venue_id, amm.pair, amm.fee_bps, reserves) == ("venue0", ("", ""), 30, [("", 0), ("", 0)])
+    assert (quote.venue_id, quote.numeraire, quote.quotes, quote.fee_bps, inventory) == ("venue1", "", {}, 0, [])
+    assert (sc.feed_mode, sc.feed_series, sc.feed_walk.seed, sc.feed_walk.drift, sc.feed_walk.initial) == (
+        "walk", {}, 0, 0.0, {})
+    assert (sc.cdp.dai_asset, sc.cdp.stability_fee, sc.cdp.liquidation_penalty) == ("DAI", 0, from_str("0.13"))
+    assert sc.cdp.fee_policy(from_str("0.9")) == 0  # base 0 and gain 0
+    liquidator, spiral = sc.agents
+    assert (liquidator.agent_id, liquidator.endowment, liquidator.window) == ("agent0", {}, (0, 7))
+    assert liquidator.params == {"use_flashloan": True}
+    assert spiral.params == {"pool": "ETH", "iteration_cap": None, "min_action": None, "buffer": None}
+    assert (sc.rewards.emission_per_pool, sc.rewards.supply_split) == (0, from_str("0.5"))
+    assert (sc.gas.asset, sc.gas.fee, sc.seed, sc.cdp is not None) == (None, 0, 0, True)
+    assert parse_scenario({"schema_version": 1}).cdp is None
+
+
+def readme_key_tables() -> dict[str, set[str]]:
+    """{heading: the keys its table names} for each object in the README's scenario key reference."""
+    section = README.read_text().split("### Scenario key reference\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for block in section.split("\n#### ")[1:]:
+        heading, _, body = block.partition("\n")
+        tables[heading] = set(re.findall(r"^\| `(\w+)` \|", body, re.M))
+    return tables
+
+
+def test_readme_key_reference_names_exactly_the_parsers_keys():
+    assert readme_key_tables() == KEY_TABLES
+    assert set(_PARAMS) == set(AGENT_CLASSES)  # one params table per agent kind

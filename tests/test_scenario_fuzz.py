@@ -6,6 +6,10 @@ module so it is exactly what a scenario file could hold (NaN and Infinity
 included, as Python's reader accepts them). Parsing plus validation must either
 accept the document or raise ParseError/ValidationError; an accepted document
 must build an engine and run two steps with no exception escaping.
+
+A second fuzz inserts a key no table knows into any object a table reads (any
+object but a map keyed by asset symbol); that is always a ParseError naming
+the key's path.
 """
 
 from __future__ import annotations
@@ -13,11 +17,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lendsim.scenario import ParseError, ValidationError, parse_scenario, validate_scenario
 from lendsim.simulation import SimulationEngine
+
+from conftest import KEY_TABLES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
@@ -64,3 +71,36 @@ def test_replaced_field_is_rejected_or_runs(field, value):
     except (ParseError, ValidationError):
         return
     SimulationEngine(sc, horizon=2).run()
+
+
+SYMBOL_MAPS = {"endowment", "quotes", "inventory", "series", "initial", "issuance_fractions"}
+
+
+def table_object(doc, path) -> bool:
+    node = doc
+    for key in path:
+        node = node[key]
+    return isinstance(node, dict) and not (path and path[-1] in SYMBOL_MAPS)
+
+
+OBJECTS = [(name, path) for name, doc in BUNDLED.items() for path in [(), *field_paths(doc)] if table_object(doc, path)]
+KNOWN_KEYS = set().union(*KEY_TABLES.values())
+
+
+def json_path(path) -> str:
+    """("pools", 0, "rate_model") -> "pools[0].rate_model"; a path starts with a key of the root."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(OBJECTS), st.text().filter(lambda key: key not in KNOWN_KEYS), json_values)
+def test_inserted_unknown_key_is_a_parse_error_naming_its_path(obj, key, value):
+    name, path = obj
+    doc = json.loads(json.dumps(BUNDLED[name]))
+    node = doc
+    for part in path:
+        node = node[part]
+    node[key] = value
+    with pytest.raises(ParseError) as info:
+        parse_scenario(json.loads(json.dumps(doc)))
+    assert f"{json_path(path + (key,))}: unknown key" in info.value.problems
