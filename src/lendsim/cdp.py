@@ -6,10 +6,10 @@ The same fraction is the liquidation bound: there is no margin call, and as
 soon as debt strictly exceeds the bound anyone may liquidate by repaying debt
 (which is burned) in exchange for collateral at a penalty discount.
 
-A per-step stability fee compounds a global fee index; the fee itself may be
-driven by a pluggable policy (constant by default, with a proportional
-controller available) consulted once per step with the stablecoin's oracle
-price. Debt issuance treats one stablecoin as one USD regardless of its
+A per-step stability fee compounds a global fee index. The fee is
+configuration: the constant `stability_fee`, or a pluggable policy (constant,
+or a proportional controller) consulted once per step with the stablecoin's
+oracle price. Debt issuance treats one stablecoin as one USD regardless of its
 market price; the market price only matters to traders and the fee policy.
 
 `telemetry_rows` renders every vault's row from one price table per step:
@@ -196,16 +196,11 @@ class CdpEngine:
 
     # ------------------------------------------------------------------
     def accrue(self, world, step: int) -> None:
-        self.undo.save_attrs(self, "stability_fee", "fee_index")
+        fee = self.stability_fee
         if self.fee_policy is not None:
-            self.stability_fee = self.fee_policy(world.oracle.price_at(self.dai_asset, step))
-        self.fee_index = mul_up(self.fee_index, WAD + self.stability_fee)
-
-    def set_fee(self, fee: int) -> None:
-        if fee < 0:
-            raise ValueError("stability fee must be >= 0")
-        self.undo.save_attrs(self, "stability_fee")
-        self.stability_fee = fee
+            fee = self.fee_policy(world.oracle.price_at(self.dai_asset, step))
+        self.undo.save_attrs(self, "fee_index")
+        self.fee_index = mul_up(self.fee_index, WAD + fee)
 
     # ------------------------------------------------------------------
     def liquidate(

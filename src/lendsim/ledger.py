@@ -23,7 +23,7 @@ points prove the asset's balances unchanged, and a cache of something derived
 from them (the supply-side reward shares, the last arbitrage scan) stays valid.
 Every write also names its accounts in the undo log's `touched` set, which is
 how the liquidation risk screen learns what changed; outside the ledger, the
-journal is only an audit and export record.
+journal is only an audit record.
 
 Mint/burn authority is a static per-asset whitelist fixed at world
 construction; the "genesis" authority funds initial endowments.
@@ -31,8 +31,7 @@ construction; the "genesis" authority funds initial endowments.
 
 from __future__ import annotations
 
-import json
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import errors
 from .fixed import require_amount
@@ -49,19 +48,6 @@ class JournalRecord(NamedTuple):
     asset: str
     amount: int
     tag: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "op": self.op,
-                "from": self.frm,
-                "to": self.to,
-                "asset": self.asset,
-                "amount": self.amount,
-                "tag": self.tag,
-            },
-            separators=(",", ":"),
-        )
 
 
 def _reinsert(table: dict, index: int, key, value) -> None:
@@ -80,10 +66,9 @@ class UndoLog:
 
     `touched` collects, checkpoint or not, every key a write named: the
     accounts (by name) of each ledger transfer, mint and burn, the pool
-    accounts whose collateral flags or borrow positions a pool wrote, and the
-    vaults (by id) whose collateral or debt the CDP engine wrote. A rollback
-    leaves it as it is. The liquidation risk screen (liquidation.RiskScreen)
-    drains it.
+    accounts whose borrow positions a pool wrote, and the vaults (by id)
+    whose collateral or debt the CDP engine wrote. A rollback leaves it as it
+    is. The liquidation risk screen (liquidation.RiskScreen) drains it.
     """
 
     def __init__(self) -> None:
@@ -317,7 +302,7 @@ class Ledger:
         return len(self._checkpoints)
 
     # ------------------------------------------------------------------
-    # audits and export
+    # audits
     # ------------------------------------------------------------------
     def audit(self) -> None:
         """O(1) per-step check: every checkpoint has been committed or rolled back."""
@@ -337,26 +322,3 @@ class Ledger:
             for account, bal in table.items():
                 if bal < 0:
                     raise errors.InvariantViolation(f"negative balance {bal} for {account}/{asset}")
-
-    def export_journal(self, fp: IO[str]) -> int:
-        """One JSON object per line, led by "seq", the record's place in the journal."""
-        for seq, record in enumerate(self.journal):
-            fp.write(f'{{"seq":{seq},{record.to_json()[1:]}\n')
-        return len(self.journal)
-
-    @staticmethod
-    def replay_balances(records: Iterable[JournalRecord]) -> dict[str, dict[str, int]]:
-        """Re-derive balances from a journal alone (authority checks skipped)."""
-        balances: dict[str, dict[str, int]] = {}
-        for rec in records:
-            table = balances.setdefault(rec.asset, {})
-            if rec.op == "transfer":
-                table[rec.frm] = table.get(rec.frm, 0) - rec.amount
-                table[rec.to] = table.get(rec.to, 0) + rec.amount
-            elif rec.op == "mint":
-                table[rec.to] = table.get(rec.to, 0) + rec.amount
-            elif rec.op == "burn":
-                table[rec.frm] = table.get(rec.frm, 0) - rec.amount
-            else:
-                raise ValueError(f"unknown journal op {rec.op!r}")
-        return balances

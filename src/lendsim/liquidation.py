@@ -1,15 +1,16 @@
 """Account health accounting and open-access liquidation of pool positions.
 
 account_totals is the one pass over an account's pools. It values each
-flagged deposit once, weighted by the collateral factor (the borrowing power
-that borrow checks and spiral headroom read) and by the liquidation threshold,
-sums the debts, and names the pools of the largest debt and of the largest
-flagged deposit, which the liquidation scanner repays and seizes. What it reads
+deposit (every IOU the account holds is collateral) once, weighted by the
+collateral factor (the borrowing power that borrow checks and spiral headroom
+read) and by the liquidation threshold, sums the debts, and names the pools of
+the largest debt and of the largest deposit, which the liquidation scanner
+repays and seizes. What it reads
 of the pools (each one's unit rate and IOU balance table) comes from
 pool_reads: the scanner takes them once per scan for every account it values,
 any other caller once per call. Prices come from the oracle's step vector.
 
-Health factor = sum(flagged collateral value * liquidation_threshold) over
+Health factor = sum(collateral value * liquidation_threshold) over
 debt value; a position is liquidatable strictly below 1. Any caller may
 liquidate, repaying up to close_factor of the target's per-asset debt and
 seizing collateral worth (1 + bonus) times the repaid value. The seized
@@ -56,8 +57,8 @@ checkpoint open.
 
 A candidate is dirty once a write names it in the undo log's `touched` set:
 a ledger transfer, mint or burn names its accounts (so every IOU balance
-change does), a pool an account whose collateral flag or borrow position it
-writes, the CDP engine a vault whose collateral or debt it writes. Each scan
+change does), a pool an account whose borrow position it writes, the CDP
+engine a vault whose collateral or debt it writes. Each scan
 moves the set into its dirty set and clears it; a key that names no candidate
 is struck off there. The screen builds at the first scan with every candidate
 dirty and what was written before dropped, so a full scan is the same code run
@@ -76,14 +77,14 @@ from .fixed import WAD, ceil_div, div_down, div_up, mul_down, require_amount, to
 @dataclass
 class HealthReport:
     account: str
-    collateral_value: int  # USD wad, flagged deposits only
+    collateral_value: int  # USD wad, deposits
     threshold_value: int  # USD wad, weighted by per-asset liquidation threshold
     debt_value: int  # USD wad
     ltv: int | None  # None when collateral_value == 0
     health_factor: int | None  # None means infinite (no debt)
     borrowing_power: int  # USD wad, weighted by per-asset collateral factor
     largest_debt: str | None  # pool asset of the largest debt by USD value
-    largest_collateral: str | None  # pool asset of the largest flagged deposit by USD value
+    largest_collateral: str | None  # pool asset of the largest deposit by USD value
 
     @property
     def liquidatable(self) -> bool:
@@ -110,7 +111,7 @@ def account_totals(world, account: str, step: int, reads: list[tuple] | None = N
     top_debt = top_collateral = -1  # below any value: ties go to the first pool in world order
     for asset, p, rate, units in reads:
         claim = p.claim(units.get(account, 0), rate)
-        if claim and p.collateral_on.get(account, False):
+        if claim:
             value = mul_down(claim, price_at(asset, step))
             collateral += value
             threshold += mul_down(value, p.params.liquidation_threshold)
@@ -129,7 +130,7 @@ def account_totals(world, account: str, step: int, reads: list[tuple] | None = N
 
 
 def borrowing_power(world, account: str, step: int) -> int:
-    """USD borrow capacity: sum of flagged collateral value * collateral_factor."""
+    """USD borrow capacity: sum of collateral value * collateral_factor."""
     return account_totals(world, account, step).borrowing_power
 
 
@@ -183,8 +184,8 @@ def liquidate(
     if repay_amount > max_repay:
         raise errors.ExceedsCloseFactor(f"repay {repay_amount} > close-factor cap {max_repay}")
     seize_claim = seize_pool.underlying_claim(world, target)
-    if seize_claim == 0 or not seize_pool.collateral_on.get(target, False):
-        raise errors.NoSuchCollateral(f"{target} has no flagged {seize_asset} deposit")
+    if seize_claim == 0:
+        raise errors.NoSuchCollateral(f"{target} has no {seize_asset} deposit")
 
     applied, seized = seize_split(
         repay_amount,
@@ -217,7 +218,7 @@ def liquidate(
 # ---------------------------------------------------------------------------
 # risk screen
 # ---------------------------------------------------------------------------
-# A factor is (kind, asset): "supply" (a flagged deposit), "variable" (a borrow position),
+# A factor is (kind, asset): "supply" (a deposit), "variable" (a borrow position),
 # "locked" (vault collateral) or "fee" (vault debt, asset None). Supply and locked are collateral
 # factors, the rest debt factors.
 _COLLATERAL_FACTORS = ("supply", "locked")
@@ -302,7 +303,7 @@ class RiskScreen:
         """File an account that the scan of the last `due` call valued with account_totals and its reads."""
         signature = []
         for asset, p, rate, units in reads:
-            if p.collateral_on.get(account, False) and p.claim(units.get(account, 0), rate):
+            if p.claim(units.get(account, 0), rate):
                 signature.append(("supply", asset))
             if account in p.positions:
                 signature.append(("variable", asset))

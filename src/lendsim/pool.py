@@ -23,10 +23,12 @@ in the pool's ledger account `pool:<asset>`, also its IOU's mint/burn
 authority, so pool cash can never drift from the balance sheet. Every write
 to the pool's own state first records the old value in its undo log (the world
 ledger's), so a world rollback restores it in place. A write to an account's
-collateral flag or borrow position also names the account in the log's
-`touched` set, which the liquidation scan's risk screen reads; deposits and
-seizures need not, since the ledger writes of the IOU they move already name
-the account there.
+borrow position also names the account in the log's `touched` set, which the
+liquidation scan's risk screen reads; deposits and seizures need not, since the
+ledger writes of the IOU they move already name the account there.
+
+A deposit is collateral (Aave's default): an account's IOU balance is the one
+record of its collateral in the pool, which backs its borrows and may be seized.
 
 A step costs the pool only what moved in it. `accrue` returns at once while
 nothing is borrowed and the base rate is 0, since then no index, total or
@@ -98,7 +100,6 @@ class Pool:
         self.borrow_index = WAD
         self.liquidity_index = WAD
         self.positions: dict[str, int] = {}  # account -> debt / borrow_index at its last touch
-        self.collateral_on: dict[str, bool] = {}
         self.undo = undo
         self.position_writes = 0  # writes to positions, plus one per write a rollback undoes
         # (cash, total_borrows, reserves, liquidity_index, iou_supply) last rendered, and the row after its step cell
@@ -193,8 +194,6 @@ class Pool:
         minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
         world.ledger.mint(account, self.params.iou_asset, minted, self.account, tag="deposit-iou")
-        self.undo.save_items(self.collateral_on, account)
-        self.collateral_on.setdefault(account, True)
         return minted
 
     def redeem(self, world, account: str, iou_amount: int, step: int) -> int:
@@ -226,12 +225,8 @@ class Pool:
         """Hand `underlying` worth of the target's IOU to a liquidator."""
         units = self.units_for(world, underlying)
         world.ledger.transfer(target, liquidator, self.params.iou_asset, units, tag="liquidation-seize")
-        self.undo.save_items(self.collateral_on, liquidator)
-        self.collateral_on.setdefault(liquidator, True)
 
     def _require_health_after_withdrawal(self, world, account: str, underlying_out: int, step: int) -> None:
-        if not self.collateral_on.get(account, False):
-            return
         totals = liquidation.account_totals(world, account, step)
         if totals.debt_value == 0:
             return
@@ -239,15 +234,6 @@ class Pool:
         new_threshold = totals.threshold_value - mul_down(removed, self.params.liquidation_threshold)
         if new_threshold < totals.debt_value:
             raise errors.WouldBecomeUndercollateralized(account)
-
-    def set_collateral_flag(self, world, account: str, on: bool, step: int) -> None:
-        if not on and self.collateral_on.get(account, False):
-            claim = self.underlying_claim(world, account)
-            if claim:
-                self._require_health_after_withdrawal(world, account, claim, step)
-        self.undo.save_items(self.collateral_on, account)
-        self.undo.touched.add(account)
-        self.collateral_on[account] = on
 
     # ------------------------------------------------------------------
     # borrows

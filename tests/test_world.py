@@ -79,8 +79,6 @@ def apply_op(w, op):
         p.borrow(w, USERS[a], amount, step=t)
     elif kind == "repay_all":  # deletes the position
         p.repay(w, USERS[a], p.debt_of(USERS[a]))
-    elif kind == "flag":
-        p.set_collateral_flag(w, USERS[a], bool(tenths % 2), t)
     elif kind == "liquidate":
         liquidation.liquidate(w, USERS[b], USERS[a], sym, other.params.asset, amount, t)
     elif kind == "accrue":
@@ -98,8 +96,6 @@ def apply_op(w, op):
         cdp.repay(w, vid, amount)
     elif kind == "vault_liquidate":
         cdp.liquidate(w, USERS[b], vid, amount, sym, t)
-    elif kind == "fee":
-        cdp.set_fee(tenths * 10**13)
     else:
         raise ValueError(kind)
 
@@ -107,8 +103,8 @@ def apply_op(w, op):
 world_ops = st.lists(
     st.tuples(
         st.sampled_from([
-            "deposit", "redeem", "borrow", "repay_all", "flag", "liquidate", "accrue",
-            "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "fee", "nest", "close",
+            "deposit", "redeem", "borrow", "repay_all", "liquidate", "accrue",
+            "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "nest", "close",
         ]),
         st.integers(0, 2),
         st.integers(0, 2),
