@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import errors
-from .fixed import from_str, mul_down, require_amount
+from .fixed import AmountError, from_str, mul_down, require_amount
 
 REPLAY = "replay"
 WALK = "walk"
@@ -135,16 +135,32 @@ class PriceOracle:
         return path
 
 
-def load_feed_csv(path: str) -> dict[str, list[tuple[int, int]]]:
-    """Read a `step,asset,price` CSV (prices as decimal strings) into series."""
+def load_feed_csv(path: str, problems: list[str]) -> dict[str, list[tuple[int, int]]]:
+    """Read a CSV with header `step,asset,price` into series: steps in plain digits,
+    prices as decimal strings. Each malformed line adds a problem naming `<path>:<line>`."""
     series: dict[str, list[tuple[int, int]]] = {}
     with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        required = {"step", "asset", "price"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"feed file {path} must have header step,asset,price")
-        for row in reader:
-            series.setdefault(row["asset"], []).append((int(row["step"]), from_str(row["price"])))
+        reader = csv.reader(fp)
+        try:
+            header = next(reader, [])
+            if header != ["step", "asset", "price"]:
+                problems.append(f"{path}:1: header must be step,asset,price, got {','.join(header)!r}")
+                return series
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if not row:
+                    continue  # a blank line
+                if len(row) != 3:
+                    problems.append(f"{where}: expected 3 fields, got {len(row)}")
+                elif not (row[0].isascii() and row[0].isdigit()):
+                    problems.append(f"{where}: step {row[0]!r} must be plain digits")
+                else:
+                    try:
+                        series.setdefault(row[1], []).append((int(row[0]), from_str(row[2])))
+                    except AmountError as exc:
+                        problems.append(f"{where}: {exc}")
+        except csv.Error as exc:
+            problems.append(f"{path}:{reader.line_num}: {exc}")
     for points in series.values():
         points.sort()
     return series

@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -332,12 +333,17 @@ def parse_scenario(doc: dict, base_path: str | None = None) -> Scenario:
     top["agents"] = [_agent(a, f"agents[{i}]", problems, i, top["horizon"]) for i, a in enumerate(top["agents"])]
     feed_mode, csv, feed_series, feed_walk = top.pop("price_feeds") or (None, None, {}, None)
     if csv is not None:
+        csv_problems: list[str] = []
         try:  # the inline series overrides the file's, asset by asset
             csv = os.path.join(os.path.dirname(base_path or ""), csv)
-            feed_series = {**oracle_mod.load_feed_csv(csv), **feed_series}
-        except (OSError, TypeError, ValueError) as exc:
-            problems.append(f"price_feeds.csv: {exc}")
+            feed_series = {**oracle_mod.load_feed_csv(csv, csv_problems), **feed_series}
+        except (OSError, ValueError) as exc:  # unreadable, or not text
+            csv_problems.append(str(exc))
+        problems += [f"price_feeds.csv: {problem}" for problem in csv_problems]
     if problems:
+        # in the document's key order, though venues, agents and the feed file were read last
+        order = {key: i for i, key in enumerate(doc)}
+        problems.sort(key=lambda problem: order.get(re.match(r"[^.\[:]*", problem)[0], len(order)))
         raise ParseError(f"{base_path or '<memory>'}: " + "; ".join(problems), problems)
     return Scenario(**top, feed_mode=feed_mode, feed_series=feed_series, feed_walk=feed_walk)
 

@@ -170,16 +170,44 @@ def test_misspelt_keys_fail_validate_and_run_each_named(tmp_path, capsys):
     doc["pools"][0]["close_factr"] = "0.4"
     doc["agents"][2]["params"]["iteration_caps"] = 3
     doc["rewards"]["supply_splt"] = "0.9"
+    doc["venues"][1]["fee_bsp"] = 0
+    doc["horizn"] = 10  # the last key, after agents
     path = tmp_path / "misspelt.json"
     path.write_text(json.dumps(doc))
     for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([argv[0], "--scenario", str(path), *argv[1:]]) == 1, argv
-        assert capsys.readouterr().err.splitlines() == [
+        assert capsys.readouterr().err.splitlines() == [  # in the document's key order
             "validation error: pools[0].close_factr: unknown key",
+            "validation error: venues[1].fee_bsp: unknown key",
             "validation error: rewards.supply_splt: unknown key",
             "validation error: agents[2].params.iteration_caps: unknown key",
+            "validation error: horizn: unknown key",
         ]
     assert not (tmp_path / "out").exists()
+
+
+# a malformed line of a replay feed's CSV file -> the problem naming its line (after the path)
+BAD_FEEDS = {
+    "unknown_column": ("step,asset,price,volume\n", ":1: header must be step,asset,price, got 'step,asset,price,volume'"),
+    "surplus_field": ("step,asset,price\n0,DAI,1,7\n", ":2: expected 3 fields, got 4"),
+    "missing_field": ("step,asset,price\n0,WBTC,30000\n1,DAI\n", ":3: expected 3 fields, got 2"),
+    "underscored_step": ("step,asset,price\n1_000,DAI,1\n", ":2: step '1_000' must be plain digits"),
+    "spaced_step": ("step,asset,price\n 3,DAI,1\n", ":2: step ' 3' must be plain digits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FEEDS))
+def test_malformed_csv_feed_is_a_validation_error_naming_its_line(name, tmp_path, capsys):
+    text, problem = BAD_FEEDS[name]
+    doc = json.loads((SCENARIOS / "table1.json").read_text())
+    doc["price_feeds"] = {"mode": "replay", "csv": "feed.csv"}
+    (tmp_path / "feed.csv").write_text(text + "".join(f"0,{asset},1\n" for asset in doc["assets"]))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"validation error: price_feeds.csv: {tmp_path / 'feed.csv'}{problem}"]
 
 
 def test_walk_overflow_is_a_runtime_error_for_run_and_scan(tmp_path, capsys):

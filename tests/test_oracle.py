@@ -97,7 +97,9 @@ def test_value_usd_rounds_down_vs_rational():
 def test_feed_csv_loader(tmp_path):
     path = tmp_path / "feed.csv"
     path.write_text("step,asset,price\n0,ETH,2000\n5,ETH,1800.5\n0,DAI,1\n")
-    series = load_feed_csv(str(path))
+    problems = []
+    series = load_feed_csv(str(path), problems)
+    assert problems == []
     assert series["ETH"] == [(0, wad(2000)), (5, from_str("1800.5"))]
     assert series["DAI"] == [(0, wad(1))]
     feed = PriceOracle(mode="replay", series=series)

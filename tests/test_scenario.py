@@ -304,14 +304,14 @@ def test_unknown_keys_are_collected_each_with_its_path():
     doc["price_feeds"]["drift"] = "0"
     with pytest.raises(ParseError) as info:
         parse_scenario(doc)
-    assert info.value.problems == [
+    assert info.value.problems == [  # in the document's key order: make_doc puts rewards last
         "pools[0].close_factr: unknown key",
         "pools[1].stable_rate_premium: unknown key",
-        "price_feeds.drift: unknown key",
-        "rewards.supply_splt: unknown key",
         "venues[0].pair: unknown key",
+        "price_feeds.drift: unknown key",
         "agents[0].params.iteration_cap: unknown key",
         "agents[1].params.pool: unknown key",
+        "rewards.supply_splt: unknown key",
     ]
 
 
