@@ -5,10 +5,10 @@ deposit (every IOU the account holds is collateral) once, weighted by the
 collateral factor (the borrowing power that borrow checks and spiral headroom
 read) and by the liquidation threshold, sums the debts, and names the pools of
 the largest debt and of the largest deposit, which the liquidation scanner
-repays and seizes. What it reads
-of the pools (each one's unit rate and IOU balance table) comes from
-pool_reads: the scanner takes them once per scan for every account it values,
-any other caller once per call. Prices come from the oracle's step vector.
+repays and seizes. What it reads of the pools (each one's unit rate and IOU
+balance table) comes from pool_reads: the scanner takes them once per scan for
+every account it values, any other caller once per call. Prices come from the
+oracle's step vector.
 
 Health factor = sum(collateral value * liquidation_threshold) over
 debt value; a position is liquidatable strictly below 1. Any caller may
@@ -58,11 +58,11 @@ checkpoint open.
 A candidate is dirty once a write names it in the undo log's `touched` set:
 a ledger transfer, mint or burn names its accounts (so every IOU balance
 change does), a pool an account whose borrow position it writes, the CDP
-engine a vault whose collateral or debt it writes. Each scan
-moves the set into its dirty set and clears it; a key that names no candidate
-is struck off there. The screen builds at the first scan with every candidate
-dirty and what was written before dropped, so a full scan is the same code run
-with no anchors.
+engine a vault whose collateral or debt it writes. Each scan moves the set
+into its dirty set and clears it; a key that names no candidate is struck off
+there. The screen builds at the first scan with every candidate dirty and what
+was written before dropped, so a full scan is the same code run with no
+anchors.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 A world is mutated by exactly one logical thread. Its pools and CDP engine are
 built on the ledger's undo log, so a write to their protocol state while a
 checkpoint is open (pool scalars, borrow positions, the fee index, vaults and
-their collateral) records the value it overwrites, as a
-balance write does. A world checkpoint is a ledger checkpoint plus the length
-of the event list; rollback undoes the log and truncates the journal and the
-events, so a rolled-back transaction leaves the world bit-identical to before,
-bar the write counts (`Ledger.writes`, `Pool.position_writes`), which count
-each undone write once more — the mechanism behind atomic flash loans and the
+their collateral) records the value it overwrites, as a balance write does. A
+world checkpoint is a ledger checkpoint plus the length of the event list;
+rollback undoes the log and truncates the journal and the events, so a
+rolled-back transaction leaves the world bit-identical to before, bar the
+write counts (`Ledger.writes`, `Pool.position_writes`), which count each
+undone write once more — the mechanism behind atomic flash loans and the
 scanner's scratch simulations. Its cost follows the writes made since the
 checkpoint, not the size of the world. Rollback restores values in place:
 every pool, vault and dict stays the same object, so references held across a
