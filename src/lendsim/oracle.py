@@ -8,6 +8,8 @@ quantized to wad immediately. Besides its feeds, the oracle holds the current
 step's prices: ensure_step(t) reads every asset's price at t into one dict,
 which price_at and value_usd read at t; any other step, or an asset with no
 price at t, is looked up in the feed.
+The oracle trusts its feeds: `scenario.build_world` makes it only from a
+parsed, validated scenario, which checks the mode, prices and series order.
 """
 
 from __future__ import annotations
@@ -50,24 +52,6 @@ class PriceOracle:
     _rngs: dict[str, random.Random] = field(default_factory=dict, repr=False)
     _step: int = field(default=-1, repr=False)  # the step _prices holds
     _prices: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in (REPLAY, WALK):
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
-        for asset, points in self.series.items():
-            last = -1
-            for step, price in points:
-                if step <= last:
-                    raise ValueError(f"feed for {asset} not strictly increasing in step")
-                if price <= 0:
-                    raise ValueError(f"feed for {asset} has non-positive price at step {step}")
-                last = step
-        if self.mode == WALK:
-            if self.walk is None:
-                raise ValueError("walk mode requires WalkParams")
-            for asset, price in self.walk.initial.items():
-                if price <= 0:
-                    raise ValueError(f"initial walk price for {asset} must be positive")
 
     # ------------------------------------------------------------------
     def assets(self) -> list[str]:

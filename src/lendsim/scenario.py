@@ -3,13 +3,13 @@
 A scenario is one JSON document (schema_version 1). All amounts, prices,
 rates and fractions are decimal strings so no precision is lost in transit.
 Parsing reads each JSON object through its key table, which states every key
-once with its reader (its type) and default; a key the table lacks is a
-problem naming its path, as under JSON Schema's `additionalProperties: false`.
-A venue's or fee policy's `kind`, a feed's `mode` and an agent's `kind` (for
-its `params`) choose the table. Validation is the one home of every bound and
-cross-reference: it collects *every* violation instead of stopping at the
-first, names the field of each, and separates hard errors from warnings (e.g.
-a liquidation bonus large enough that liquidation may not improve health).
+once with its reader (its type and bound) and default; a key the table lacks
+is a problem naming its path, as under JSON Schema's `additionalProperties:
+false`. A venue's or fee policy's `kind`, a feed's `mode` and an agent's `kind`
+(for its `params`) choose the table. Validation checks cross-field rules and
+references. Both collect *every* violation instead of stopping at the first
+and name the field of each; validation separates hard errors from warnings
+(e.g. a liquidation bonus large enough that liquidation may not improve health).
 
 Pools are funded at construction through a bootstrap depositor account per
 pool ("lp:<asset>"), so initial cash is real deposited liquidity with matching
@@ -168,15 +168,36 @@ def _list_of(read: Reader) -> Reader:
     ]
 
 
+def _within(read: Reader, bound: str, holds: Callable[[Any], bool]) -> Reader:
+    """`read`, then the problem `<path>: <bound>` if `holds` is false of a value it read without one."""
+
+    def within(raw: Any, where: str, problems: list[str]) -> Any:
+        count = len(problems)
+        value = read(raw, where, problems)
+        if len(problems) == count and not holds(value):
+            problems.append(f"{where}: {bound}")
+        return value
+
+    within.bound = bound
+    return within
+
+
 def _mapping(read: Reader) -> Reader:
-    """A reader of a JSON object keyed by asset symbol."""
-    return lambda raw, where, problems: {
-        key: read(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()
-    }
+    """A reader of a JSON object keyed by asset symbol; the bound of `read` holds for each value."""
+
+    def mapping(raw: Any, where: str, problems: list[str]) -> dict:
+        return {key: read(value, f"{where}.{key}", problems) for key, value in _obj(raw, where, problems).items()}
+
+    mapping.bound = getattr(read, "bound", None)
+    return mapping
 
 
-_amounts = _mapping(_amt)
 _limit = lambda raw, where, problems: _amt(str(raw), where, problems)  # noqa: E731 -- a JSON number reads as its str()
+# bounded readers several rows share; WAD is 1 in the wad integers _amt reads
+_non_negative = _within(_amt, "must be >= 0", lambda value: value >= 0)
+_price = _within(_amt, "price must be > 0", lambda value: value > 0)
+_open_fraction = _within(_amt, "must lie in (0, 1)", lambda value: 0 < value < WAD)
+_fraction_below_one = _within(_amt, "must lie in [0, 1)", lambda value: 0 <= value < WAD)
 
 # A key table maps each JSON key of an object to (reader, default). The default is the JSON value read
 # when the key is absent, or a function of the object's context (its index, the horizon) giving it. A key
@@ -235,10 +256,13 @@ def _agent(raw: Any, where: str, problems: list[str], i: int, horizon: int) -> A
 
 
 _VENUE_ID = (_str, lambda i: f"venue{i}")
-_QUOTE: Table = {"id": _VENUE_ID, "numeraire": (_str, ""), "quotes": (_amounts, {}), "inventory": (_amounts, {}),
-                 "fee_bps": (_int, 0)}
-_AMM: Table = {"id": _VENUE_ID, "pair": (_pair_of(_str, _str), ["", ""]),
-               "reserves": (_pair_of(_amt, _amt), ["0", "0"]), "fee_bps": (_int, 30)}
+_fee_bps = _within(_int, "must lie in [0, 10000)", lambda bps: 0 <= bps < 10_000)
+_QUOTE: Table = {"id": _VENUE_ID, "numeraire": (_str, ""), "quotes": (_mapping(_price), {}),
+                 "inventory": (_mapping(_non_negative), {}), "fee_bps": (_fee_bps, 0)}
+_AMM: Table = {"id": _VENUE_ID, "fee_bps": (_fee_bps, 30),
+               "pair": (_within(_pair_of(_str, _str), "assets must differ", lambda pair: pair[0] != pair[1]), ["", ""]),
+               "reserves": (_within(_pair_of(_amt, _amt), "both reserves must be > 0", lambda pair: min(pair) > 0),
+                            ["0", "0"])}
 _VENUE = _variant("kind", "quote", {  # (venue, genesis holdings)
     "quote": (lambda id, numeraire, quotes, inventory, fee_bps: (
         QuoteVenue(id, numeraire, quotes, fee_bps), list(inventory.items())), _QUOTE),
@@ -252,37 +276,47 @@ _REPLAY: Table = {
     "series": (_mapping(lambda raw, where, problems: [
         _POINT(point, where, problems) for point in _list(raw, where, problems)]), {}),
 }
-_WALK: Table = {"seed": (_int, 0), "drift": (_float, 0), "volatility": (_float, 0), "initial": (_amounts, {})}
+_WALK: Table = {"seed": (_int, 0), "initial": (_mapping(_price), {}),
+                 "drift": (_within(_float, f"must lie in [-{MAX_WALK_RATE}, {MAX_WALK_RATE}]",
+                                   lambda rate: abs(rate) <= MAX_WALK_RATE), 0),
+                 "volatility": (_within(_float, f"must lie in [0, {MAX_WALK_RATE}]",
+                                        lambda rate: 0 <= rate <= MAX_WALK_RATE), 0)}
 _FEEDS = _variant("mode", "replay", {  # (mode, CSV path, series, walk); parse_scenario reads the CSV
     "replay": (lambda csv, series: ("replay", csv, series, None), _REPLAY),
     "walk": (lambda **walk: ("walk", None, {}, WalkParams(**walk)), _WALK),
 })
 
-_RATE_MODEL: Table = {"base_rate": (_amt, "0"), "slope1": (_amt, "0"), "slope2": (_amt, "0"), "kink": (_amt, "0.8"),
-                      "reserve_factor": (_amt, "0")}
+_RATE_MODEL: Table = {"base_rate": (_non_negative, "0"), "slope1": (_non_negative, "0"), "slope2": (_non_negative, "0"),
+                      "kink": (_open_fraction, "0.8"), "reserve_factor": (_fraction_below_one, "0")}
 _POOL: Table = {
-    "asset": (_str, ""), "iou_symbol": (_str, ""), "iou_mode": (_str, EXCHANGE_RATE),
-    "collateral_factor": (_amt, "0"), "liquidation_threshold": (_amt, "0"), "liquidation_bonus": (_amt, "0"),
-    "close_factor": (_amt, "0.5"), "flash_fee": (_amt, "0.0009"), "initial_cash": (_amt, "0"),
+    "asset": (_str, ""), "iou_symbol": (_within(_str, "must be non-empty", bool), ""),
+    "iou_mode": (_str, EXCHANGE_RATE), "collateral_factor": (_fraction_below_one, "0"),
+    "liquidation_threshold": (_amt, "0"), "liquidation_bonus": (_non_negative, "0"),
+    "close_factor": (_within(_amt, "must lie in (0, 1]", lambda value: 0 < value <= WAD), "0.5"),
+    "flash_fee": (_non_negative, "0.0009"), "initial_cash": (_non_negative, "0"),
     "rate_model": (_object(RateModelParams, _RATE_MODEL), {}),
 }
 
-_CONSTANT_FEE: Table = {"fee": (_amt, "0")}
-_PROPORTIONAL_FEE: Table = {"base": (_amt, "0"), "gain": (_amt, "0")}
+_CONSTANT_FEE: Table = {"fee": (_non_negative, "0")}
+_PROPORTIONAL_FEE: Table = {"base": (_amt, "0"), "gain": (_amt, "0")}  # the policy floors its fee at 0
 _CDP: Table = {
-    "dai_symbol": (_str, "DAI"), "issuance_fractions": (_amounts, {}),
-    "stability_fee": (_amt, "0"), "liquidation_penalty": (_amt, "0.13"),
+    "dai_symbol": (_str, "DAI"), "issuance_fractions": (_mapping(_open_fraction), {}),
+    "stability_fee": (_non_negative, "0"), "liquidation_penalty": (_non_negative, "0.13"),
     "fee_policy": (_variant("kind", None, {
         "constant": (constant_fee, _CONSTANT_FEE), "proportional": (proportional_fee, _PROPORTIONAL_FEE)}), None),
 }
 
 _AGENT: Table = {  # _agent reads the params through the table of the kind
-    "id": (_str, lambda i, horizon: f"agent{i}"), "kind": (_str, ""), "endowment": (_amounts, {}), "params": (_obj, {}),
-    "window": (_pair_of(_int, _int), lambda i, horizon: [0, horizon]),
+    "id": (_str, lambda i, horizon: f"agent{i}"), "kind": (_str, ""), "params": (_obj, {}),
+    "endowment": (_mapping(_non_negative), {}),
+    "window": (_within(_pair_of(_int, _int), "must satisfy 0 <= start <= end", lambda pair: 0 <= pair[0] <= pair[1]),
+               lambda i, horizon: [0, horizon]),
 }
 # the pool or venue an agent names is kept as written, for validate_scenario to look up;
 # a spiral limit left null takes run_*_spiral's own default
-_SPIRAL: Table = {"iteration_cap": (_int, None), "min_action": (_limit, None), "buffer": (_limit, None)}
+_SPIRAL: Table = {"iteration_cap": (_within(_int, "must be >= 0", lambda cap: cap >= 0), None),
+                  "min_action": (_within(_limit, "must be > 0", lambda value: value > 0), None),
+                  "buffer": (_within(_limit, "must be >= 0", lambda value: value >= 0), None)}
 _PARAMS: dict[str, Table] = {
     "depositor": {"pool": (None, None)},
     "borrow_spiral": {"pool": (None, None), **_SPIRAL},
@@ -291,8 +325,9 @@ _PARAMS: dict[str, Table] = {
     "arbitrageur": {},
 }
 
-_REWARDS: Table = {"emission_per_pool": (_amt, "0"), "supply_split": (_amt, "0.5")}
-_GAS: Table = {"asset": (_str, None), "fee": (_amt, "0")}
+_REWARDS: Table = {"emission_per_pool": (_non_negative, "0"),
+                   "supply_split": (_within(_amt, "must lie in [0, 1]", lambda value: 0 <= value <= WAD), "0.5")}
+_GAS: Table = {"asset": (_str, None), "fee": (_non_negative, "0")}
 _SCENARIO: Table = {
     "schema_version": (_int, SCHEMA_VERSION),  # checked before the rest is read
     "assets": (_list_of(_str), []),
@@ -305,7 +340,7 @@ _SCENARIO: Table = {
     "agents": (_list, []),  # read by parse_scenario, each with its index and the horizon
     "rewards": (_object(RewardConfig, _REWARDS), {}),
     "gas": (_object(GasConfig, _GAS), {}),
-    "horizon": (_int, 1),
+    "horizon": (_within(_int, "must be >= 1", lambda steps: steps >= 1), 1),
     "seed": (_int, 0),
 }
 
@@ -359,8 +394,10 @@ def _names(value: Any, names: set[str]) -> bool:
 def validate_scenario(sc: Scenario) -> list[str]:
     """Return warnings; raise ValidationError with every hard violation.
 
-    This is the one home of every bound and cross-reference, and each problem
-    names its own field.
+    A bound on one field is checked as its table row is read. This checks
+    cross-field rules, references, and three single-field rules whose problem
+    quotes the value (`iou_mode`, asset symbols, agent ids). Each problem names
+    its own field.
     """
     problems: list[str] = []
     warnings: list[str] = []
@@ -374,10 +411,6 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if priced:
             referenced.update(symbols)
 
-    def at_least(where: str, value: int, low: int = 0) -> None:
-        if value < low:
-            problems.append(f"{where}: must be >= {low}")
-
     for i, symbol in enumerate(sc.assets):
         if not isinstance(symbol, str) or not symbol.isupper() or not symbol.isalnum():
             problems.append(f"assets[{i}]: symbol {symbol!r} must be non-empty uppercase alphanumeric")
@@ -388,33 +421,18 @@ def validate_scenario(sc: Scenario) -> list[str]:
     pool_assets = set()
     for i, spec in enumerate(sc.pools):
         where = f"pools[{i}]"
-        p, model = spec.params, spec.params.rate_model
+        p = spec.params
         defined(f"{where}.asset", [p.asset])
         if p.asset in pool_assets:
             problems.append(f"{where}.asset: duplicate pool for {p.asset!r}")
         pool_assets.add(p.asset)
-        if not p.iou_asset:
-            problems.append(f"{where}.iou_symbol: must be non-empty")
         if p.iou_asset in iou_symbols or p.iou_asset in assets:
             problems.append(f"{where}.iou_symbol: {p.iou_asset!r} collides with another symbol")
         iou_symbols.add(p.iou_asset)
         if p.iou_mode not in (EXCHANGE_RATE, REBASING):
             problems.append(f"{where}.iou_mode: unknown iou_mode {p.iou_mode!r}")
-        if not 0 <= p.collateral_factor < WAD:
-            problems.append(f"{where}.collateral_factor: must lie in [0, 1)")
         if not p.collateral_factor < p.liquidation_threshold <= WAD:
             problems.append(f"{where}.liquidation_threshold: must lie in (collateral_factor, 1]")
-        at_least(f"{where}.liquidation_bonus", p.liquidation_bonus)
-        if not 0 < p.close_factor <= WAD:
-            problems.append(f"{where}.close_factor: must lie in (0, 1]")
-        at_least(f"{where}.flash_fee", p.flash_fee)
-        for name in ("base_rate", "slope1", "slope2"):
-            at_least(f"{where}.rate_model.{name}", getattr(model, name))
-        if not 0 < model.kink < WAD:
-            problems.append(f"{where}.rate_model.kink: must lie in (0, 1)")
-        if not 0 <= model.reserve_factor < WAD:
-            problems.append(f"{where}.rate_model.reserve_factor: must lie in [0, 1)")
-        at_least(f"{where}.initial_cash", spec.initial_cash)
         if mul_down(p.liquidation_threshold, WAD + p.liquidation_bonus) >= WAD:
             warnings.append(f"{where}: liquidation_threshold*(1+bonus) >= 1: liquidation may not improve health")
 
@@ -427,34 +445,15 @@ def validate_scenario(sc: Scenario) -> list[str]:
         if isinstance(v, QuoteVenue):
             defined(f"{where}.numeraire", [v.numeraire])
             defined(f"{where}.quotes", v.quotes)
-            for asset, price in v.quotes.items():
-                if price <= 0:
-                    problems.append(f"{where}.quotes.{asset}: price must be > 0")
-                if asset == v.numeraire:
-                    problems.append(f"{where}.quotes.{asset}: the numeraire cannot be quoted in itself")
+            if v.numeraire in v.quotes:
+                problems.append(f"{where}.quotes.{v.numeraire}: the numeraire cannot be quoted in itself")
             defined(f"{where}.inventory", [asset for asset, _ in holdings], priced=False)
-            for asset, amount in holdings:
-                at_least(f"{where}.inventory.{asset}", amount)
         else:
             defined(f"{where}.pair", v.pair)
-            if v.pair[0] == v.pair[1]:
-                problems.append(f"{where}.pair: assets must differ")
-            if min(amount for _, amount in holdings) <= 0:
-                problems.append(f"{where}.reserves: both reserves must be > 0")
-        if not 0 <= v.fee_bps < 10_000:
-            problems.append(f"{where}.fee_bps: must lie in [0, 10000)")
 
     if sc.cdp is not None:
         defined("cdp.dai_symbol", [sc.cdp.dai_asset])
         defined("cdp.issuance_fractions", sc.cdp.issuance_fraction)
-        for asset, theta in sc.cdp.issuance_fraction.items():
-            if not 0 < theta < WAD:
-                problems.append(f"cdp.issuance_fractions.{asset}: must lie in (0, 1)")
-        at_least("cdp.stability_fee", sc.cdp.stability_fee)
-        at_least("cdp.liquidation_penalty", sc.cdp.liquidation_penalty)
-        if sc.cdp.fee_policy is not None:
-            # only a constant policy can return a negative fee; the proportional one floors at 0
-            at_least("cdp.fee_policy.fee", sc.cdp.fee_policy(WAD))
 
     fed_assets = set(sc.feed_series) if sc.feed_walk is None else set(sc.feed_walk.initial)
     for asset in sorted(referenced):
@@ -473,17 +472,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
             if price <= 0:
                 problems.append(f"price_feeds.series.{asset}: price at step {step} must be > 0")
                 break
-
     if sc.feed_walk is not None:
-        walk = sc.feed_walk
-        defined("price_feeds.initial", walk.initial, priced=False)
-        for asset, price in walk.initial.items():
-            if price <= 0:
-                problems.append(f"price_feeds.initial.{asset}: price must be > 0")
-        if abs(walk.drift) > MAX_WALK_RATE:
-            problems.append(f"price_feeds.drift: must lie in [-{MAX_WALK_RATE}, {MAX_WALK_RATE}]")
-        if not 0 <= walk.volatility <= MAX_WALK_RATE:
-            problems.append(f"price_feeds.volatility: must lie in [0, {MAX_WALK_RATE}]")
+        defined("price_feeds.initial", sc.feed_walk.initial, priced=False)
 
     reserved = {FEE_SINK_ACCOUNT, SCANNER_ACCOUNT, VAULT_ENGINE_ACCOUNT}
     seen_agents = set()
@@ -497,16 +487,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
             problems.append(f"{where}.id: duplicate agent id {a.agent_id!r}")
         seen_agents.add(a.agent_id)
         defined(f"{where}.endowment", a.endowment, priced=False)
-        for asset, amount in a.endowment.items():
-            at_least(f"{where}.endowment.{asset}", amount)
-        if a.window[0] < 0 or a.window[1] < a.window[0]:
-            problems.append(f"{where}.window: must satisfy 0 <= start <= end")
         params = a.params
-        if params.get("min_action") is not None and params["min_action"] <= 0:
-            problems.append(f"{where}.params.min_action: must be > 0")
-        for key in ("buffer", "iteration_cap"):
-            if params.get(key) is not None:
-                at_least(f"{where}.params.{key}", params[key])
         if a.kind in ("depositor", "borrow_spiral"):
             if not _names(params.get("pool"), pool_assets):
                 problems.append(f"{where}.params.pool: no pool for {params.get('pool')!r}")
@@ -522,13 +503,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
             ):
                 problems.append(f"{where}.params.venue: venue {venue_id!r} does not trade {borrow} for {collateral}")
 
-    if not 0 <= sc.rewards.supply_split <= WAD:
-        problems.append("rewards.supply_split: must lie in [0, 1]")
-    at_least("rewards.emission_per_pool", sc.rewards.emission_per_pool)
     if sc.gas.asset is not None:
         defined("gas.asset", [sc.gas.asset], priced=False)
-    at_least("gas.fee", sc.gas.fee)
-    at_least("horizon", sc.horizon, 1)
 
     if problems:
         raise ValidationError(problems)

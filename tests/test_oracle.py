@@ -33,11 +33,6 @@ def test_missing_feed():
         replay_oracle().price_at("BTC", 0)
 
 
-def test_replay_requires_strictly_increasing_steps():
-    with pytest.raises(ValueError):
-        PriceOracle(mode="replay", series={"ETH": [(0, wad(1)), (0, wad(2))]})
-
-
 def walk_oracle(seed=7):
     return PriceOracle(
         mode="walk",

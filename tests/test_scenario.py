@@ -109,12 +109,10 @@ def test_every_pool_bound_names_its_field():
         flash_fee="-0.01", initial_cash="-1",
         rate_model={"base_rate": "-0.01", "slope2": "-1", "kink": "1", "reserve_factor": "1"},
     )
-    with pytest.raises(ValidationError) as info:
-        check(doc)
+    with pytest.raises(ParseError) as info:  # each single-field bound is its key's table row
+        parse_scenario(doc)
     assert info.value.problems == [
-        "pools[0].iou_mode: unknown iou_mode 'bogus'",
         "pools[0].collateral_factor: must lie in [0, 1)",
-        "pools[0].liquidation_threshold: must lie in (collateral_factor, 1]",
         "pools[0].liquidation_bonus: must be >= 0",
         "pools[0].close_factor: must lie in (0, 1]",
         "pools[0].flash_fee: must be >= 0",
@@ -123,6 +121,14 @@ def test_every_pool_bound_names_its_field():
         "pools[0].rate_model.kink: must lie in (0, 1)",
         "pools[0].rate_model.reserve_factor: must lie in [0, 1)",
         "pools[0].initial_cash: must be >= 0",
+    ]
+    # what validation checks: a value the problem quotes, and a rule across two fields
+    doc["pools"][0] = pool_doc("ETH", "cETH", "bogus", collateral_factor="0.5", liquidation_threshold="1.5")
+    with pytest.raises(ValidationError) as info:
+        check(doc)
+    assert info.value.problems == [
+        "pools[0].iou_mode: unknown iou_mode 'bogus'",
+        "pools[0].liquidation_threshold: must lie in (collateral_factor, 1]",
     ]
 
 
@@ -155,8 +161,8 @@ def test_bad_horizon_and_rewards():
     doc = base_doc()
     doc["horizon"] = 0
     doc["rewards"] = {"emission_per_pool": "1", "supply_split": "1.5"}
-    with pytest.raises(ValidationError) as info:
-        check(doc)
+    with pytest.raises(ParseError) as info:
+        parse_scenario(doc)
     text = "\n".join(info.value.problems)
     assert "horizon" in text and "supply_split" in text
 
@@ -214,22 +220,23 @@ AMM = {"kind": "amm", "id": "amm1", "pair": ["ETH", "DAI"], "reserves": ["10", "
 
 
 @pytest.mark.parametrize(
-    "venue, problem",
+    "venue, problem, error",
     [
-        ({**QUOTE, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)"),
-        ({**AMM, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)"),
-        ({**QUOTE, "quotes": {"ETH": "0"}}, "venues[0].quotes.ETH: price must be > 0"),
+        ({**QUOTE, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)", ParseError),
+        ({**AMM, "fee_bps": 10_000}, "venues[0].fee_bps: must lie in [0, 10000)", ParseError),
+        ({**QUOTE, "quotes": {"ETH": "0"}}, "venues[0].quotes.ETH: price must be > 0", ParseError),
         ({**QUOTE, "quotes": {"ETH": "2000", "DAI": "1.1"}},
-         "venues[0].quotes.DAI: the numeraire cannot be quoted in itself"),
-        ({**AMM, "pair": ["ETH", "ETH"]}, "venues[0].pair: assets must differ"),
-        ({**AMM, "reserves": ["10", "0"]}, "venues[0].reserves: both reserves must be > 0"),
-        ({**QUOTE, "inventory": {"DAI": "-1"}}, "venues[0].inventory.DAI: must be >= 0"),
+         "venues[0].quotes.DAI: the numeraire cannot be quoted in itself", ValidationError),
+        ({**AMM, "pair": ["ETH", "ETH"]}, "venues[0].pair: assets must differ", ParseError),
+        ({**AMM, "reserves": ["10", "0"]}, "venues[0].reserves: both reserves must be > 0", ParseError),
+        ({**QUOTE, "inventory": {"DAI": "-1"}}, "venues[0].inventory.DAI: must be >= 0", ParseError),
     ],
     ids=["quote_fee_bps", "amm_fee_bps", "quote_zero_price", "quote_own_numeraire", "amm_equal_pair",
          "amm_zero_reserve", "negative_inventory"],
 )
-def test_each_venue_bound_is_a_validation_error_naming_its_field(venue, problem):
-    with pytest.raises(ValidationError) as info:
+def test_each_venue_bound_is_a_validation_error_naming_its_field(venue, problem, error):
+    # a bound on one field is a parse problem; the numeraire rule reads two fields
+    with pytest.raises(error) as info:
         check(base_doc(venues=[venue]))
     assert info.value.problems == [problem]
 
@@ -237,8 +244,8 @@ def test_each_venue_bound_is_a_validation_error_naming_its_field(venue, problem)
 def test_amm_with_zero_reserves_rejected():
     doc = base_doc()
     doc["venues"] = [{"kind": "amm", "id": "amm1", "pair": ["ETH", "DAI"], "reserves": ["0", "10"]}]
-    with pytest.raises(ValidationError, match="reserves"):
-        check(doc)
+    with pytest.raises(ParseError, match="reserves"):
+        parse_scenario(doc)
 
 
 def test_gas_asset_must_exist():
@@ -320,7 +327,7 @@ def test_absent_keys_take_their_table_defaults():
         "schema_version": 1,
         "assets": ["ETH", "DAI"],
         "pools": [{"asset": "ETH", "iou_symbol": "cETH"}],
-        "venues": [{"kind": "amm"}, {}],
+        "venues": [{"kind": "amm", "pair": ["ETH", "DAI"], "reserves": ["1", "2"]}, {}],
         "price_feeds": {"mode": "walk"},
         "cdp": {"fee_policy": {"kind": "proportional"}},
         "agents": [{"kind": "liquidator"}, {"kind": "borrow_spiral", "params": {"pool": "ETH"}}],
@@ -332,7 +339,7 @@ def test_absent_keys_take_their_table_defaults():
         "exchange-rate", 0, from_str("0.5"), from_str("0.0009"), 0)
     assert (model.base_rate, model.kink, model.reserve_factor) == (0, from_str("0.8"), 0)
     (amm, reserves), (quote, inventory) = sc.venues
-    assert (amm.venue_id, amm.pair, amm.fee_bps, reserves) == ("venue0", ("", ""), 30, [("", 0), ("", 0)])
+    assert (amm.venue_id, amm.fee_bps) == ("venue0", 30)
     assert (quote.venue_id, quote.numeraire, quote.quotes, quote.fee_bps, inventory) == ("venue1", "", {}, 0, [])
     assert (sc.feed_mode, sc.feed_series, sc.feed_walk.seed, sc.feed_walk.drift, sc.feed_walk.initial) == (
         "walk", {}, 0, 0.0, {})
@@ -345,6 +352,12 @@ def test_absent_keys_take_their_table_defaults():
     assert (sc.rewards.emission_per_pool, sc.rewards.supply_split) == (0, from_str("0.5"))
     assert (sc.gas.asset, sc.gas.fee, sc.seed, sc.cdp is not None) == (None, 0, 0, True)
     assert parse_scenario({"schema_version": 1}).cdp is None
+    # an AMM's pair and reserves are required: their defaults are out of bound
+    doc["venues"][0] = {"kind": "amm"}
+    with pytest.raises(ParseError) as info:
+        parse_scenario(doc)
+    assert info.value.problems == [
+        "venues[0].pair: assets must differ", "venues[0].reserves: both reserves must be > 0"]
 
 
 def readme_key_tables() -> dict[str, set[str]]:
