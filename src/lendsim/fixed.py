@@ -60,6 +60,12 @@ def wad(units: int | str) -> int:
     return from_str(units)
 
 
+def is_plain(text: str) -> bool:
+    """Whether `text` is ASCII with no `_` and no surrounding whitespace: Decimal() and
+    float() also read "1_000", " 1" and non-ASCII digits, which no JSON writer means."""
+    return text.isascii() and "_" not in text and text.strip() == text
+
+
 def from_str(text: str) -> int:
     """Parse a decimal string ("1.5", "0.000000000000000001") to raw units.
 
@@ -70,6 +76,8 @@ def from_str(text: str) -> int:
         dec = Decimal(text)
     except InvalidOperation as exc:
         raise AmountError(f"not a decimal literal: {text!r}") from exc
+    if not is_plain(text):
+        raise AmountError(f"not a decimal literal: {text!r}")
     if not dec.is_finite():
         raise AmountError(f"not a finite decimal: {text!r}")
     if dec.copy_abs() > _MAX_DECIMAL:  # Decimal comparisons are exact

@@ -29,7 +29,7 @@ from typing import Any, Callable
 from . import oracle as oracle_mod
 from .agents import AGENT_CLASSES
 from .cdp import CDP_AUTHORITY, VAULT_ENGINE_ACCOUNT, CdpEngine, FeePolicy, constant_fee, proportional_fee
-from .fixed import AmountError, WAD, from_str, mul_down
+from .fixed import AmountError, WAD, from_str, is_plain, mul_down
 from .ledger import GENESIS_AUTHORITY, Ledger
 from .oracle import PriceOracle, WalkParams
 from .pool import EXCHANGE_RATE, REBASING, Pool, PoolParams, RateModelParams
@@ -123,6 +123,9 @@ def _amt(raw: Any, where: str, problems: list[str], convert: Callable[[str], int
 
 def _float(raw: Any, where: str, problems: list[str]) -> float:
     """A finite JSON number or decimal string, never a boolean."""
+    if type(raw) is str and not is_plain(raw):
+        problems.append(f"{where}: not a decimal literal: {raw!r}")
+        return 0.0
     try:
         if not isinstance(raw, bool) and math.isfinite(value := float(raw)):
             return value
@@ -199,9 +202,10 @@ _price = _within(_amt, "price must be > 0", lambda value: value > 0)
 _open_fraction = _within(_amt, "must lie in (0, 1)", lambda value: 0 < value < WAD)
 _fraction_below_one = _within(_amt, "must lie in [0, 1)", lambda value: 0 <= value < WAD)
 
-# A key table maps each JSON key of an object to (reader, default). The default is the JSON value read
-# when the key is absent, or a function of the object's context (its index, the horizon) giving it. A key
-# whose default is null may be null, read as None; a key whose reader is None keeps its value as written.
+# A key table maps each JSON key of an object to (reader, default); the reader checks the key's type and
+# bound. The default is the JSON value read, bound included, when the key is absent, or a function of the
+# object's context (its index, the horizon) giving it. A key whose default is null may be null, read as
+# None; a key whose reader is None keeps its value as written.
 Table = dict[str, tuple]
 
 

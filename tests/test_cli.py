@@ -106,6 +106,11 @@ REJECTED = {
     "fee_bps_string": (_set("venues", 0, "fee_bps", "30"), []),
     "window_float": (_set("agents", 0, "window", [0, 1.5]), []),
     "seed_string": (_set("seed", "7"), []),
+    # decimal text that Decimal() or float() reads but no JSON writer means
+    "initial_cash_underscore": (_set("pools", 0, "initial_cash", "1_000"), []),
+    "endowment_padded": (_set("agents", 0, "endowment", "WETH", " 1"), []),
+    "inventory_arabic_indic_digit": (_set("venues", 1, "inventory", "WBTC", "\u0661"), []),
+    "drift_underscore": (_set("price_feeds", "drift", "0_001"), []),
     "drift_bool": (_set("price_feeds", "drift", True), []),
     # ids are JSON strings: no null read as "None", no number read as its digits
     "agent_id_null": (_set("agents", 0, "id", None), []),
@@ -193,6 +198,7 @@ BAD_FEEDS = {
     "missing_field": ("step,asset,price\n0,WBTC,30000\n1,DAI\n", ":3: expected 3 fields, got 2"),
     "underscored_step": ("step,asset,price\n1_000,DAI,1\n", ":2: step '1_000' must be plain digits"),
     "spaced_step": ("step,asset,price\n 3,DAI,1\n", ":2: step ' 3' must be plain digits"),
+    "spaced_price": ("step,asset,price\n0,DAI, 1\n", ":2: not a decimal literal: ' 1'"),
 }
 
 

@@ -42,6 +42,13 @@ def test_rejects_excess_precision():
         from_str("abc")
 
 
+@pytest.mark.parametrize("text", ["1_000", " 1", "1 ", "\t1", "1\n", "\u0661", "\uff11", "1\u00a0"])
+def test_rejects_forms_decimal_reads_but_no_json_writer_means(text):
+    # underscores, surrounding whitespace and non-ASCII digits or spaces
+    with pytest.raises(AmountError, match="not a decimal literal"):
+        from_str(text)
+
+
 def test_amounts_are_bounded_to_uint256():
     top = 2**256 - 1
     assert from_str(to_str(top)) == top
