@@ -78,7 +78,8 @@ class RateModelParams:
 
 @dataclass
 class PoolParams:
-    """A market's risk parameters; `scenario.validate_scenario` checks the bounds noted here."""
+    """A market's risk parameters, bounded as noted: each bound on one field is its scenario
+    key's table row, and `scenario.validate_scenario` checks the threshold against c."""
 
     asset: str
     iou_asset: str

@@ -476,6 +476,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
             if price <= 0:
                 problems.append(f"price_feeds.series.{asset}: price at step {step} must be > 0")
                 break
+
     if sc.feed_walk is not None:
         defined("price_feeds.initial", sc.feed_walk.initial, priced=False)
 

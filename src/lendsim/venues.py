@@ -14,7 +14,8 @@ an exact-out buy (None past inventory or reserve) that `sell`/`buy` trade at;
 input on the other asset along a route that `converts`, the one route rule,
 accepts; `linear` (proceeds proportional to size) lets the arbitrage scanner
 size a trade in closed form. `scenario.parse_scenario` builds these objects and
-`validate_scenario` owns their bounds, so the constructors check nothing.
+checks each field's bound, and `validate_scenario` the rules across fields, so
+the constructors check nothing.
 """
 
 from __future__ import annotations

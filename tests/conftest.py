@@ -13,23 +13,29 @@ from lendsim.scenario import build_world, parse_scenario, validate_scenario
 # outputs (which CI reads), so a deliberate byte change re-pins in this one file
 DIGESTS = json.loads((Path(__file__).resolve().parent / "digests.json").read_text())
 
-# the keys of each scenario object in the parser's tables, by the README heading that documents them;
-# a variant's table leaves out the tag key (`kind`, `mode`) that chose it
+def bounds(table, tag=None) -> dict[str, str]:
+    """{key: the bound its reader checks, or ""} of a key table, with the `tag` key (`kind`, `mode`)
+    that chose a variant's table; a reader of a map keyed by symbol holds its values' bound."""
+    rows = {key: getattr(read, "bound", None) or "" for key, (read, _) in table.items()}
+    return rows if tag is None else {tag: "", **rows}
+
+
+# each scenario object's key table, as bounds() reads it, by the README heading that documents it
 KEY_TABLES = {
-    "Top level": set(scenario._SCENARIO),
-    "`pools[]`": set(scenario._POOL),
-    "`pools[].rate_model`": set(scenario._RATE_MODEL),
-    "`venues[]` of kind `quote`": {"kind", *scenario._QUOTE},
-    "`venues[]` of kind `amm`": {"kind", *scenario._AMM},
-    "`price_feeds` of mode `replay`": {"mode", *scenario._REPLAY},
-    "`price_feeds` of mode `walk`": {"mode", *scenario._WALK},
-    "`cdp`": set(scenario._CDP),
-    "`cdp.fee_policy` of kind `constant`": {"kind", *scenario._CONSTANT_FEE},
-    "`cdp.fee_policy` of kind `proportional`": {"kind", *scenario._PROPORTIONAL_FEE},
-    "`agents[]`": set(scenario._AGENT),
-    **{f"`agents[].params` of kind `{kind}`": set(table) for kind, table in scenario._PARAMS.items()},
-    "`rewards`": set(scenario._REWARDS),
-    "`gas`": set(scenario._GAS),
+    "Top level": bounds(scenario._SCENARIO),
+    "`pools[]`": bounds(scenario._POOL),
+    "`pools[].rate_model`": bounds(scenario._RATE_MODEL),
+    "`venues[]` of kind `quote`": bounds(scenario._QUOTE, "kind"),
+    "`venues[]` of kind `amm`": bounds(scenario._AMM, "kind"),
+    "`price_feeds` of mode `replay`": bounds(scenario._REPLAY, "mode"),
+    "`price_feeds` of mode `walk`": bounds(scenario._WALK, "mode"),
+    "`cdp`": bounds(scenario._CDP),
+    "`cdp.fee_policy` of kind `constant`": bounds(scenario._CONSTANT_FEE, "kind"),
+    "`cdp.fee_policy` of kind `proportional`": bounds(scenario._PROPORTIONAL_FEE, "kind"),
+    "`agents[]`": bounds(scenario._AGENT),
+    **{f"`agents[].params` of kind `{kind}`": bounds(table) for kind, table in scenario._PARAMS.items()},
+    "`rewards`": bounds(scenario._REWARDS),
+    "`gas`": bounds(scenario._GAS),
 }
 
 

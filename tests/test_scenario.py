@@ -1,6 +1,7 @@
 """Scenario parsing and validation: referential checks, parameter invariants."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from lendsim.scenario import (
 from conftest import KEY_TABLES, make_doc, pool_doc
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
 
 def check(doc):
@@ -129,6 +131,97 @@ def test_every_pool_bound_names_its_field():
     assert info.value.problems == [
         "pools[0].iou_mode: unknown iou_mode 'bogus'",
         "pools[0].liquidation_threshold: must lie in (collateral_factor, 1]",
+    ]
+
+
+def set_path(doc, path, value):
+    """Set the field at a problem's path ("pools[0].rate_model.kink"), making absent objects on the way."""
+    *parents, last = [int(key) if key.isdigit() else key for key in re.findall(r"\w+", path)]
+    for key in parents:
+        doc = doc[key] if isinstance(key, int) else doc.setdefault(key, {})
+    doc[last] = value
+
+
+TINY, ABOVE_ONE = "0.000000000000000001", "1.000000000000000001"
+# each table row's bound: path in table1 -> (bound, values just past it, values at its closed ends)
+ROW_BOUNDS = {
+    "pools[0].iou_symbol": ("must be non-empty", [""], []),
+    "pools[0].collateral_factor": ("must lie in [0, 1)", ["-" + TINY, "1"], ["0"]),
+    "pools[0].liquidation_bonus": ("must be >= 0", ["-" + TINY], ["0"]),
+    "pools[0].close_factor": ("must lie in (0, 1]", ["0", ABOVE_ONE], ["1"]),
+    "pools[0].flash_fee": ("must be >= 0", ["-" + TINY], ["0"]),
+    "pools[0].initial_cash": ("must be >= 0", ["-" + TINY], ["0"]),
+    "pools[0].rate_model.base_rate": ("must be >= 0", ["-" + TINY], ["0"]),
+    "pools[0].rate_model.slope1": ("must be >= 0", ["-" + TINY], ["0"]),
+    "pools[0].rate_model.slope2": ("must be >= 0", ["-" + TINY], ["0"]),
+    "pools[0].rate_model.kink": ("must lie in (0, 1)", ["0", "1"], []),
+    "pools[0].rate_model.reserve_factor": ("must lie in [0, 1)", ["-" + TINY, "1"], ["0"]),
+    "venues[0].fee_bps": ("must lie in [0, 10000)", [-1, 10_000], [0]),  # the AMM
+    "venues[0].pair": ("assets must differ", [["DAI", "DAI"]], []),
+    "venues[0].reserves": ("both reserves must be > 0", [["0", "1"], ["1", "0"]], []),
+    "venues[1].fee_bps": ("must lie in [0, 10000)", [-1, 10_000], [0]),  # the quote venue
+    "venues[1].quotes.WETH": ("price must be > 0", ["0"], []),
+    "venues[1].inventory.WBTC": ("must be >= 0", ["-" + TINY], ["0"]),
+    "cdp.issuance_fractions.WETH": ("must lie in (0, 1)", ["0", "1"], []),
+    "cdp.stability_fee": ("must be >= 0", ["-" + TINY], ["0"]),
+    "cdp.liquidation_penalty": ("must be >= 0", ["-" + TINY], ["0"]),
+    "cdp.fee_policy.fee": ("must be >= 0", ["-" + TINY], ["0"]),
+    "price_feeds.initial.WETH": ("price must be > 0", ["0"], []),
+    "price_feeds.drift": ("must lie in [-1, 1]", [math.nextafter(-1, -2), math.nextafter(1, 2)], [-1, 1]),
+    "price_feeds.volatility": ("must lie in [0, 1]", [math.nextafter(0, -1), math.nextafter(1, 2)], [0, "1"]),
+    "agents[0].endowment.WETH": ("must be >= 0", ["-" + TINY], ["0"]),
+    "agents[0].window": ("must satisfy 0 <= start <= end", [[-1, 0], [1, 0]], [[0, 0]]),
+    "agents[2].params.iteration_cap": ("must be >= 0", [-1], [0]),
+    "agents[2].params.min_action": ("must be > 0", ["0"], []),
+    "agents[2].params.buffer": ("must be >= 0", ["-" + TINY, -1e-18], ["0", 0]),
+    "rewards.emission_per_pool": ("must be >= 0", ["-" + TINY], ["0"]),
+    "rewards.supply_split": ("must lie in [0, 1]", ["-" + TINY, ABOVE_ONE], ["0", "1"]),
+    "gas.fee": ("must be >= 0", ["-" + TINY], ["0"]),
+    "horizon": ("must be >= 1", [0], [1]),
+}
+# a value its reader rejects is reported once, not also against the row's bound
+WRONG_TYPES = [
+    ("pools[0].close_factor", 0, "amounts must be decimal strings, got int"),
+    ("pools[0].initial_cash", "1_000", "not a decimal literal: '1_000'"),
+    ("venues[0].reserves", ["0"], "expected a pair, got ['0']"),
+    ("venues[1].fee_bps", "30", "expected an integer, got str"),
+    ("price_feeds.drift", "0_001", "not a decimal literal: '0_001'"),
+    ("price_feeds.volatility", True, "expected a finite float, got True"),
+    ("agents[0].window", [-1, 0.5], "expected an integer, got float"),
+    ("horizon", "ten", "expected an integer, got str"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [(path, value, bound) for path, (bound, past, _) in ROW_BOUNDS.items() for value in past] + WRONG_TYPES,
+)
+def test_a_value_past_its_bound_or_of_the_wrong_type_is_one_problem(path, value, problem):
+    doc = json.loads(TABLE1.read_text())
+    set_path(doc, path, value)
+    with pytest.raises(ParseError) as info:
+        parse_scenario(doc)
+    assert info.value.problems == [f"{path}: {problem}"]
+
+
+@pytest.mark.parametrize("path, value", [(path, value) for path, (_, _, ends) in ROW_BOUNDS.items() for value in ends])
+def test_a_value_at_a_closed_end_of_its_bound_parses(path, value):
+    doc = json.loads(TABLE1.read_text())
+    set_path(doc, path, value)
+    parse_scenario(doc)
+
+
+def test_bound_and_unknown_key_problems_come_in_one_parse_error_in_document_order():
+    doc = json.loads(TABLE1.read_text())
+    doc["rewards"]["supply_splt"] = "0.5"
+    doc["pools"][1]["close_factr"] = "0.4"
+    doc["pools"][0]["close_factor"] = "0"
+    with pytest.raises(ParseError) as info:
+        parse_scenario(doc)
+    assert info.value.problems == [
+        "pools[0].close_factor: must lie in (0, 1]",
+        "pools[1].close_factr: unknown key",
+        "rewards.supply_splt: unknown key",
     ]
 
 
@@ -360,13 +453,14 @@ def test_absent_keys_take_their_table_defaults():
         "venues[0].pair: assets must differ", "venues[0].reserves: both reserves must be > 0"]
 
 
-def readme_key_tables() -> dict[str, set[str]]:
-    """{heading: the keys its table names} for each object in the README's scenario key reference."""
+def readme_key_tables() -> dict[str, dict[str, str]]:
+    """{heading: {key: its bound column}} for each object in the README's scenario key reference."""
     section = README.read_text().split("### Scenario key reference\n", 1)[1].split("\n## ", 1)[0]
     tables = {}
     for block in section.split("\n#### ")[1:]:
         heading, _, body = block.partition("\n")
-        tables[heading] = set(re.findall(r"^\| `(\w+)` \|", body, re.M))
+        rows = re.findall(r"^\| `(\w+)` \|.*\|.*\|(.*)\|$", body, re.M)
+        tables[heading] = {key: bound.strip() for key, bound in rows}
     return tables
 
 
