@@ -13,6 +13,7 @@ from lendsim.scenario import build_world, parse_scenario, validate_scenario
 # outputs (which CI reads), so a deliberate byte change re-pins in this one file
 DIGESTS = json.loads((Path(__file__).resolve().parent / "digests.json").read_text())
 
+
 def bounds(table, tag=None) -> dict[str, str]:
     """{key: the bound its reader checks, or ""} of a key table, with the `tag` key (`kind`, `mode`)
     that chose a variant's table; a reader of a map keyed by symbol holds its values' bound."""
