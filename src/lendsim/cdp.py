@@ -16,10 +16,11 @@ market price; the market price only matters to traders and the fee policy.
 each held collateral asset's price and issuance fraction are read once, and
 the value/bound arithmetic is the same helper `_valuation` uses.
 
-Every write to the engine's state first records the old value in its undo log
-(the world ledger's), so a world rollback restores it in place. A write to a
-vault's collateral or debt also names the vault id in the log's `touched`
-set, which the liquidation scan's risk screen reads.
+Vault debt is a ledger.DebtBook keyed by vault id, against the fee index:
+`debts`. The engine's state is written through the world ledger's undo log,
+so a world rollback restores it in place (ledger.py); a write to a vault's
+collateral names the vault id in the log's `touched` set, as a debt-book
+write does.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import errors
-from .fixed import WAD, div_up, mul_down, mul_up, require_amount, scaled_after_repay, to_str
-from .ledger import UndoLog
+from .fixed import WAD, mul_down, mul_up, require_amount, to_str
+from .ledger import DebtBook, UndoLog
 from .liquidation import seize_split
 
 VAULT_ENGINE_ACCOUNT = "vault-engine"
@@ -69,7 +70,6 @@ class _Marks(dict):
 class Vault:
     owner: str
     collateral: dict[str, int] = field(default_factory=dict)
-    debt_scaled: int = 0  # debt / fee_index at last touch
 
 
 def _value_and_bound(vault: Vault, marks: _Marks) -> tuple[int, int]:
@@ -101,6 +101,7 @@ class CdpEngine:
         self.fee_policy = fee_policy
         self.fee_index = WAD
         self.vaults: dict[int, Vault] = {}
+        self.debts = DebtBook(undo)  # vault id -> debt / fee_index at its last write
         self.undo = undo
 
     # ------------------------------------------------------------------
@@ -116,8 +117,8 @@ class CdpEngine:
         except KeyError:
             raise errors.UnknownVault(str(vault_id)) from None
 
-    def debt_of(self, vault: Vault) -> int:
-        return mul_up(vault.debt_scaled, self.fee_index)
+    def debt_of(self, vault_id: int) -> int:
+        return self.debts.debt_of(vault_id, self.fee_index)
 
     def _valuation(self, world, vault: Vault, step: int) -> tuple[int, int]:
         """One walk over a vault's collateral: (USD value, issuance bound)."""
@@ -130,8 +131,8 @@ class CdpEngine:
         """Max debt (stablecoin units at the 1 USD target) the vault supports."""
         return self._valuation(world, vault, step)[1]
 
-    def is_unsafe(self, world, vault: Vault, step: int) -> bool:
-        return self.debt_of(vault) > self.issuance_bound(world, vault, step)
+    def is_unsafe(self, world, vault_id: int, step: int) -> bool:
+        return self.debt_of(vault_id) > self.issuance_bound(world, self.vault(vault_id), step)
 
     # ------------------------------------------------------------------
     def lock(self, world, vault_id: int, asset: str, amount: int) -> None:
@@ -150,12 +151,13 @@ class CdpEngine:
         held = vault.collateral.get(asset, 0)
         if amount > held:
             raise errors.InsufficientBalance(f"vault {vault_id} holds {held} {asset}")
-        if self.debt_of(vault) > 0:
+        debt = self.debt_of(vault_id)
+        if debt > 0:
             removed = mul_down(
                 world.oracle.value_usd(amount, asset, step),
                 self.issuance_fraction.get(asset, 0),
             )
-            if self.debt_of(vault) > self.issuance_bound(world, vault, step) - removed:
+            if debt > self.issuance_bound(world, vault, step) - removed:
                 raise errors.WouldBreachIssuanceBound(f"vault {vault_id}")
         self.undo.save_items(vault.collateral, asset)
         self.undo.touched.add(vault_id)
@@ -167,32 +169,24 @@ class CdpEngine:
         vault = self.vault(vault_id)
         if amount == 0:
             return
-        new_debt = self.debt_of(vault) + amount
+        new_debt = self.debt_of(vault_id) + amount
         if new_debt > self.issuance_bound(world, vault, step):
             raise errors.ExceedsIssuanceBound(
                 f"vault {vault_id}: debt {new_debt} > bound {self.issuance_bound(world, vault, step)}"
             )
-        self.undo.save_attrs(vault, "debt_scaled")
-        self.undo.touched.add(vault_id)
-        vault.debt_scaled += div_up(amount, self.fee_index)
+        self.debts.add(vault_id, amount, self.fee_index)
         world.ledger.mint(vault.owner, self.dai_asset, amount, CDP_AUTHORITY, tag="dai-draw")
 
     def repay(self, world, vault_id: int, amount: int) -> int:
         require_amount(amount)
         vault = self.vault(vault_id)
-        debt = self.debt_of(vault)
+        debt = self.debt_of(vault_id)
         if debt == 0:
             raise errors.NoDebt(f"vault {vault_id}")
         applied = min(amount, debt)
         world.ledger.burn(vault.owner, self.dai_asset, applied, CDP_AUTHORITY, tag="dai-repay")
-        self.undo.touched.add(vault_id)
-        self._reduce_debt(vault, applied)
+        self.debts.reduce(vault_id, applied, self.fee_index)
         return applied
-
-    def _reduce_debt(self, vault: Vault, applied: int) -> None:
-        """Book a repayment of at most the vault's debt; the whole debt clears it."""
-        self.undo.save_attrs(vault, "debt_scaled")
-        vault.debt_scaled = scaled_after_repay(vault.debt_scaled, self.fee_index, applied)
 
     # ------------------------------------------------------------------
     def accrue(self, world, step: int) -> None:
@@ -214,7 +208,7 @@ class CdpEngine:
     ) -> int:
         require_amount(repay_amount)
         vault = self.vault(vault_id)
-        if not self.is_unsafe(world, vault, step):
+        if not self.is_unsafe(world, vault_id, step):
             raise errors.VaultSafe(f"vault {vault_id}")
         held = vault.collateral.get(seize_asset, 0)
         if held == 0:
@@ -222,7 +216,7 @@ class CdpEngine:
 
         # issuance accounting values the stablecoin at its 1 USD target
         applied, seized = seize_split(
-            min(repay_amount, self.debt_of(vault)),
+            min(repay_amount, self.debt_of(vault_id)),
             WAD,
             world.oracle.price_at(seize_asset, step),
             WAD + self.liquidation_penalty,
@@ -230,8 +224,7 @@ class CdpEngine:
         )
 
         world.ledger.burn(liquidator, self.dai_asset, applied, CDP_AUTHORITY, tag="vault-liquidation-repay")
-        self.undo.touched.add(vault_id)
-        self._reduce_debt(vault, applied)
+        self.debts.reduce(vault_id, applied, self.fee_index)
         self.undo.save_items(vault.collateral, seize_asset)
         vault.collateral[seize_asset] = held - seized
         world.ledger.transfer(VAULT_ENGINE_ACCOUNT, liquidator, seize_asset, seized, tag="vault-liquidation-seize")
@@ -271,7 +264,7 @@ class CdpEngine:
         for vault_id in sorted(self.vaults):
             vault = self.vaults[vault_id]
             value, bound = _value_and_bound(vault, marks)
-            debt = self.debt_of(vault)
+            debt = self.debt_of(vault_id)
             cells = (str(vault_id), to_str(value), to_str(debt), to_str(bound), str(int(debt <= bound)))
             rows.append(",".join((step_cell, *cells, fee_index)))
         return rows

@@ -46,13 +46,6 @@ def div_up(a: int, b: int) -> int:
     return ceil_div(a * WAD, b)
 
 
-def scaled_after_repay(scaled: int, index: int, applied: int) -> int:
-    """Scaled debt left once `applied` of the debt `mul_up(scaled, index)` is repaid; paying it all clears it."""
-    if applied >= mul_up(scaled, index):
-        return 0
-    return scaled - div_down(applied, index)
-
-
 def wad(units: int | str) -> int:
     """Whole units -> raw. Accepts an int or a decimal string literal."""
     if isinstance(units, int):

@@ -352,7 +352,7 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
     cdp = world.cdp  # due() names vaults only when the stablecoin has a pool to flash-borrow from
     for vault_id in vault_ids:
         vault = cdp.vaults[vault_id]
-        debt, bound = cdp.debt_of(vault), cdp.issuance_bound(world, vault, step)
+        debt, bound = cdp.debt_of(vault_id), cdp.issuance_bound(world, vault, step)
         screen.anchor_vault(world, vault_id, vault, bound, debt)
         if debt <= bound:
             continue

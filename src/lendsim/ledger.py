@@ -7,23 +7,25 @@ rolled back. full_audit(), run at the end of a simulation, recomputes every
 asset's balance sum, which must equal net minted supply exactly, and rejects
 negative balances.
 
-Checkpoints are strictly LIFO and copy nothing. While one is open, every
-write first records the value it overwrites in the ledger's undo log: each
-balance entry and net-minted entry here, and the protocol state of the pools
-and the CDP engine built on the same log (see world.py). A checkpoint keeps
-only the log and journal lengths; rollback undoes the log back to its length,
-newest record first, and truncates the journal, so it costs O(writes since the
-checkpoint) and a reverted transaction leaves no trace beyond whatever the
-caller appends afterwards (e.g. the gas-fee record of a failed flash loan).
-An entry the transaction created is deleted again, not left at zero. Commit
-keeps the records for an enclosing checkpoint. Each asset also counts its
-writes, and rollback counts each write it undoes once more, so the count never
-returns to a value read while those writes stood: equal counts read at any two
-points prove the asset's balances unchanged, and a cache of something derived
-from them (the supply-side reward shares, the last arbitrage scan) stays valid.
-Every write also names its accounts in the undo log's `touched` set, which is
-how the liquidation risk screen learns what changed; outside the ledger, the
-journal is only an audit record.
+Every rollback effect is a record in the ledger's undo log, and a checkpoint
+is a mark in that log: its length when the checkpoint opened. While one is
+open, each write first pushes what puts it back: the value a balance,
+net-minted entry, pool scalar, debt-book entry or vault overwrites (or its
+absence), one record per journal entry that pops it again, and one per world
+event (see world.py). Rollback undoes the log back to the mark, newest record
+first, so it costs O(writes since the checkpoint) and a reverted transaction
+leaves no trace beyond whatever the caller appends afterwards (e.g. the
+gas-fee record of a failed flash loan). An entry the transaction created is
+deleted again, not left at zero. Commit keeps the records for an enclosing
+checkpoint; checkpoints are strictly LIFO and copy nothing.
+
+A write count never falls: each asset counts its writes, as each DebtBook
+does, and undoing a write counts it once more. So equal counts read at any
+two points prove the state they count unchanged, and a cache of something
+derived from it (the reward shares, the last arbitrage scan) stays valid.
+Every write also names its keys in the undo log's `touched` set, which is how
+the liquidation risk screen learns what changed; the journal is only an audit
+record, which no rollback reads.
 
 Mint/burn authority is a static per-asset whitelist fixed at world
 construction; the "genesis" authority funds initial endowments.
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from . import errors
-from .fixed import require_amount
+from .fixed import div_down, div_up, mul_up, require_amount
 
 GENESIS_AUTHORITY = "genesis"
 
@@ -65,10 +67,11 @@ class UndoLog:
     back. With no checkpoint open (depth 0) the helpers record nothing.
 
     `touched` collects, checkpoint or not, every key a write named: the
-    accounts (by name) of each ledger transfer, mint and burn, the pool
-    accounts whose borrow positions a pool wrote, and the vaults (by id)
-    whose collateral or debt the CDP engine wrote. A rollback leaves it as it
-    is. The liquidation risk screen (liquidation.RiskScreen) drains it.
+    accounts (by name) of each ledger transfer, mint and burn, the key of
+    each debt-book write (an account for a pool position, a vault id for
+    vault debt), and the vaults whose collateral the CDP engine wrote. A
+    rollback leaves it as it is. The liquidation risk screen
+    (liquidation.RiskScreen) drains it.
     """
 
     def __init__(self) -> None:
@@ -108,6 +111,50 @@ class UndoLog:
             restore(*args)
 
 
+class DebtBook(dict):
+    """Debt as normalized principal: key -> debt / index at the key's last write.
+
+    A key's debt is its entry times the current index, rounded up, so it
+    compounds with the index without a write, as Maker's `art` times `rate`
+    and Aave's scaled debt balance do. The pools' borrow positions and the
+    CDP engine's vault debt are each one book. `writes` is the book's write
+    count, which never falls.
+    """
+
+    def __init__(self, undo: UndoLog):
+        self.undo = undo
+        self.writes = 0
+
+    def debt_of(self, key, index: int) -> int:
+        scaled = self.get(key)
+        return mul_up(scaled, index) if scaled else 0
+
+    def add(self, key, amount: int, index: int) -> None:
+        """Book `amount` > 0 of new debt, rounded up, so every entry owes something."""
+        self._count(key)
+        self.undo.save_items(self, key)
+        self[key] = self.get(key, 0) + div_up(amount, index)
+
+    def reduce(self, key, applied: int, index: int) -> None:
+        """Book a repayment of at most the key's debt; repaying it all deletes the entry."""
+        scaled = self[key]
+        self._count(key)
+        if applied >= mul_up(scaled, index):
+            self.undo.del_item(self, key)
+        else:
+            self.undo.save_items(self, key)
+            self[key] = scaled - div_down(applied, index)  # > 0, as applied < the debt
+
+    def _count(self, key) -> None:
+        self.undo.touched.add(key)
+        self.writes += 1
+        if self.undo.depth:
+            self.undo.records.append((self._count_undone, ()))
+
+    def _count_undone(self) -> None:
+        self.writes += 1
+
+
 class Ledger:
     def __init__(self) -> None:
         self._accounts: dict[str, str] = {}  # id -> kind
@@ -119,8 +166,8 @@ class Ledger:
         self.journal: list[JournalRecord] = []
         # shared with the world's pools and CDP engine, so one rollback undoes them all
         self.undo = UndoLog()
-        # open checkpoints: (id, journal_len, undo log length)
-        self._checkpoints: list[tuple[int, int, int]] = []
+        # open checkpoints: (id, undo log length)
+        self._checkpoints: list[tuple[int, int]] = []
         self._cp_counter = 0
 
     # ------------------------------------------------------------------
@@ -224,6 +271,13 @@ class Ledger:
     def _record(self, op: str, frm: str | None, to: str | None, asset: str, amount: int, tag: str) -> None:
         self.journal.append(JournalRecord(op, frm, to, asset, amount, tag))
         self._writes[asset] += 1
+        if self.undo.depth:
+            self.undo.records.append((self._unrecord, (asset,)))
+
+    def _unrecord(self, asset: str) -> None:
+        """Undo a write's journal entry; the write counts once more."""
+        self.journal.pop()
+        self._writes[asset] += 1
 
     def transfer(self, frm: str, to: str, asset: str, amount: int, tag: str = "transfer") -> None:
         require_amount(amount)
@@ -271,11 +325,11 @@ class Ledger:
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:
         self._cp_counter += 1
-        self._checkpoints.append((self._cp_counter, len(self.journal), len(self.undo.records)))
+        self._checkpoints.append((self._cp_counter, len(self.undo.records)))
         self.undo.depth = len(self._checkpoints)
         return self._cp_counter
 
-    def _pop_checkpoint(self, cp: int) -> tuple[int, int, int]:
+    def _pop_checkpoint(self, cp: int) -> tuple[int, int]:
         if not self._checkpoints:
             raise errors.CheckpointOrderViolation(f"no open checkpoint for id {cp}")
         if self._checkpoints[-1][0] != cp:
@@ -287,11 +341,7 @@ class Ledger:
         return popped
 
     def rollback(self, cp: int) -> None:
-        _, journal_len, undo_len = self._pop_checkpoint(cp)
-        self.undo.undo_to(undo_len)
-        for record in self.journal[journal_len:]:
-            self._writes[record.asset] += 1
-        del self.journal[journal_len:]
+        self.undo.undo_to(self._pop_checkpoint(cp)[1])
 
     def commit(self, cp: int) -> None:
         self._pop_checkpoint(cp)

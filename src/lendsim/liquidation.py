@@ -291,8 +291,7 @@ class RiskScreen:
             if isinstance(key, str):
                 (accounts if any(key in p.positions for p in pools) else idle).append(key)
             elif cdp is not None:
-                vault = cdp.vaults.get(key)
-                (vaults if vault is not None and vault.debt_scaled else idle).append(key)
+                (vaults if key in cdp.debts else idle).append(key)
         if self._filing and idle:  # no borrow position, or a vault without debt: never liquidatable
             self.dirty = self.dirty.difference(idle)  # a new set: one drained in place keeps its table
         accounts.sort()

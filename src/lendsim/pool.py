@@ -15,28 +15,23 @@ Interest compounds discretely once per step. The borrow rate is a two-slope
 earn r_b * U * (1 - reserve_factor) while the reserve fraction accrues to the
 pool's reserves, rounding in the pool's favor.
 
-There are no rate modes: every borrow accrues at the pool's borrow rate. A
-borrow position is its scaled debt, the debt divided by borrow_index at its
-last touch, so the debt is scaled * borrow_index (rounded up), and accrual
-compounds total_borrows as one sum without visiting positions. All cash lives
-in the pool's ledger account `pool:<asset>`, also its IOU's mint/burn
-authority, so pool cash can never drift from the balance sheet. Every write
-to the pool's own state first records the old value in its undo log (the world
-ledger's), so a world rollback restores it in place. A write to an account's
-borrow position also names the account in the log's `touched` set, which the
-liquidation scan's risk screen reads; deposits and seizures need not, since the
-ledger writes of the IOU they move already name the account there.
+There are no rate modes: every borrow accrues at the pool's borrow rate. The
+borrow positions are a ledger.DebtBook keyed by account, against
+borrow_index, so accrual compounds total_borrows as one sum without visiting
+positions. All cash lives in the pool's ledger account `pool:<asset>`, also
+its IOU's mint/burn authority, so pool cash can never drift from the balance
+sheet. The pool's state is written through the world ledger's undo log, so a
+world rollback restores it in place (ledger.py).
 
 A deposit is collateral (Aave's default): an account's IOU balance is the one
 record of its collateral in the pool, which backs its borrows and may be seized.
 
 A step costs the pool only what moved in it. `accrue` returns at once while
 nothing is borrowed and the base rate is 0, since then no index, total or
-reserve can change. Each write to a borrow position counts in
-`position_writes`, and a rollback counts each write it undoes once more, as
-`Ledger.writes` does, so equal counts prove the positions (the borrow-side
-reward weights) unchanged. `telemetry_row` re-renders its cells only when
-the raw state they are a function of differs from the last rendered one.
+reserve can change. Equal counts of `positions.writes` prove the
+borrow-side reward weights unchanged. `telemetry_row` re-renders its cells
+only when the raw state they are a function of differs from the last
+rendered one.
 """
 
 from __future__ import annotations
@@ -44,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors, liquidation
-from .fixed import WAD, ceil_div, div_down, div_up, mul_down, mul_up, require_amount, scaled_after_repay, to_str
-from .ledger import UndoLog
+from .fixed import WAD, ceil_div, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .ledger import DebtBook, UndoLog
 
 EXCHANGE_RATE = "exchange-rate"
 REBASING = "rebasing"
@@ -100,9 +95,8 @@ class Pool:
         self.reserves = 0
         self.borrow_index = WAD
         self.liquidity_index = WAD
-        self.positions: dict[str, int] = {}  # account -> debt / borrow_index at its last touch
+        self.positions = DebtBook(undo)  # account -> debt / borrow_index at its last write
         self.undo = undo
-        self.position_writes = 0  # writes to positions, plus one per write a rollback undoes
         # (cash, total_borrows, reserves, liquidity_index, iou_supply) last rendered, and the row after its step cell
         self._row_state: tuple | None = None
         self._row_cells = ""
@@ -162,8 +156,7 @@ class Pool:
         return mul_down(units, self.liquidity_index)
 
     def debt_of(self, account: str) -> int:
-        scaled = self.positions.get(account)
-        return mul_up(scaled, self.borrow_index) if scaled else 0
+        return self.positions.debt_of(account, self.borrow_index)
 
     # ------------------------------------------------------------------
     # accrual
@@ -241,6 +234,8 @@ class Pool:
     # ------------------------------------------------------------------
     def borrow(self, world, account: str, amount: int, *, step: int) -> None:
         require_amount(amount)
+        if amount == 0:
+            return
         if amount > self.cash(world):
             raise errors.InsufficientLiquidity(
                 f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}"
@@ -249,11 +244,8 @@ class Pool:
         debt_value = totals.debt_value + world.oracle.value_usd(amount, self.params.asset, step)
         if debt_value > totals.borrowing_power:
             raise errors.ExceedsBorrowingPower(f"{account}: debt value {debt_value} > power {totals.borrowing_power}")
-        self.undo.touched.add(account)
         self.undo.save_attrs(self, "total_borrows")
-        self._count_position_write()
-        self.undo.save_items(self.positions, account)
-        self.positions[account] = self.positions.get(account, 0) + div_up(amount, self.borrow_index)
+        self.positions.add(account, amount, self.borrow_index)
         self.total_borrows += amount
         world.ledger.transfer(self.account, account, self.params.asset, amount, tag="borrow")
 
@@ -269,24 +261,9 @@ class Pool:
 
     def reduce_debt(self, account: str, applied: int) -> None:
         """Book a repayment, already in the pool's cash, of at most the account's debt."""
-        scaled = scaled_after_repay(self.positions[account], self.borrow_index, applied)
-        self.undo.touched.add(account)
+        self.positions.reduce(account, applied, self.borrow_index)
         self.undo.save_attrs(self, "total_borrows")
         self.total_borrows = max(0, self.total_borrows - applied)
-        self._count_position_write()
-        if scaled:
-            self.undo.save_items(self.positions, account)
-            self.positions[account] = scaled
-        else:
-            self.undo.del_item(self.positions, account)
-
-    def _count_position_write(self) -> None:
-        self.position_writes += 1
-        if self.undo.depth:  # undoing the write counts it once more, so the count never falls
-            self.undo.records.append((self._count_undone_write, ()))
-
-    def _count_undone_write(self) -> None:
-        self.position_writes += 1
 
     def credit_flash_fee(self, fee: int) -> None:
         """Book a flash loan's fee, already in the pool's cash, to reserves."""

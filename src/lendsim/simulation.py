@@ -8,12 +8,12 @@ In (3) both sides of each pool are paid as streams that recompute their
 shares only after a write to their weights and are multiplied out (steps
 owed x share) when the reward totals are read: the supply side is weighted
 by IOU balances and recomputed after a ledger write of the IOU, the borrow
-side by scaled principal (`Pool.positions`, which accrual leaves alone) and
-recomputed after a borrow or a repayment. Agent failures become events,
-never aborts. Before the rows render, World.audit checks that no ledger
-checkpoint outlived the step and that the vault engine's ledger holdings
-equal the vaults' recorded collateral, per asset; the full conservation audit
-runs at the end of the run.
+side by scaled principal (the pool's debt book, `Pool.positions`, which
+accrual leaves alone) and recomputed after a write to that book. Agent
+failures become events, never aborts. Before the rows render, World.audit
+checks that no ledger checkpoint outlived the step and that the vault
+engine's ledger holdings equal the vaults' recorded collateral, per asset;
+the full conservation audit runs at the end of the run.
 
 In (4) only the live agents act, in the order `random.Random(seed).shuffle`
 gives the list of their indices in scenario order: k - 1 draws for k live
@@ -125,7 +125,7 @@ class SimulationEngine:
             p = self.world.pools[sym]
             iou = p.params.iou_asset
             rewards.pay_stream(("supply", sym), ledger.writes(iou), supply_tranche, partial(ledger.iter_holders, iou))
-            rewards.pay_stream(("borrow", sym), p.position_writes, emission - supply_tranche, p.positions.items)
+            rewards.pay_stream(("borrow", sym), p.positions.writes, emission - supply_tranche, p.positions.items)
 
     # ------------------------------------------------------------------
     def run(self, out_dir: str | Path | None = None) -> dict:
@@ -206,10 +206,10 @@ class SimulationEngine:
                 if debt:
                     total -= value(debt, p.params.asset, step)
             worth[account] = total
-        for vault in cdp.vaults.values() if cdp is not None else ():
+        for vault_id, vault in cdp.vaults.items() if cdp is not None else ():
             if vault.owner in worth:
                 worth[vault.owner] += cdp.collateral_value(world, vault, step)
-                worth[vault.owner] -= value(cdp.debt_of(vault), cdp.dai_asset, step)
+                worth[vault.owner] -= value(cdp.debt_of(vault_id), cdp.dai_asset, step)
         return worth
 
     def _write_outputs(self, out_dir: Path, summary: dict) -> None:

@@ -1,21 +1,17 @@
 """The mutable world: ledger + oracle + markets wired together.
 
 A world is mutated by exactly one logical thread. Its pools and CDP engine are
-built on the ledger's undo log, so a write to their protocol state while a
-checkpoint is open (pool scalars, borrow positions, the fee index, vaults and
-their collateral) records the value it overwrites, as a balance write does. A
-world checkpoint is a ledger checkpoint plus the length of the event list;
-rollback undoes the log and truncates the journal and the events, so a
-rolled-back transaction leaves the world bit-identical to before, bar the
-write counts (`Ledger.writes`, `Pool.position_writes`), which count each
-undone write once more — the mechanism behind atomic flash loans and the
-scanner's scratch simulations. Its cost follows the writes made since the
-checkpoint, not the size of the world. Rollback restores values in place:
-every pool, vault and dict stays the same object, so references held across a
-rollback stay valid. A rollback does not reach the liquidation risk screen
-(`World.screen`): the screen files nothing while a checkpoint is open, and a
-rollback leaves the undo log's `touched` set as it is, so every candidate an
-undone write named is due at the next scan.
+built on the ledger's undo log, and `emit` records each event there too, so a
+world checkpoint is the ledger's: one mark in the log, which every rollback
+effect is recorded in (ledger.py). A rolled-back transaction leaves the world
+bit-identical to before, bar the write counts (`Ledger.writes`,
+`DebtBook.writes`), which count each undone write once more — the mechanism
+behind atomic flash loans and the scanner's scratch simulations. Rollback
+restores values in place: every pool, vault and dict stays the same object,
+so references held across a rollback stay valid. A rollback does not reach
+the liquidation risk screen (`World.screen`): the screen files nothing while
+a checkpoint is open, and a rollback leaves the undo log's `touched` set as it
+is, so every candidate an undone write named is due at the next scan.
 
 Checkpoints do not cover the reward ledger. Rewards are paid only in phase
 (3) of a step, before any agent acts, and no checkpoint is open then: every
@@ -83,7 +79,7 @@ class RewardLedger:
     Every tranche is paid as a stream. Its weights change only through writes
     that a count records, a count no rollback lowers: the supply side of a
     pool is weighted by IOU balances (`Ledger.writes` of the IOU), the borrow
-    side by scaled principal, `Pool.positions` (`Pool.position_writes`), as
+    side by scaled principal, `Pool.positions` (`DebtBook.writes`), as
     Compound's borrow index and Aave's scaled debt balance weight a borrower.
     While the count stands still every step pays the same rounded-down
     shares: a step only counts itself, and k owed steps are later added as
@@ -139,12 +135,6 @@ class RewardLedger:
             self._settle_stream(stream)
 
 
-@dataclass
-class WorldCheckpoint:
-    ledger_cp: int
-    events_len: int
-
-
 class World:
     def __init__(
         self,
@@ -170,17 +160,18 @@ class World:
 
     def emit(self, **fields) -> None:
         self.events.append(fields)
+        if self.ledger.undo.depth:
+            self.ledger.undo.records.append((self.events.pop, ()))
 
     # ------------------------------------------------------------------
-    def checkpoint(self) -> WorldCheckpoint:
-        return WorldCheckpoint(ledger_cp=self.ledger.checkpoint(), events_len=len(self.events))
+    def checkpoint(self) -> int:
+        return self.ledger.checkpoint()
 
-    def rollback(self, cp: WorldCheckpoint) -> None:
-        self.ledger.rollback(cp.ledger_cp)  # raises on LIFO violation first
-        del self.events[cp.events_len :]
+    def rollback(self, cp: int) -> None:
+        self.ledger.rollback(cp)
 
-    def commit(self, cp: WorldCheckpoint) -> None:
-        self.ledger.commit(cp.ledger_cp)
+    def commit(self, cp: int) -> None:
+        self.ledger.commit(cp)
 
     # ------------------------------------------------------------------
     def audit(self) -> None:

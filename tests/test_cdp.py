@@ -83,7 +83,7 @@ def test_draw_bound_rounds_down():
     w.cdp.draw(w, vid, bound, step=0)
     assert w.ledger.balance("alice", "DAI") == bound
     # at the bound the vault is exactly safe, not liquidatable
-    assert not w.cdp.is_unsafe(w, w.cdp.vault(vid), 0)
+    assert not w.cdp.is_unsafe(w, vid, 0)
 
 
 def test_draw_zero_is_noop():
@@ -92,7 +92,7 @@ def test_draw_zero_is_noop():
     vid = w.cdp.open_vault("alice")
     w.cdp.lock(w, vid, "ETH", wad(10))
     w.cdp.draw(w, vid, 0, step=0)
-    assert w.cdp.debt_of(w.cdp.vault(vid)) == 0
+    assert w.cdp.debt_of(vid) == 0
 
 
 def test_draw_one_raw_unit_past_bound_rejected():
@@ -114,7 +114,7 @@ def test_repay_burns_supply():
     assert w.ledger.supply("DAI") == wad(1000)
     applied = w.cdp.repay(w, vid, wad(1000))
     assert applied == wad(1000)
-    assert w.cdp.debt_of(w.cdp.vault(vid)) == 0
+    assert w.cdp.debt_of(vid) == 0
     assert w.ledger.supply("DAI") == 0
 
 
@@ -125,7 +125,7 @@ def test_partial_repay():
     w.cdp.lock(w, vid, "ETH", wad(10))
     w.cdp.draw(w, vid, wad(1000), step=0)
     w.cdp.repay(w, vid, wad(400))
-    assert w.cdp.debt_of(w.cdp.vault(vid)) == wad(600)
+    assert w.cdp.debt_of(vid) == wad(600)
     assert w.ledger.supply("DAI") == wad(600)
 
 
@@ -142,7 +142,7 @@ def test_fee_accrual_matches_step_loop_oracle():
     for _ in range(100):
         expected_index = ceil_div(expected_index * (WAD + fee), WAD)
     assert w.cdp.fee_index == expected_index
-    debt = w.cdp.debt_of(w.cdp.vault(vid))
+    debt = w.cdp.debt_of(vid)
     closed_form = Fraction(10001, 10000) ** 100 * 1000
     assert abs(Fraction(debt, WAD) - closed_form) < Fraction(1, 10**9)
     assert to_str(debt).startswith("1010.049")
@@ -209,8 +209,8 @@ def test_price_drop_makes_vault_liquidatable():
     vid = w.cdp.open_vault("alice")
     w.cdp.lock(w, vid, "ETH", wad(10))
     w.cdp.draw(w, vid, wad(1000), step=0)
-    assert not w.cdp.is_unsafe(w, w.cdp.vault(vid), 2)
-    assert w.cdp.is_unsafe(w, w.cdp.vault(vid), 3)  # bound 1200*2/3 = 800 < 1000
+    assert not w.cdp.is_unsafe(w, vid, 2)
+    assert w.cdp.is_unsafe(w, vid, 3)  # bound 1200*2/3 = 800 < 1000
 
 
 def test_vault_liquidation_penalty_arithmetic_and_conservation():
@@ -222,8 +222,7 @@ def test_vault_liquidation_penalty_arithmetic_and_conservation():
     w.cdp.draw(w, vid, wad(1300), step=0)
     for t in range(5):
         w.cdp.accrue(w, t)
-    vault = w.cdp.vault(vid)
-    assert w.cdp.is_unsafe(w, vault, 0)
+    assert w.cdp.is_unsafe(w, vid, 0)
     user(w, "liq", DAI=wad(500))
     supply_before = w.ledger.supply("DAI")
     seized = w.cdp.liquidate(w, "liq", vid, wad(100), "ETH", step=0)
@@ -241,13 +240,12 @@ def test_vault_liquidation_seize_cap_shrinks_repay():
     w.cdp.draw(w, vid, wad(1300), step=0)
     for t in range(5):
         w.cdp.accrue(w, t)
-    vault = w.cdp.vault(vid)
-    debt = w.cdp.debt_of(vault)
+    debt = w.cdp.debt_of(vid)
     assert debt > wad(2000)  # worth more than all collateral
     user(w, "liq", DAI=debt)
     seized = w.cdp.liquidate(w, "liq", vid, debt, "ETH", step=0)
     assert seized == wad(10)  # everything
-    repaid = debt - w.cdp.debt_of(vault)
+    repaid = debt - w.cdp.debt_of(vid)
     # 2000 usd of collateral at 13% penalty covers ~1769.9 of debt
     assert abs(repaid - from_str("1769.911504424778761062")) <= 2
 

@@ -505,7 +505,7 @@ def written_inputs(w, key):
     """What a write can change of a candidate's health: IOU balances and positions, or a vault."""
     if isinstance(key, int):
         vault = w.cdp.vaults.get(key)
-        return vault and (dict(vault.collateral), vault.debt_scaled)
+        return vault and (dict(vault.collateral), w.cdp.debts.get(key))
     return [(w.ledger.balance_table(p.params.iou_asset).get(key, 0), p.positions.get(key)) for p in w.pools.values()]
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lendsim import errors
-from lendsim.fixed import wad
-from lendsim.ledger import GENESIS_AUTHORITY, Ledger
+from lendsim.fixed import WAD, wad
+from lendsim.ledger import GENESIS_AUTHORITY, DebtBook, Ledger, UndoLog
 
 
 def fresh(accounts=("a", "b", "c"), assets=("ETH", "DAI")):
@@ -221,3 +221,49 @@ def test_rollback_moves_the_write_count_past_every_count_read_inside():
     # an equal count must mean equal balances, so the undone transfer counts again
     assert lg.writes("ETH") == 3 and lg.total_writes() == total_inside + 1
     assert lg.writes("DAI") == 0
+
+    # a committed nested checkpoint hands its writes to the outer one, whose rollback counts each
+    # undone write once more: the journal slice it undoes, asset by asset
+    journal_before = list(lg.journal)
+    book = DebtBook(lg.undo)
+    cp = lg.checkpoint()
+    lg.mint("a", "ETH", wad(3), GENESIS_AUTHORITY)
+    book.add("a", wad(2), WAD)
+    inner = lg.checkpoint()
+    lg.transfer("a", "b", "ETH", wad(1))
+    lg.mint("c", "DAI", wad(5), GENESIS_AUTHORITY)
+    book.add("b", wad(1), WAD)
+    book.reduce("a", wad(2), WAD)  # repays all of it: deletes the entry
+    lg.commit(inner)
+    undone = lg.journal[len(journal_before):]
+    counts, book_writes = {asset: lg.writes(asset) for asset in lg.assets()}, book.writes
+    lg.rollback(cp)
+    assert lg.journal == journal_before and book == {}
+    for asset in lg.assets():
+        assert lg.writes(asset) == counts[asset] + sum(record.asset == asset for record in undone)
+    assert book_writes == 3 and book.writes == 3 + 3
+
+
+@given(
+    st.integers(WAD, 2**100),
+    st.integers(0, 2**100),
+    st.integers(WAD, 2**100),
+    st.integers(1, 2**100),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_debt_book_rounds_every_write_against_the_debtor(index, held, later, amount, data):
+    book = DebtBook(UndoLog())
+    if held:
+        book.add("k", held, index)
+        assert book.debt_of("k", index) >= held
+    index = max(index, later)  # an index only compounds
+    debt = book.debt_of("k", index)
+    book.add("k", amount, index)
+    assert book.debt_of("k", index) >= debt + amount
+    debt = book.debt_of("k", index)
+    repaid = data.draw(st.integers(0, debt))
+    book.reduce("k", repaid, index)
+    # the book never forgives more than was paid, and paying all of it deletes the entry
+    assert book.debt_of("k", index) >= debt - repaid
+    assert ("k" in book) == (repaid < debt)

@@ -200,6 +200,21 @@ def test_borrow_beyond_pool_cash_rejected():
         w.pools["DAI"].borrow(w, "alice", wad(101), step=0)
 
 
+def test_zero_borrow_writes_nothing_and_leaves_the_account_off_the_scan():
+    w = eth_dai_world(dai_pool_overrides={"initial_cash": "10000"})
+    user(w, "alice", ETH=wad(1))
+    w.pools["ETH"].deposit(w, "alice", wad(1))
+    p = w.pools["DAI"]
+    assert w.screen.due(w, 0, liquidation.pool_reads(w)) == ([], [])
+    journal_len, writes = len(w.ledger.journal), p.positions.writes
+    p.borrow(w, "alice", 0, step=0)
+    assert p.positions == {} and p.positions.writes == writes
+    assert len(w.ledger.journal) == journal_len and p.total_borrows == 0
+    assert w.screen.due(w, 0, liquidation.pool_reads(w)) == ([], [])
+    with pytest.raises(errors.NoDebt):
+        p.repay(w, "alice", 1)
+
+
 # ---------------------------------------------------------------------------
 # repayment
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_liquidator_without_flash_loans_clears_unsafe_vault():
     assert [e for e in w.events if e["kind"] == "agent-error"] == []
     liqs = [e for e in w.events if e["kind"] == "vault-liquidation"]
     assert len(liqs) == 1 and liqs[0]["liquidator"] == "keeper" and liqs[0]["step"] == 3
-    assert w.cdp.debt_of(w.cdp.vault(vid)) == 0
+    assert w.cdp.debt_of(vid) == 0
     # the keeper paid the debt from its own DAI and keeps the seized ETH
     assert w.ledger.balance("keeper", "DAI") == wad(4000)
     assert w.ledger.balance("keeper", "ETH") == from_str(liqs[0]["seized_amt"])

@@ -43,9 +43,10 @@ def open_books(w):
         w.cdp.draw(w, vault_id, wad(60), 0)
 
 
-# fields a rollback leaves as they are on purpose: the log itself, a write count that a rollback
-# raises (as the ledger's are), and a rendered row that is a function of the restored state
-NOT_RESTORED = ("undo", "position_writes", "_row_state", "_row_cells")
+# fields a rollback leaves as they are on purpose: the log itself and a rendered row that is a
+# function of the restored state; a debt book dumps as its entries, without its write count,
+# which a rollback raises (as the ledger's are)
+NOT_RESTORED = ("undo", "_row_state", "_row_cells")
 
 
 def dump(x):
@@ -129,7 +130,8 @@ def test_rollback_restores_the_world_in_place(setup_ops, inner_ops):
     pools, cdp = dict(w.pools), w.cdp
     reference = copy.deepcopy(world_state(w))
 
-    counts = [p.position_writes for p in pools.values()]
+    books = [p.positions for p in pools.values()] + [cdp.debts]
+    counts = [book.writes for book in books]
     cp = w.checkpoint()
     nested = []  # (checkpoint, deep copy of the state it was taken in)
     for op in inner_ops:
@@ -147,15 +149,15 @@ def test_rollback_restores_the_world_in_place(setup_ops, inner_ops):
                 apply_op(w, op)
         except errors.SimError:
             pass
-        # no write and no rollback lowers a pool's position write count
-        now = [p.position_writes for p in pools.values()]
+        # no write and no rollback lowers a debt book's write count
+        now = [book.writes for book in books]
         assert all(a <= b for a, b in zip(counts, now))
         counts = now
     while nested:
         w.commit(nested.pop()[0])
     w.rollback(cp)
 
-    assert all(a <= p.position_writes for a, p in zip(counts, pools.values()))
+    assert all(a <= book.writes for a, book in zip(counts, books))
     assert dump(world_state(w)) == dump(reference)
     assert w.ledger.open_checkpoints() == 0 and w.ledger.undo.records == []
     assert w.cdp is cdp and all(w.pools[sym] is pool for sym, pool in pools.items())
