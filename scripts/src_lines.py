@@ -4,11 +4,9 @@ A code line holds a token other than a comment, outside the module, class and
 function docstrings: blank lines, comment-only lines and docstrings are not
 code, so deleting comments or rewording a docstring leaves the count as it is.
 
-Usage (from the repository root):
+Usage:
 
-    python scripts/src_lines.py [PACKAGE_DIR]
-
-PACKAGE_DIR defaults to src/lendsim.
+    python scripts/src_lines.py
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ NOT_CODE = {
     tokenize.ENDMARKER,
 }
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lendsim"
 
 
 def docstring_spans(tree: ast.Module) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -56,12 +55,8 @@ def count(path: Path) -> tuple[int, int]:
     return len(text.splitlines()), len(code)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0] if argv else "src/lendsim")
-    modules = sorted(package.glob("*.py"))
-    if not modules:
-        print(f"no modules under {package}", file=sys.stderr)
-        return 1
+def main() -> int:
+    modules = sorted(PACKAGE.glob("*.py"))
     width = max(len(m.name) for m in modules)
     print(f"{'module':<{width}} {'physical':>8} {'code':>6}")
     total_physical = total_code = 0
@@ -75,4 +70,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
