@@ -137,6 +137,8 @@ class CdpEngine:
     # ------------------------------------------------------------------
     def lock(self, world, vault_id: int, asset: str, amount: int) -> None:
         require_amount(amount)
+        if amount == 0:
+            return
         vault = self.vault(vault_id)
         if asset not in self.issuance_fraction:
             raise errors.UnknownAsset(f"{asset} is not accepted vault collateral")
@@ -147,6 +149,8 @@ class CdpEngine:
 
     def free(self, world, vault_id: int, asset: str, amount: int, step: int) -> None:
         require_amount(amount)
+        if amount == 0:
+            return
         vault = self.vault(vault_id)
         held = vault.collateral.get(asset, 0)
         if amount > held:
@@ -166,9 +170,9 @@ class CdpEngine:
 
     def draw(self, world, vault_id: int, amount: int, step: int) -> None:
         require_amount(amount)
-        vault = self.vault(vault_id)
         if amount == 0:
             return
+        vault = self.vault(vault_id)
         new_debt = self.debt_of(vault_id) + amount
         if new_debt > self.issuance_bound(world, vault, step):
             raise errors.ExceedsIssuanceBound(
@@ -179,6 +183,8 @@ class CdpEngine:
 
     def repay(self, world, vault_id: int, amount: int) -> int:
         require_amount(amount)
+        if amount == 0:
+            return 0
         vault = self.vault(vault_id)
         debt = self.debt_of(vault_id)
         if debt == 0:

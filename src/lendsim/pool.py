@@ -185,6 +185,8 @@ class Pool:
     # ------------------------------------------------------------------
     def deposit(self, world, account: str, amount: int) -> int:
         require_amount(amount)
+        if amount == 0:
+            return 0
         minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
         world.ledger.mint(account, self.params.iou_asset, minted, self.account, tag="deposit-iou")
@@ -197,6 +199,8 @@ class Pool:
         (equal to the underlying payout) in rebasing mode.
         """
         require_amount(iou_amount)
+        if iou_amount == 0:
+            return 0
         bal = world.ledger.balance(account, self.params.iou_asset)
         if iou_amount > self.displayed(bal):
             raise errors.InsufficientIOU(f"{account} holds {self.displayed(bal)} redeemable, asked {iou_amount}")
@@ -251,6 +255,8 @@ class Pool:
 
     def repay(self, world, account: str, amount: int) -> int:
         require_amount(amount)
+        if amount == 0:
+            return 0
         debt = self.debt_of(account)
         if debt == 0:
             raise errors.NoDebt(f"{account} owes nothing in {self.params.asset}")

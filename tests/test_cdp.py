@@ -257,3 +257,30 @@ def test_fee_index_monotone_with_policy_swings():
         w.cdp.accrue(w, t)
         assert w.cdp.fee_index >= last
         last = w.cdp.fee_index
+
+
+def test_zero_amount_operations_write_nothing():
+    w = vault_world()
+    user(w, "alice", ETH=wad(10), DAI=wad(1000))
+    p = w.pools["DAI"]
+    p.deposit(w, "alice", wad(500))
+    p.borrow(w, "alice", wad(100), step=0)
+    vid = w.cdp.open_vault("alice")
+    w.cdp.lock(w, vid, "ETH", wad(10))
+    w.cdp.draw(w, vid, wad(100), 0)
+    w.ledger.undo.touched.clear()
+
+    def state():
+        return (len(w.ledger.journal), w.ledger.total_writes(), p.positions.writes, w.cdp.debts.writes,
+                set(w.ledger.undo.touched), dict(w.cdp.vault(vid).collateral))
+
+    before = state()
+    assert p.deposit(w, "alice", 0) == 0
+    assert p.redeem(w, "alice", 0, step=0) == 0
+    p.borrow(w, "alice", 0, step=0)
+    assert p.repay(w, "alice", 0) == 0
+    w.cdp.lock(w, vid, "ETH", 0)
+    w.cdp.free(w, vid, "ETH", 0, 0)
+    w.cdp.draw(w, vid, 0, 0)
+    assert w.cdp.repay(w, vid, 0) == 0
+    assert state() == before
