@@ -185,7 +185,8 @@ class SimulationEngine:
     def _net_worth(self, step: int) -> dict[str, int]:
         """Mark each agent to market: balances + deposit claims - debts + its vaults' value - their debt.
 
-        One pass: every balance table and pool unit rate is read once, not once per agent.
+        One pass: every balance table and pool unit rate is read once, not once per agent, and
+        debts are read from the positions that exist, not asked of every agent in every pool.
         """
         world, cdp = self.world, self.world.cdp
         value = world.oracle.value_usd
@@ -202,10 +203,10 @@ class SimulationEngine:
                 claim = p.claim(units.get(account, 0), rate)
                 if claim:
                     total += value(claim, p.params.asset, step)
-                debt = p.debt_of(account)
-                if debt:
-                    total -= value(debt, p.params.asset, step)
             worth[account] = total
+        for _, p, _, _ in reads:
+            for account in p.positions.keys() & worth.keys():
+                worth[account] -= value(p.debt_of(account), p.params.asset, step)
         for vault_id, vault in cdp.vaults.items() if cdp is not None else ():
             if vault.owner in worth:
                 worth[vault.owner] += cdp.collateral_value(world, vault, step)
