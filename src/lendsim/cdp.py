@@ -136,8 +136,7 @@ class CdpEngine:
 
     # ------------------------------------------------------------------
     def lock(self, world, vault_id: int, asset: str, amount: int) -> None:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return
         vault = self.vault(vault_id)
         if asset not in self.issuance_fraction:
@@ -148,8 +147,7 @@ class CdpEngine:
         vault.collateral[asset] = vault.collateral.get(asset, 0) + amount
 
     def free(self, world, vault_id: int, asset: str, amount: int, step: int) -> None:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return
         vault = self.vault(vault_id)
         held = vault.collateral.get(asset, 0)
@@ -169,8 +167,7 @@ class CdpEngine:
         world.ledger.transfer(VAULT_ENGINE_ACCOUNT, vault.owner, asset, amount, tag="vault-free")
 
     def draw(self, world, vault_id: int, amount: int, step: int) -> None:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return
         vault = self.vault(vault_id)
         new_debt = self.debt_of(vault_id) + amount
@@ -182,8 +179,7 @@ class CdpEngine:
         world.ledger.mint(vault.owner, self.dai_asset, amount, CDP_AUTHORITY, tag="dai-draw")
 
     def repay(self, world, vault_id: int, amount: int) -> int:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return 0
         vault = self.vault(vault_id)
         debt = self.debt_of(vault_id)

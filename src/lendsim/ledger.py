@@ -20,7 +20,8 @@ deleted again, not left at zero. Commit keeps the records for an enclosing
 checkpoint; checkpoints are strictly LIFO and copy nothing.
 
 A write count never falls: each asset counts its writes, as each DebtBook
-does, and undoing a write counts it once more. So equal counts read at any
+does, and undoing a write counts it once more. A DebtBook's `scaled_total`
+rides on the same undo record as its count, so a rollback restores it too. So equal counts read at any
 two points prove the state they count unchanged, and a cache of something
 derived from it (the reward shares, the last arbitrage scan) stays valid.
 Every write also names its keys in the undo log's `touched` set, which is how
@@ -117,13 +118,20 @@ class DebtBook(dict):
     A key's debt is its entry times the current index, rounded up, so it
     compounds with the index without a write, as Maker's `art` times `rate`
     and Aave's scaled debt balance do. The pools' borrow positions and the
-    CDP engine's vault debt are each one book. `writes` is the book's write
-    count, which never falls.
+    CDP engine's vault debt are each one book. `scaled_total` is the sum of
+    the entries, kept by every write and restored by a rollback; the book's
+    total debt is `mul_up(scaled_total, index)`, which no entry's rounding
+    can exceed: 0 <= sum of debt_of - that total < number of entries.
+    `writes` is the book's write count, which never falls. `check` recomputes
+    the sum after the book was written, so the identity is checked, not
+    assumed.
     """
 
     def __init__(self, undo: UndoLog):
         self.undo = undo
         self.writes = 0
+        self.scaled_total = 0
+        self._checked = 0  # writes when check last summed the entries
 
     def debt_of(self, key, index: int) -> int:
         scaled = self.get(key)
@@ -131,28 +139,39 @@ class DebtBook(dict):
 
     def add(self, key, amount: int, index: int) -> None:
         """Book `amount` > 0 of new debt, rounded up, so every entry owes something."""
-        self._count(key)
-        self.undo.save_items(self, key)
-        self[key] = self.get(key, 0) + div_up(amount, index)
+        self._write(key, self.get(key, 0) + div_up(amount, index))
 
     def reduce(self, key, applied: int, index: int) -> None:
         """Book a repayment of at most the key's debt; repaying it all deletes the entry."""
         scaled = self[key]
-        self._count(key)
-        if applied >= mul_up(scaled, index):
-            self.undo.del_item(self, key)
-        else:
-            self.undo.save_items(self, key)
-            self[key] = scaled - div_down(applied, index)  # > 0, as applied < the debt
+        # a partial repayment leaves > 0, as applied < the debt
+        self._write(key, 0 if applied >= mul_up(scaled, index) else scaled - div_down(applied, index))
 
-    def _count(self, key) -> None:
+    def _write(self, key, scaled: int) -> None:
+        """Set the key's entry (0 deletes it), keeping scaled_total and counting the write."""
+        delta = scaled - self.get(key, 0)
         self.undo.touched.add(key)
-        self.writes += 1
+        self._count(delta)
         if self.undo.depth:
-            self.undo.records.append((self._count_undone, ()))
+            self.undo.records.append((self._count, (-delta,)))  # undoing a write counts it once more
+        if scaled:
+            self.undo.save_items(self, key)
+            self[key] = scaled
+        else:
+            self.undo.del_item(self, key)
 
-    def _count_undone(self) -> None:
+    def _count(self, delta: int) -> None:
         self.writes += 1
+        self.scaled_total += delta
+
+    def check(self, name: str, step: int) -> None:
+        """If the book was written since the last check, its entries must sum to scaled_total."""
+        if self.writes != self._checked:
+            self._checked = self.writes
+            fresh = sum(self.values())
+            if fresh != self.scaled_total:
+                raise errors.InvariantViolation(
+                    f"{name} debt book at step {step}: entries sum to {fresh}, scaled_total is {self.scaled_total}")
 
 
 class Ledger:

@@ -196,7 +196,7 @@ def liquidate(
     )
 
     world.ledger.transfer(liquidator, repay_pool.account, repay_asset, applied, tag="liquidation-repay")
-    repay_pool.reduce_debt(target, applied)
+    repay_pool.positions.reduce(target, applied, repay_pool.borrow_index)
     seize_pool.seize(world, target, liquidator, seized)
 
     after = account_totals(world, target, step)

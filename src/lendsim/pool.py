@@ -12,26 +12,32 @@ assets minted/burned by the pool, in one of two accounting modes:
 
 Interest compounds discretely once per step. The borrow rate is a two-slope
 (kinked) function of utilization U = borrows / (cash + borrows); suppliers
-earn r_b * U * (1 - reserve_factor) while the reserve fraction accrues to the
-pool's reserves, rounding in the pool's favor.
+earn r_b * U * (1 - reserve_factor), and reserve_factor of the interest the
+borrows accrued in the step goes to the pool's reserves, rounded up, so the
+reserves never take more than the borrowers owe.
 
 There are no rate modes: every borrow accrues at the pool's borrow rate. The
 borrow positions are a ledger.DebtBook keyed by account, against
-borrow_index, so accrual compounds total_borrows as one sum without visiting
-positions. All cash lives in the pool's ledger account `pool:<asset>`, also
-its IOU's mint/burn authority, so pool cash can never drift from the balance
-sheet. The pool's state is written through the world ledger's undo log, so a
-world rollback restores it in place (ledger.py).
+borrow_index, so accrual compounds every position by moving one index.
+`total_borrows` is derived, not kept: the book's scaled total times the
+index, rounded up once, as Aave's variable debt token derives its total
+supply. Each position rounds its own debt up, so 0 <= sum of debt_of -
+total_borrows < number of positions, with no drift and no clamp. All cash
+lives in the pool's ledger account `pool:<asset>`, also its IOU's mint/burn
+authority, so pool cash can never drift from the balance sheet. The pool's
+state is written through the world ledger's undo log, so a world rollback
+restores it in place (ledger.py).
 
 A deposit is collateral (Aave's default): an account's IOU balance is the one
 record of its collateral in the pool, which backs its borrows and may be seized.
 
 A step costs the pool only what moved in it. `accrue` returns at once while
-nothing is borrowed and the base rate is 0, since then no index, total or
-reserve can change. Equal counts of `positions.writes` prove the
-borrow-side reward weights unchanged. `telemetry_row` re-renders its cells
-only when the raw state they are a function of differs from the last
-rendered one.
+nothing is borrowed and the base rate is 0, since then no index or reserve
+can change. Equal counts of `positions.writes` prove the borrow-side reward
+weights unchanged. `telemetry_row` re-renders its cells only when the raw
+state they are a function of (the scaled total and the index, not the
+derived total) differs from the last rendered one. A zero-amount deposit,
+redeem, borrow or repay returns at once and writes nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors, liquidation
-from .fixed import WAD, ceil_div, div_down, div_up, mul_down, mul_up, require_amount, to_str
+from .fixed import WAD, div_down, div_up, mul_down, mul_up, require_amount, to_str
 from .ledger import DebtBook, UndoLog
 
 EXCHANGE_RATE = "exchange-rate"
@@ -70,6 +76,13 @@ class RateModelParams:
     def supply_rate(self, borrow_rate: int, utilization: int) -> int:
         return mul_down(mul_down(borrow_rate, utilization), WAD - self.reserve_factor)
 
+    def rates(self, cash: int, borrows: int) -> tuple[int, int, int]:
+        """(utilization U = borrows / (cash + borrows), borrow rate, supply rate); U is 0 for an empty pool."""
+        total = cash + borrows
+        util = div_down(borrows, total) if total else 0
+        r_b = self.borrow_rate(util)
+        return util, r_b, self.supply_rate(r_b, util)
+
 
 @dataclass
 class PoolParams:
@@ -91,13 +104,13 @@ class Pool:
     def __init__(self, params: PoolParams, undo: UndoLog):
         self.params = params
         self.account = f"pool:{params.asset}"  # holds the pool's cash, mints and burns its IOU
-        self.total_borrows = 0
         self.reserves = 0
         self.borrow_index = WAD
         self.liquidity_index = WAD
         self.positions = DebtBook(undo)  # account -> debt / borrow_index at its last write
         self.undo = undo
-        # (cash, total_borrows, reserves, liquidity_index, iou_supply) last rendered, and the row after its step cell
+        # (cash, scaled borrows, borrow_index, reserves, liquidity_index, iou_supply) last rendered, and the row after
+        # its step cell
         self._row_state: tuple | None = None
         self._row_cells = ""
 
@@ -109,6 +122,11 @@ class Pool:
 
     def iou_supply(self, world) -> int:
         return world.ledger.supply(self.params.iou_asset)
+
+    @property
+    def total_borrows(self) -> int:
+        """The book's total debt, rounded up once: at most the sum of every position's debt_of."""
+        return mul_up(self.positions.scaled_total, self.borrow_index)
 
     def exchange_rate(self, world) -> int:
         supply = self.iou_supply(world)
@@ -122,14 +140,7 @@ class Pool:
         return div_down(net, supply)
 
     def utilization(self, world) -> int:
-        cash = self.cash(world)
-        total = cash + self.total_borrows
-        if total == 0:
-            return 0
-        return div_down(self.total_borrows, total)
-
-    def borrow_rate(self, world) -> int:
-        return self.params.rate_model.borrow_rate(self.utilization(world))
+        return self.params.rate_model.rates(self.cash(world), self.total_borrows)[0]
 
     def underlying_claim(self, world, account: str) -> int:
         """Underlying value of an account's IOU holding (displayed balance)."""
@@ -165,27 +176,26 @@ class Pool:
         if dt < 1:
             raise ValueError("dt must be >= 1")
         model = self.params.rate_model
-        if self.total_borrows == 0 and model.base_rate == 0:
-            return  # a zero rate: every index, total and reserve would stay as it is
+        scaled = self.positions.scaled_total
+        if scaled == 0 and model.base_rate == 0:
+            return  # a zero rate: every index and reserve would stay as it is
         cash = self.cash(world)  # constant across accrual steps
-        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "total_borrows", "reserves")
+        self.undo.save_attrs(self, "borrow_index", "liquidity_index", "reserves")
+        borrows = mul_up(scaled, self.borrow_index)  # total_borrows, without the property's lookups
         for _ in range(dt):
-            borrows = self.total_borrows
-            total = cash + borrows
-            util = div_down(borrows, total) if total else 0
-            r_b = model.borrow_rate(util)
-            r_s = model.supply_rate(r_b, util)
+            _, r_b, r_s = model.rates(cash, borrows)
             self.borrow_index = mul_down(self.borrow_index, WAD + r_b)
             self.liquidity_index = mul_down(self.liquidity_index, WAD + r_s)
-            self.total_borrows = borrows + mul_up(borrows, r_b)
-            self.reserves += ceil_div(borrows * r_b * model.reserve_factor, WAD * WAD)
+            accrued = mul_up(scaled, self.borrow_index)
+            # the reserve's share of the interest the borrows accrued, rounded up, so never more than all of it
+            self.reserves += mul_up(accrued - borrows, model.reserve_factor)
+            borrows = accrued
 
     # ------------------------------------------------------------------
     # deposits
     # ------------------------------------------------------------------
     def deposit(self, world, account: str, amount: int) -> int:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return 0
         minted = self.units_for(world, amount)
         world.ledger.transfer(account, self.account, self.params.asset, amount, tag="deposit")
@@ -198,8 +208,7 @@ class Pool:
         iou_amount is IOU units in exchange-rate mode and *displayed* units
         (equal to the underlying payout) in rebasing mode.
         """
-        require_amount(iou_amount)
-        if iou_amount == 0:
+        if not require_amount(iou_amount):
             return 0
         bal = world.ledger.balance(account, self.params.iou_asset)
         if iou_amount > self.displayed(bal):
@@ -211,9 +220,7 @@ class Pool:
             payout = iou_amount  # 1:1 redemption of the displayed balance
             burn_units = div_up(iou_amount, self.liquidity_index)  # <= bal, as iou_amount <= displayed(bal)
         if payout > self.cash(world):
-            raise errors.InsufficientLiquidity(
-                f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}"
-            )
+            raise errors.InsufficientLiquidity(f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}")
         self._require_health_after_withdrawal(world, account, payout, step)
         world.ledger.burn(account, self.params.iou_asset, burn_units, self.account, tag="redeem-iou")
         world.ledger.transfer(self.account, account, self.params.asset, payout, tag="redeem")
@@ -237,39 +244,27 @@ class Pool:
     # borrows
     # ------------------------------------------------------------------
     def borrow(self, world, account: str, amount: int, *, step: int) -> None:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return
         if amount > self.cash(world):
-            raise errors.InsufficientLiquidity(
-                f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}"
-            )
+            raise errors.InsufficientLiquidity(f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}")
         totals = liquidation.account_totals(world, account, step)
         debt_value = totals.debt_value + world.oracle.value_usd(amount, self.params.asset, step)
         if debt_value > totals.borrowing_power:
             raise errors.ExceedsBorrowingPower(f"{account}: debt value {debt_value} > power {totals.borrowing_power}")
-        self.undo.save_attrs(self, "total_borrows")
         self.positions.add(account, amount, self.borrow_index)
-        self.total_borrows += amount
         world.ledger.transfer(self.account, account, self.params.asset, amount, tag="borrow")
 
     def repay(self, world, account: str, amount: int) -> int:
-        require_amount(amount)
-        if amount == 0:
+        if not require_amount(amount):
             return 0
         debt = self.debt_of(account)
         if debt == 0:
             raise errors.NoDebt(f"{account} owes nothing in {self.params.asset}")
         applied = min(amount, debt)
         world.ledger.transfer(account, self.account, self.params.asset, applied, tag="repay")
-        self.reduce_debt(account, applied)
-        return applied
-
-    def reduce_debt(self, account: str, applied: int) -> None:
-        """Book a repayment, already in the pool's cash, of at most the account's debt."""
         self.positions.reduce(account, applied, self.borrow_index)
-        self.undo.save_attrs(self, "total_borrows")
-        self.total_borrows = max(0, self.total_borrows - applied)
+        return applied
 
     def credit_flash_fee(self, fee: int) -> None:
         """Book a flash loan's fee, already in the pool's cash, to reserves."""
@@ -281,23 +276,13 @@ class Pool:
     # ------------------------------------------------------------------
     def telemetry_row(self, world, step: int) -> str:
         # every cell after the step is a function of this state and the immutable params
-        state = (self.cash(world), self.total_borrows, self.reserves, self.liquidity_index, self.iou_supply(world))
+        state = (self.cash(world), self.positions.scaled_total, self.borrow_index, self.reserves,
+                 self.liquidity_index, self.iou_supply(world))
         if state != self._row_state:
-            cash, borrows, reserves, _, supply = state
-            util = self.utilization(world)
-            r_b = self.params.rate_model.borrow_rate(util)
-            r_s = self.params.rate_model.supply_rate(r_b, util)
-            cells = (
-                self.params.asset,
-                to_str(cash),
-                to_str(borrows),
-                to_str(reserves),
-                to_str(util),
-                to_str(r_b),
-                to_str(r_s),
-                to_str(self.unit_rate(world)),
-                to_str(supply),
-            )
-            self._row_cells = ",".join(cells)
+            cash, _, _, reserves, _, supply = state
+            borrows = self.total_borrows
+            util, r_b, r_s = self.params.rate_model.rates(cash, borrows)
+            values = (cash, borrows, reserves, util, r_b, r_s, self.unit_rate(world), supply)
+            self._row_cells = ",".join((self.params.asset, *map(to_str, values)))
             self._row_state = state
         return f"{step},{self._row_cells}"

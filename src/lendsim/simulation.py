@@ -11,7 +11,8 @@ by IOU balances and recomputed after a ledger write of the IOU, the borrow
 side by scaled principal (the pool's debt book, `Pool.positions`, which
 accrual leaves alone) and recomputed after a write to that book. Agent
 failures become events, never aborts. Before the rows render, World.audit
-checks that no ledger checkpoint outlived the step and that the vault
+checks that no ledger checkpoint outlived the step, that each debt book
+written in the step still sums to its scaled total, and that the vault
 engine's ledger holdings equal the vaults' recorded collateral, per asset;
 the full conservation audit runs at the end of the run.
 
@@ -105,7 +106,7 @@ class SimulationEngine:
                     detail=str(exc),
                 )
 
-        world.audit()
+        world.audit(t)
         # rendered even when no file takes them: a value too long to render fails the step either way
         pool_rows = [world.pools[sym].telemetry_row(world, t) for sym in self._pool_order]
         vault_rows = world.cdp.telemetry_rows(world, t) if world.cdp is not None else []

@@ -174,9 +174,13 @@ class World:
         self.ledger.commit(cp)
 
     # ------------------------------------------------------------------
-    def audit(self) -> None:
+    def audit(self, step: int) -> None:
+        """End-of-step identities: no open checkpoint, each debt book's sum, the vault engine's holdings."""
         self.ledger.audit()
+        for asset, pool in self.pools.items():
+            pool.positions.check(f"pool {asset}", step)
         if self.cdp is not None:
+            self.cdp.debts.check("vaults", step)
             self.cdp.audit(self)
 
     def charge_gas(self, account: str) -> int:

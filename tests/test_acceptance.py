@@ -202,16 +202,16 @@ def test_criterion_3_accrual_oracle_equivalence():
 
         # exact mirror state (same fixed point) and high-precision mirror
         cash = wad(rng.randint(1, 10**6))
-        borrows = wad(rng.randint(1, 10**6))
+        scaled = wad(rng.randint(1, 10**6))  # booked at index 1, so the scaled debt is the amount
         w.ledger.mint(p.account, "GLD", cash - p.cash(w), GENESIS_AUTHORITY)
-        p.total_borrows = borrows
+        p.positions.add("mirror", scaled, p.borrow_index)
         index = WAD
         liq_index = WAD
         reserves = 0
         with localcontext() as ctx:
             ctx.prec = 60
             d_index = Decimal(1)
-            d_borrows = Decimal(borrows) / WAD
+            d_borrows = Decimal(scaled) / WAD
             total_steps = 0
             while total_steps < 500:
                 seg = min(rng.randint(1, 120), 500 - total_steps)
@@ -227,14 +227,14 @@ def test_criterion_3_accrual_oracle_equivalence():
                 d_cash = Decimal(cash) / WAD
 
                 for _ in range(seg):
+                    borrows = mul_up(scaled, index)
                     util = borrows * WAD // (cash + borrows) if cash + borrows else 0
                     r_b = model.borrow_rate(util)
                     r_s = model.supply_rate(r_b, util)
                     index = index * (WAD + r_b) // WAD
                     liq_index = liq_index * (WAD + r_s) // WAD
-                    interest = ceil_div(borrows * r_b, WAD)
-                    reserves += ceil_div(borrows * r_b * model.reserve_factor, WAD * WAD)
-                    borrows += interest
+                    # the reserve's share of the interest the borrows accrued, rounded up
+                    reserves += ceil_div((mul_up(scaled, index) - borrows) * model.reserve_factor, WAD)
 
                     d_util = d_borrows / (d_cash + d_borrows)
                     d_kink = Decimal(model.kink) / WAD
@@ -252,7 +252,7 @@ def test_criterion_3_accrual_oracle_equivalence():
                 p.accrue(w, seg)
                 assert p.borrow_index == index, f"case {case}: index mismatch"
                 assert p.liquidity_index == liq_index, f"case {case}: liquidity index mismatch"
-                assert p.total_borrows == borrows, f"case {case}: borrows mismatch"
+                assert p.total_borrows == mul_up(scaled, index), f"case {case}: borrows mismatch"
                 assert p.reserves == reserves, f"case {case}: reserves mismatch"
 
             rel = abs(Decimal(p.borrow_index) / WAD - d_index) / d_index
@@ -337,8 +337,7 @@ def liquidation_grid_world(li):
         for d in range(1, 21):
             account = user(w, f"u-{c}-{d}", COL=wad(c))
             w.pools["COL"].deposit(w, account, wad(c))
-            w.pools["DEBT"].positions[account] = wad(d)
-            w.pools["DEBT"].total_borrows += wad(d)
+            w.pools["DEBT"].positions.add(account, wad(d), w.pools["DEBT"].borrow_index)
     return w
 
 

@@ -35,9 +35,7 @@ def rig_position(w, account, collateral, debt):
         w.pools["COL"].deposit(w, account, collateral)
     if debt:
         pool = w.pools["DEBT"]
-        pool.positions[account] = debt
-        pool.undo.touched.add(account)  # as Pool.borrow does, so a liquidation scan sees the new borrower
-        pool.total_borrows += debt
+        pool.positions.add(account, debt, pool.borrow_index)
         w.ledger.transfer(pool.account, account, "DEBT", min(debt, pool.cash(w)), tag="borrow")
 
 

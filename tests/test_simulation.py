@@ -366,7 +366,7 @@ reward_ops = st.lists(
 
 
 @given(reward_ops)
-# repay (b > 0 partial, b == 0 in full) between two steps: reduce_debt must count its write
+# repay (b > 0 partial, b == 0 in full) between two steps: DebtBook.reduce must count its write
 @example([("deposit", 0, 0, "COL", 400), ("borrow", 0, 0, "GLD", 200), ("borrow", 1, 0, "GLD", 50),
           ("step", 0, 0, "COL", 1), ("repay", 0, 1, "GLD", 100), ("step", 0, 0, "COL", 1),
           ("repay", 0, 0, "GLD", 1), ("step", 0, 0, "COL", 1), ("read", 0, 0, "COL", 1)])
@@ -623,8 +623,7 @@ def test_two_liquidators_only_first_clears_shallow_position():
     w.pools["XYZ"].borrow(w, "victim", wad(7500), step=0)
     # post-crash threshold is 9800 * 0.8 = 7840; raise debt just above it so a
     # single half-debt liquidation restores health
-    w.pools["XYZ"].positions["victim"] = wad(7900)
-    w.pools["XYZ"].total_borrows += wad(400)
+    w.pools["XYZ"].positions.add("victim", wad(400), w.pools["XYZ"].borrow_index)
     for t in range(3):
         engine.step(t)
     liqs = [e for e in w.events if e.get("kind") == "liquidation"]

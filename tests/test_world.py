@@ -2,11 +2,13 @@
 
 import copy
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lendsim import errors, liquidation
 from lendsim.fixed import wad
+from lendsim.ledger import DebtBook
 
 from conftest import build, make_doc, pool_doc, user
 
@@ -44,13 +46,15 @@ def open_books(w):
 
 
 # fields a rollback leaves as they are on purpose: the log itself and a rendered row that is a
-# function of the restored state; a debt book dumps as its entries, without its write count,
-# which a rollback raises (as the ledger's are)
+# function of the restored state; a debt book dumps as its entries and their scaled_total,
+# without its write counts, which a rollback raises (as the ledger's are)
 NOT_RESTORED = ("undo", "_row_state", "_row_cells")
 
 
 def dump(x):
     """Plain nested data of a state object: dicts as ordered item lists, objects by their fields."""
+    if isinstance(x, DebtBook):
+        return dump(dict(x)), x.scaled_total
     if isinstance(x, dict):
         return [(key, dump(value)) for key, value in x.items()]
     if isinstance(x, (list, tuple)):
@@ -78,6 +82,8 @@ def apply_op(w, op):
         p.redeem(w, USERS[a], amount, t)
     elif kind == "borrow":
         p.borrow(w, USERS[a], amount, step=t)
+    elif kind == "repay":
+        p.repay(w, USERS[a], amount)
     elif kind == "repay_all":  # deletes the position
         p.repay(w, USERS[a], p.debt_of(USERS[a]))
     elif kind == "liquidate":
@@ -104,7 +110,7 @@ def apply_op(w, op):
 world_ops = st.lists(
     st.tuples(
         st.sampled_from([
-            "deposit", "redeem", "borrow", "repay_all", "liquidate", "accrue",
+            "deposit", "redeem", "borrow", "repay", "repay_all", "liquidate", "accrue",
             "open", "lock", "draw", "free", "vault_repay", "vault_liquidate", "nest", "close",
         ]),
         st.integers(0, 2),
@@ -162,4 +168,39 @@ def test_rollback_restores_the_world_in_place(setup_ops, inner_ops):
     assert w.ledger.open_checkpoints() == 0 and w.ledger.undo.records == []
     assert w.cdp is cdp and all(w.pools[sym] is pool for sym, pool in pools.items())
     w.ledger.full_audit()
-    w.audit()
+    w.audit(0)
+
+
+@given(world_ops)
+@settings(max_examples=150, deadline=None)
+def test_total_borrows_is_the_book_total_within_a_unit_per_position(ops):
+    # each position's debt rounds up on its own, the total once: 0 <= sum of debts - total < positions
+    w = checkpoint_world()
+    open_cps = []
+    for op in ops:
+        try:
+            if op[0] == "nest":
+                open_cps.append(w.checkpoint())
+            elif op[0] == "close" and open_cps:
+                (w.commit if op[4] % 2 else w.rollback)(open_cps.pop())
+            elif op[0] != "close":
+                apply_op(w, op)
+        except errors.SimError:
+            pass
+        for p in w.pools.values():
+            assert p.positions.scaled_total == sum(p.positions.values())
+            gap = sum(p.debt_of(account) for account in p.positions) - p.total_borrows
+            assert 0 <= gap <= max(len(p.positions) - 1, 0)
+
+
+def test_a_debt_book_written_around_its_total_fails_the_step_audit():
+    w = checkpoint_world()
+    w.audit(0)
+    w.pools["GLD"].positions["u0"] += 1  # straight into the dict: scaled_total does not see it
+    w.pools["GLD"].borrow(w, "u1", wad(1), step=1)  # a counted write: the next audit sums the book
+    with pytest.raises(errors.InvariantViolation, match="pool GLD debt book at step 1: entries sum to"):
+        w.audit(1)
+    w.cdp.debts[1] += 1
+    w.cdp.draw(w, 2, wad(1), 1)
+    with pytest.raises(errors.InvariantViolation, match="vaults debt book at step 1: entries sum to"):
+        w.audit(1)
