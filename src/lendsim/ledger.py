@@ -20,10 +20,11 @@ deleted again, not left at zero. Commit keeps the records for an enclosing
 checkpoint; checkpoints are strictly LIFO and copy nothing.
 
 A write count never falls: each asset counts its writes, as each DebtBook
-does, and undoing a write counts it once more. A DebtBook's `scaled_total`
-rides on the same undo record as its count, so a rollback restores it too. So equal counts read at any
+does, and undoing a write counts it once more. So equal counts read at any
 two points prove the state they count unchanged, and a cache of something
 derived from it (the reward shares, the last arbitrage scan) stays valid.
+A DebtBook's `scaled_total` rides on the undo record of its count, so a
+rollback restores it with no record of its own.
 Every write also names its keys in the undo log's `touched` set, which is how
 the liquidation risk screen learns what changed; the journal is only an audit
 record, which no rollback reads.
@@ -119,12 +120,12 @@ class DebtBook(dict):
     compounds with the index without a write, as Maker's `art` times `rate`
     and Aave's scaled debt balance do. The pools' borrow positions and the
     CDP engine's vault debt are each one book. `scaled_total` is the sum of
-    the entries, kept by every write and restored by a rollback; the book's
-    total debt is `mul_up(scaled_total, index)`, which no entry's rounding
-    can exceed: 0 <= sum of debt_of - that total < number of entries.
-    `writes` is the book's write count, which never falls. `check` recomputes
-    the sum after the book was written, so the identity is checked, not
-    assumed.
+    the entries, kept by every write and restored by a rollback, so the
+    book's total debt is `mul_up(scaled_total, index)` with no sum kept
+    beside it: each entry's debt rounds up on its own and the total once,
+    so 0 <= sum of debt_of - total < number of entries. `writes` is the
+    book's write count, which never falls. `check` recomputes the sum once
+    the book was written, so the identity is checked, not assumed.
     """
 
     def __init__(self, undo: UndoLog):

@@ -220,7 +220,9 @@ class Pool:
             payout = iou_amount  # 1:1 redemption of the displayed balance
             burn_units = div_up(iou_amount, self.liquidity_index)  # <= bal, as iou_amount <= displayed(bal)
         if payout > self.cash(world):
-            raise errors.InsufficientLiquidity(f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}")
+            raise errors.InsufficientLiquidity(
+                f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}"
+            )
         self._require_health_after_withdrawal(world, account, payout, step)
         world.ledger.burn(account, self.params.iou_asset, burn_units, self.account, tag="redeem-iou")
         world.ledger.transfer(self.account, account, self.params.asset, payout, tag="redeem")
@@ -247,7 +249,9 @@ class Pool:
         if not require_amount(amount):
             return
         if amount > self.cash(world):
-            raise errors.InsufficientLiquidity(f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}")
+            raise errors.InsufficientLiquidity(
+                f"pool {self.params.asset} cash {self.cash(world)} < borrow {amount}"
+            )
         totals = liquidation.account_totals(world, account, step)
         debt_value = totals.debt_value + world.oracle.value_usd(amount, self.params.asset, step)
         if debt_value > totals.borrowing_power:
