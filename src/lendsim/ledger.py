@@ -166,7 +166,10 @@ class DebtBook(dict):
         self.scaled_total += delta
 
     def check(self, name: str, step: int) -> None:
-        """If the book was written since the last check, its entries must sum to scaled_total."""
+        """If the book was written since the last check, its entries must sum to scaled_total.
+
+        `name` names the book in the error: its pool's asset, or "vaults".
+        """
         if self.writes != self._checked:
             self._checked = self.writes
             fresh = sum(self.values())

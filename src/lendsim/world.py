@@ -178,7 +178,7 @@ class World:
         """End-of-step identities: no open checkpoint, each debt book's sum, the vault engine's holdings."""
         self.ledger.audit()
         for asset, pool in self.pools.items():
-            pool.positions.check(f"pool {asset}", step)
+            pool.positions.check(asset, step)
         if self.cdp is not None:
             self.cdp.debts.check("vaults", step)
             self.cdp.audit(self)

@@ -198,7 +198,7 @@ def test_a_debt_book_written_around_its_total_fails_the_step_audit():
     w.audit(0)
     w.pools["GLD"].positions["u0"] += 1  # straight into the dict: scaled_total does not see it
     w.pools["GLD"].borrow(w, "u1", wad(1), step=1)  # a counted write: the next audit sums the book
-    with pytest.raises(errors.InvariantViolation, match="pool GLD debt book at step 1: entries sum to"):
+    with pytest.raises(errors.InvariantViolation, match="GLD debt book at step 1: entries sum to"):
         w.audit(1)
     w.cdp.debts[1] += 1
     w.cdp.draw(w, 2, wad(1), 1)
