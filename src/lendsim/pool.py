@@ -78,8 +78,7 @@ class RateModelParams:
 
     def rates(self, cash: int, borrows: int) -> tuple[int, int, int]:
         """(utilization U = borrows / (cash + borrows), borrow rate, supply rate); U is 0 for an empty pool."""
-        total = cash + borrows
-        util = div_down(borrows, total) if total else 0
+        util = div_down(borrows, cash + borrows) if cash + borrows else 0
         r_b = self.borrow_rate(util)
         return util, r_b, self.supply_rate(r_b, util)
 
@@ -286,7 +285,8 @@ class Pool:
             cash, _, _, reserves, _, supply = state
             borrows = self.total_borrows
             util, r_b, r_s = self.params.rate_model.rates(cash, borrows)
-            values = (cash, borrows, reserves, util, r_b, r_s, self.unit_rate(world), supply)
-            self._row_cells = ",".join((self.params.asset, *map(to_str, values)))
+            cells = (self.params.asset, to_str(cash), to_str(borrows), to_str(reserves), to_str(util), to_str(r_b),
+                     to_str(r_s), to_str(self.unit_rate(world)), to_str(supply))
+            self._row_cells = ",".join(cells)
             self._row_state = state
         return f"{step},{self._row_cells}"
