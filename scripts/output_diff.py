@@ -10,13 +10,15 @@ paired row by row and its surplus counts as added or removed.
 
 Usage:
 
-    python scripts/output_diff.py OLD_TREE NEW_TREE --scenario table1 [--workload desk] [--steps N] [--seed N]
+    python scripts/output_diff.py OLD_TREE NEW_TREE --scenario table1 [--workload desk] [--steps N]
     python scripts/output_diff.py --dirs OLD_OUT NEW_OUT
 
 `--scenario` (a `scenarios/<name>.json` of each tree) and `--workload` (a
 `perfbench/workloads.py` builder, set up as the benchmark's `child.py` does)
-may repeat. `--dirs` compares two output directories already written. The
-exit status is 0 when every file is byte-identical, 1 when one differs.
+may repeat; a scenario runs at its own seed, a workload at seed 1, as the
+benchmark's digest pins do. `--dirs` compares two output directories already
+written. The exit status is 0 when every file is byte-identical, 1 when one
+differs.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]{1,%d})?" % RAW_DIGITS)
 # a workload run in one tree: the benchmark's own set-up, then a run with an output directory
 WORKLOAD_RUNNER = """
 import json, sys
-tree, workload, seed, steps, out = sys.argv[1:]
+tree, workload, steps, out = sys.argv[1:]
 sys.path.insert(0, tree + "/perfbench")  # child.py puts the tree's src first
 import child, workloads
 scenario_file = out + ".json"
 with open(scenario_file, "w") as fp:
-    json.dump(workloads.BUILDERS[workload](int(seed), int(steps) if steps else None), fp)
-engine, _ = child.set_up(workload, int(seed), scenario_file)
+    json.dump(workloads.BUILDERS[workload](1, int(steps) if steps else None), fp)
+engine, _ = child.set_up(workload, 1, scenario_file)
 engine.run(out_dir=out)
 """
 
@@ -82,7 +84,8 @@ class Column:
         if a is not None and b is not None:
             diff = abs(a - b)
             self.max_abs = diff if self.max_abs is None else max(self.max_abs, diff)
-            self.max_rel = max(self.max_rel, Fraction(diff, max(abs(a), abs(b))))
+            if diff:  # "0" and "0.0" differ in text only
+                self.max_rel = max(self.max_rel, Fraction(diff, max(abs(a), abs(b))))
 
 
 def flatten(value, prefix: str = "") -> dict[str, object]:
@@ -95,23 +98,22 @@ def flatten(value, prefix: str = "") -> dict[str, object]:
     return {prefix or "(value)": value}
 
 
-def parse_rows(name: str, lines: list[str]) -> tuple[list[str], list[dict[str, object]]]:
-    """(the rows' lines, each row as {column or key: value}); a CSV's header row is dropped."""
+def parse_rows(name: str, lines: list[str]) -> tuple[str, list[str], list[dict[str, object]]]:
+    """(a CSV's header line, the rows' lines, each row as {column or key: value}); the header is
+    not a row, and is "" for the JSON files."""
     if name.endswith(".csv"):
-        header = lines[0].split(",") if lines else []
-        body = lines[1:]
-        return body, [dict(zip(header, line.split(","))) for line in body]
+        header, body = (lines[0], lines[1:]) if lines else ("", [])
+        return header, body, [dict(zip(header.split(","), line.split(","))) for line in body]
     if name.endswith(".jsonl"):
-        return lines, [flatten(json.loads(line)) for line in lines]
-    if name.endswith(".json"):
-        return ["".join(lines)], [flatten(json.loads("".join(lines)))]
-    return lines, [{"(line)": line} for line in lines]
+        return "", lines, [flatten(json.loads(line)) for line in lines]
+    return "", ["".join(lines)], [flatten(json.loads("".join(lines)))]
 
 
 def diff_file(name: str, old_text: str, new_text: str) -> dict:
-    """Rows added, removed and changed, and per column the changes and largest differences."""
-    old_lines, old_rows = parse_rows(name, old_text.splitlines())
-    new_lines, new_rows = parse_rows(name, new_text.splitlines())
+    """The CSV header (old, new) if it changed; rows added, removed and changed; and per column the changes
+    and largest differences."""
+    old_header, old_lines, old_rows = parse_rows(name, old_text.splitlines())
+    new_header, new_lines, new_rows = parse_rows(name, new_text.splitlines())
     added = removed = changed = 0
     columns: dict[str, Column] = {}
     matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
@@ -125,7 +127,7 @@ def diff_file(name: str, old_text: str, new_text: str) -> dict:
         for old, new in zip(old_rows[i1 : i1 + pairs], new_rows[j1 : j1 + pairs]):
             for key in sorted(old.keys() | new.keys()):
                 columns.setdefault(key, Column()).add(old.get(key), new.get(key))
-    return {"added": added, "removed": removed, "changed": changed,
+    return {"header": (old_header, new_header) if old_header != new_header else None, "added": added, "removed": removed, "changed": changed,
             "columns": {k: c for k, c in columns.items() if c.changed}}
 
 
@@ -142,6 +144,8 @@ def diff_dirs(old_dir: Path, new_dir: Path) -> list[str]:
         if old_bytes == new_bytes:
             continue
         d = diff_file(name, old_bytes.decode(), new_bytes.decode())
+        if d["header"]:
+            lines.append(f"{name}: header {d['header'][0]} -> {d['header'][1]}")
         lines.append(f"{name}: {d['changed']} rows changed, {d['added']} added, {d['removed']} removed")
         for key, col in d["columns"].items():
             if col.max_abs is None:
@@ -152,16 +156,14 @@ def diff_dirs(old_dir: Path, new_dir: Path) -> list[str]:
     return lines
 
 
-def run_target(tree: Path, kind: str, name: str, seed: int | None, steps: int | None, out: Path) -> None:
+def run_target(tree: Path, kind: str, name: str, steps: int | None, out: Path) -> None:
     """Write the target's output directory as the tree's code writes it."""
     if kind == "scenario":
         cmd = [sys.executable, "-m", "lendsim", "run", "--scenario", str(tree / "scenarios" / f"{name}.json"),
                "--out", str(out)]
-        cmd += ["--seed", str(seed)] if seed is not None else []
         cmd += ["--steps", str(steps)] if steps is not None else []
     else:
-        cmd = [sys.executable, "-c", WORKLOAD_RUNNER, str(tree), name, str(1 if seed is None else seed),
-               str(steps or ""), str(out)]
+        cmd = [sys.executable, "-c", WORKLOAD_RUNNER, str(tree), name, str(steps or ""), str(out)]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree, env=env)
     if proc.returncode != 0:
@@ -173,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     parser.add_argument("--scenario", action="append", default=[])
     parser.add_argument("--workload", action="append", default=[])
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--steps", type=int)
     parser.add_argument("--dirs", nargs=2, type=Path, metavar=("OLD_OUT", "NEW_OUT"))
     args = parser.parse_args(argv)
@@ -188,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             for kind, name in targets:
                 outs = [Path(tmp) / f"{kind}-{name}-{side}" for side in ("old", "new")]
                 for tree, out in zip(args.trees, outs):
-                    run_target(tree.resolve(), kind, name, args.seed, args.steps, out)
+                    run_target(tree.resolve(), kind, name, args.steps, out)
                 reports.append((f"{kind} {name}", diff_dirs(*outs)))
     for title, lines in reports:
         print(f"{title}: " + ("differs" if lines else "no difference"))

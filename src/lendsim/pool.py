@@ -138,9 +138,6 @@ class Pool:
             )
         return div_down(net, supply)
 
-    def utilization(self, world) -> int:
-        return self.params.rate_model.rates(self.cash(world), self.total_borrows)[0]
-
     def underlying_claim(self, world, account: str) -> int:
         """Underlying value of an account's IOU holding (displayed balance)."""
         units = world.ledger.balance(account, self.params.iou_asset)
