@@ -153,14 +153,9 @@ class CdpEngine:
         held = vault.collateral.get(asset, 0)
         if amount > held:
             raise errors.InsufficientBalance(f"vault {vault_id} holds {held} {asset}")
-        debt = self.debt_of(vault_id)
-        if debt > 0:
-            removed = mul_down(
-                world.oracle.value_usd(amount, asset, step),
-                self.issuance_fraction.get(asset, 0),
-            )
-            if debt > self.issuance_bound(world, vault, step) - removed:
-                raise errors.WouldBreachIssuanceBound(f"vault {vault_id}")
+        kept = Vault(vault.owner, {**vault.collateral, asset: held - amount})
+        if self.debt_of(vault_id) > self.issuance_bound(world, kept, step):
+            raise errors.WouldBreachIssuanceBound(f"vault {vault_id}")
         self.undo.save_items(vault.collateral, asset)
         self.undo.touched.add(vault_id)
         vault.collateral[asset] = held - amount

@@ -219,7 +219,7 @@ class Pool:
             raise errors.InsufficientLiquidity(
                 f"pool {self.params.asset} cash {self.cash(world)} < payout {payout}"
             )
-        self._require_health_after_withdrawal(world, account, payout, step)
+        self._require_health_after_withdrawal(world, account, bal - burn_units, step)
         world.ledger.burn(account, self.params.iou_asset, burn_units, self.account, tag="redeem-iou")
         world.ledger.transfer(self.account, account, self.params.asset, payout, tag="redeem")
         return payout
@@ -229,13 +229,12 @@ class Pool:
         units = self.units_for(world, underlying)
         world.ledger.transfer(target, liquidator, self.params.iou_asset, units, tag="liquidation-seize")
 
-    def _require_health_after_withdrawal(self, world, account: str, underlying_out: int, step: int) -> None:
-        totals = liquidation.account_totals(world, account, step)
-        if totals.debt_value == 0:
-            return
-        removed = world.oracle.value_usd(underlying_out, self.params.asset, step)
-        new_threshold = totals.threshold_value - mul_down(removed, self.params.liquidation_threshold)
-        if new_threshold < totals.debt_value:
+    def _require_health_after_withdrawal(self, world, account: str, units_left: int, step: int) -> None:
+        """Value the account as it stands with `units_left` of this pool's IOU, at the rates read now."""
+        reads = [(asset, p, rate, {account: units_left} if p is self else units)
+                 for asset, p, rate, units in liquidation.pool_reads(world)]
+        totals = liquidation.account_totals(world, account, step, reads)
+        if totals.threshold_value < totals.debt_value:
             raise errors.WouldBecomeUndercollateralized(account)
 
     # ------------------------------------------------------------------

@@ -159,6 +159,21 @@ def test_zero_fee_keeps_index_constant():
     assert w.cdp.fee_index == WAD
 
 
+def test_free_is_judged_on_the_collateral_the_vault_keeps():
+    # 2 raw ETH at 1.5 bound 1 raw (value 3); keeping 1 raw bounds 0 (value 1), below the debt of 1,
+    # though the freed raw unit alone bounds 0 too, which hid the breach
+    w = vault_world(eth_price="1.5")
+    user(w, "alice", ETH=2)
+    vid = w.cdp.open_vault("alice")
+    w.cdp.lock(w, vid, "ETH", 2)
+    w.cdp.draw(w, vid, w.cdp.issuance_bound(w, w.cdp.vault(vid), 0), step=0)
+    assert w.cdp.debt_of(vid) == 1
+    with pytest.raises(errors.WouldBreachIssuanceBound):
+        w.cdp.free(w, vid, "ETH", 1, step=0)
+    assert w.cdp.vault(vid).collateral == {"ETH": 2}
+    assert not w.cdp.is_unsafe(w, vid, 0)
+
+
 def test_single_step_fee():
     w = vault_world(fee="0.0001")
     w.cdp.accrue(w, 0)

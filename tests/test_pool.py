@@ -148,6 +148,22 @@ def test_redeem_that_would_undercollateralize_is_rejected():
     assert w.ledger.balance("alice", "cETH") == wad(10)
 
 
+def test_redeem_is_judged_on_the_deposit_it_leaves():
+    # 25 raw ETH at 1.3: value 32, power 24, threshold 25. Redeeming 2 raw leaves 23 raw, value 29 and
+    # threshold 23 < debt 24; the removed 2 raw alone value at 2, threshold 1, which hid the breach
+    w = eth_dai_world(eth_price="1.3")
+    user(w, "lender", DAI=wad(100))
+    w.pools["DAI"].deposit(w, "lender", wad(100))
+    user(w, "alice", ETH=25)
+    w.pools["ETH"].deposit(w, "alice", 25)
+    power = liquidation.account_totals(w, "alice", 0).borrowing_power
+    w.pools["DAI"].borrow(w, "alice", power, step=0)
+    with pytest.raises(errors.WouldBecomeUndercollateralized):
+        w.pools["ETH"].redeem(w, "alice", 2, step=0)
+    assert w.ledger.balance("alice", "cETH") == 25
+    assert liquidation.account_totals(w, "alice", 0).health_factor >= WAD
+
+
 def test_redeem_allowed_when_other_collateral_covers():
     # collateral: 10 ETH (20000 usd, threshold 0.8) + 30000 DAI (threshold 0.85)
     # debt: 10000 DAI. Redeeming all the ETH leaves threshold 25500 >= 10000.
