@@ -168,24 +168,19 @@ class Pool:
     # ------------------------------------------------------------------
     # accrual
     # ------------------------------------------------------------------
-    def accrue(self, world, dt: int = 1) -> None:
-        if dt < 1:
-            raise ValueError("dt must be >= 1")
+    def accrue(self, world) -> None:
+        """Compound one step of interest at the rates of the pool's state now."""
         model = self.params.rate_model
         scaled = self.positions.scaled_total
         if scaled == 0 and model.base_rate == 0:
             return  # a zero rate: every index and reserve would stay as it is
-        cash = self.cash(world)  # constant across accrual steps
         self.undo.save_attrs(self, "borrow_index", "liquidity_index", "reserves")
         borrows = mul_up(scaled, self.borrow_index)  # total_borrows, without the property's lookups
-        for _ in range(dt):
-            _, r_b, r_s = model.rates(cash, borrows)
-            self.borrow_index = mul_down(self.borrow_index, WAD + r_b)
-            self.liquidity_index = mul_down(self.liquidity_index, WAD + r_s)
-            accrued = mul_up(scaled, self.borrow_index)
-            # the reserve's share of the interest the borrows accrued, rounded up, so never more than all of it
-            self.reserves += mul_up(accrued - borrows, model.reserve_factor)
-            borrows = accrued
+        _, r_b, r_s = model.rates(self.cash(world), borrows)
+        self.borrow_index = mul_down(self.borrow_index, WAD + r_b)
+        self.liquidity_index = mul_down(self.liquidity_index, WAD + r_s)
+        # the reserve's share of the interest the borrows accrued, rounded up, so never more than all of it
+        self.reserves += mul_up(mul_up(scaled, self.borrow_index) - borrows, model.reserve_factor)
 
     # ------------------------------------------------------------------
     # deposits

@@ -79,7 +79,7 @@ class SimulationEngine:
         world = self.world
         world.oracle.ensure_step(t)
         for sym in self._pool_order:
-            world.pools[sym].accrue(world, 1)
+            world.pools[sym].accrue(world)
         if world.cdp is not None:
             world.cdp.accrue(world, t)
         self.distribute_rewards(t)

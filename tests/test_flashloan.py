@@ -581,7 +581,7 @@ def test_borrow_index_crossing_is_reported_at_the_first_unhealthy_step():
     first = None
     for t in range(80):
         for pool in w.pools.values():
-            pool.accrue(w, 1)
+            pool.accrue(w)
         targets = [o.venue_or_target for o in flashloan.scan_liquidations(w, t)]
         unhealthy = liquidation.account_totals(w, "victim", t).liquidatable
         assert ("victim" in targets) == unhealthy, t
@@ -622,7 +622,7 @@ def test_screen_values_a_healthy_account_once_and_a_debt_free_vault_never(monkey
     monkeypatch.setattr(cdp.CdpEngine, "_valuation", counted_valuation)
     for t in range(50):
         for pool in w.pools.values():
-            pool.accrue(w, 1)
+            pool.accrue(w)
         w.cdp.accrue(w, t)
         assert flashloan.scan_liquidations(w, t) == []
     assert valued.count("alice") <= 1

@@ -278,7 +278,7 @@ def priced_world(prices):
     except errors.SimError:
         pass
     for p in w.pools.values():  # unit rates off WAD, then deposits of uneven IOU units
-        p.accrue(w, 1)
+        p.accrue(w)
         for name in USERS:
             p.deposit(w, name, from_str("7.77"))
     return w

@@ -280,7 +280,8 @@ def test_repay_after_accrual_closes_position():
         borrows = borrows + ceil_div(borrows * r_b, WAD)
         index = new_index
     expected_debt = ceil_div(wad(100) * index, WAD)
-    p.accrue(w, 25)
+    for _ in range(25):
+        p.accrue(w)
     assert p.debt_of("alice") == expected_debt
     applied = p.repay(w, "alice", expected_debt)
     assert applied == expected_debt
@@ -338,7 +339,8 @@ def test_borrow_index_matches_step_loop_oracle():
         util = borrows * WAD // (cash + borrows)
         r_b = p.params.rate_model.borrow_rate(util)
         index = index * (WAD + r_b) // WAD
-    p.accrue(w, 10)
+    for _ in range(10):
+        p.accrue(w)
     assert p.borrow_index == index
     assert p.total_borrows == mul_up(scaled, index)
 
@@ -354,7 +356,7 @@ def test_borrow_index_closed_form_at_pinned_utilization():
     w.ledger.mint(p.account, "DAI", wad(100), GENESIS_AUTHORITY)
     for _ in range(10):
         assert utilization(w, p) == from_str("0.5")
-        p.accrue(w, 1)
+        p.accrue(w)
         shortfall = p.total_borrows - p.cash(w)
         w.ledger.mint(p.account, "DAI", shortfall, GENESIS_AUTHORITY)
     closed_form = Fraction(1001, 1000) ** 10 * WAD
@@ -370,7 +372,8 @@ def test_idle_accrual_at_zero_base_rate_leaves_state_and_undo_log_unchanged():
     cp = w.checkpoint()  # open, so a saved attribute would show in the log
     state = (p.borrow_index, p.liquidity_index, p.total_borrows, p.reserves)
     records = list(w.ledger.undo.records)
-    p.accrue(w, 5)
+    for _ in range(5):
+        p.accrue(w)
     assert (p.borrow_index, p.liquidity_index, p.total_borrows, p.reserves) == state
     assert w.ledger.undo.records == records
     w.rollback(cp)
@@ -379,7 +382,8 @@ def test_idle_accrual_at_zero_base_rate_leaves_state_and_undo_log_unchanged():
 def test_idle_accrual_at_nonzero_base_rate_compounds_the_borrow_index():
     w = eth_dai_world(dai_pool_overrides={"initial_cash": "1000", "rate_model": dict(RATED, base_rate="0.001")})
     p = w.pools["DAI"]
-    p.accrue(w, 3)
+    for _ in range(3):
+        p.accrue(w)
     index = WAD
     for _ in range(3):
         index = index * (WAD + from_str("0.001")) // WAD
@@ -395,7 +399,7 @@ def test_exchange_rate_never_decreases_under_accrual():
     p.borrow(w, "alice", wad(800), step=0)
     last = p.exchange_rate(w)
     for _ in range(50):
-        p.accrue(w, 1)
+        p.accrue(w)
         rate = p.exchange_rate(w)
         assert rate >= last
         last = rate
@@ -440,7 +444,7 @@ def test_exchange_rate_monotone_and_atoken_peg_under_random_ops(op_list):
                 elif op == "repay":
                     p.repay(w, "alice", amount)
                 else:
-                    p.accrue(w, 1)
+                    p.accrue(w)
             except errors.SimError:
                 pass
         rate = w.pools["ETH"].exchange_rate(w)
@@ -475,7 +479,7 @@ def test_solvency_identity_claims_never_exceed_assets(op_list):
                 elif op == "repay":
                     p.repay(w, "alice", amount)
                 else:
-                    p.accrue(w, 1)
+                    p.accrue(w)
             except errors.SimError:
                 pass
         for p in w.pools.values():
@@ -532,7 +536,7 @@ def test_telemetry_row_equals_a_row_rendered_from_scratch(op_list):
         elif op == "repay":
             p.repay(w, "alice", amount)
         elif op == "accrue":
-            p.accrue(w, 1)
+            p.accrue(w)
         elif op == "fee":
             w.ledger.transfer("alice", p.account, p.params.asset, amount)
             check()

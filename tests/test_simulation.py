@@ -454,7 +454,7 @@ def test_reward_streams_match_eager_payment_at_every_read(ops):
                     w.rollback(cp)
             elif kind == "step":
                 for pool_sym in sorted(w.pools):
-                    w.pools[pool_sym].accrue(w, 1)
+                    w.pools[pool_sym].accrue(w)
                 pay_step(t)
                 t += 1
             else:

@@ -89,7 +89,7 @@ def apply_op(w, op):
     elif kind == "liquidate":
         liquidation.liquidate(w, USERS[b], USERS[a], sym, other.params.asset, amount, t)
     elif kind == "accrue":
-        p.accrue(w, 1)
+        p.accrue(w)
         cdp.accrue(w, t)
     elif kind == "open":
         cdp.open_vault(USERS[a])
