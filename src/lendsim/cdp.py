@@ -6,11 +6,14 @@ The same fraction is the liquidation bound: there is no margin call, and as
 soon as debt strictly exceeds the bound anyone may liquidate by repaying debt
 (which is burned) in exchange for collateral at a penalty discount.
 
-A per-step stability fee compounds a global fee index. The fee is
-configuration: the constant `stability_fee`, or a pluggable policy (constant,
-or a proportional controller) consulted once per step with the stablecoin's
-oracle price. Debt issuance treats one stablecoin as one USD regardless of its
-market price; the market price only matters to traders and the fee policy.
+A per-step stability fee compounds a global fee index, one rule with two
+settings: fee = max(0, stability_fee + fee_gain * (1 - p)), with p the
+stablecoin's oracle price at the step. A positive gain raises the fee while
+the stablecoin trades below its 1 USD target and lowers it above; the floor
+at 0 keeps the index from falling. With fee_gain 0 the fee is the constant
+stability_fee and the price is not read. Debt issuance treats one stablecoin
+as one USD regardless of its market price; the market price only matters to
+traders and the fee.
 
 `telemetry_rows` renders every vault's row from one price table per step:
 each held collateral asset's price and issuance fraction are read once, and
@@ -26,7 +29,6 @@ write does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import errors
 from .fixed import WAD, mul_down, mul_up, require_amount, to_str
@@ -37,23 +39,6 @@ VAULT_ENGINE_ACCOUNT = "vault-engine"
 CDP_AUTHORITY = "cdp"
 
 VAULT_TELEMETRY_HEADER = "step,vault_id,collateral_value,debt,bound,safe_flag,fee_index"
-
-# fee policies map the stablecoin's oracle price to a per-step fee
-FeePolicy = Callable[[int], int]
-
-
-def constant_fee(fee: int) -> FeePolicy:
-    return lambda _price: fee
-
-
-def proportional_fee(base: int, gain: int, target: int = WAD) -> FeePolicy:
-    """Raise the fee when the stablecoin trades below target, lower it above."""
-
-    def policy(price: int) -> int:
-        return max(0, base + mul_down(gain, target - price))
-
-    return policy
-
 
 class _Marks(dict):
     """(price, issuance fraction) of each collateral asset at one step, read on first use."""
@@ -91,14 +76,14 @@ class CdpEngine:
         dai_asset: str,
         issuance_fraction: dict[str, int],
         stability_fee: int,
+        fee_gain: int,
         liquidation_penalty: int,
-        fee_policy: FeePolicy | None,
     ):
         self.dai_asset = dai_asset
         self.issuance_fraction = dict(issuance_fraction)
         self.stability_fee = stability_fee
+        self.fee_gain = fee_gain  # of either sign
         self.liquidation_penalty = liquidation_penalty
-        self.fee_policy = fee_policy
         self.fee_index = WAD
         self.vaults: dict[int, Vault] = {}
         self.debts = DebtBook(undo)  # vault id -> debt / fee_index at its last write
@@ -188,8 +173,8 @@ class CdpEngine:
     # ------------------------------------------------------------------
     def accrue(self, world, step: int) -> None:
         fee = self.stability_fee
-        if self.fee_policy is not None:
-            fee = self.fee_policy(world.oracle.price_at(self.dai_asset, step))
+        if self.fee_gain:
+            fee = max(0, fee + mul_down(self.fee_gain, WAD - world.oracle.price_at(self.dai_asset, step)))
         self.undo.save_attrs(self, "fee_index")
         self.fee_index = mul_up(self.fee_index, WAD + fee)
 

@@ -5,8 +5,8 @@ rates and fractions are decimal strings so no precision is lost in transit.
 Parsing reads each JSON object through its key table, which states every key
 once with its reader (its type and bound) and default; a key the table lacks
 is a problem naming its path, as under JSON Schema's `additionalProperties:
-false`. A venue's or fee policy's `kind`, a feed's `mode` and an agent's `kind`
-(for its `params`) choose the table. Validation checks cross-field rules and
+false`. A venue's `kind`, a feed's `mode` and an agent's `kind` (for its
+`params`) choose the table. Validation checks cross-field rules and
 references. Both collect *every* violation instead of stopping at the first
 and name the field of each; validation separates hard errors from warnings
 (e.g. a liquidation bonus large enough that liquidation may not improve health).
@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from . import oracle as oracle_mod
 from .agents import AGENT_CLASSES
-from .cdp import CDP_AUTHORITY, VAULT_ENGINE_ACCOUNT, CdpEngine, FeePolicy, constant_fee, proportional_fee
+from .cdp import CDP_AUTHORITY, VAULT_ENGINE_ACCOUNT, CdpEngine
 from .fixed import AmountError, WAD, from_str, is_plain, mul_down
 from .ledger import GENESIS_AUTHORITY, Ledger
 from .oracle import PriceOracle, WalkParams
@@ -79,8 +79,8 @@ class CdpSpec:
     dai_asset: str
     issuance_fraction: dict[str, int]
     stability_fee: int
+    fee_gain: int
     liquidation_penalty: int
-    fee_policy: FeePolicy | None
 
 
 @dataclass
@@ -235,7 +235,7 @@ def _object(build: Callable, table: Table) -> Reader:
     return lambda raw, where, problems: build(**_fields(raw, where, table, problems))
 
 
-def _variant(tag: str, default: str | None, variants: dict[str, tuple[Callable, Table]]):
+def _variant(tag: str, default: str, variants: dict[str, tuple[Callable, Table]]):
     """A reader of a JSON object whose `tag` key (`default` when absent) chooses its
     (build, table) from `variants`; an unknown tag is a problem and reads as None."""
 
@@ -301,13 +301,10 @@ _POOL: Table = {
     "rate_model": (_object(RateModelParams, _RATE_MODEL), {}),
 }
 
-_CONSTANT_FEE: Table = {"fee": (_non_negative, "0")}
-_PROPORTIONAL_FEE: Table = {"base": (_amt, "0"), "gain": (_amt, "0")}  # the policy floors its fee at 0
 _CDP: Table = {
     "dai_symbol": (_str, "DAI"), "issuance_fractions": (_mapping(_open_fraction), {}),
-    "stability_fee": (_non_negative, "0"), "liquidation_penalty": (_non_negative, "0.13"),
-    "fee_policy": (_variant("kind", None, {
-        "constant": (constant_fee, _CONSTANT_FEE), "proportional": (proportional_fee, _PROPORTIONAL_FEE)}), None),
+    "stability_fee": (_non_negative, "0"), "fee_gain": (_amt, "0"),  # the engine floors the fee at 0
+    "liquidation_penalty": (_non_negative, "0.13"),
 }
 
 _AGENT: Table = {  # _agent reads the params through the table of the kind

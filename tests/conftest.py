@@ -31,8 +31,6 @@ KEY_TABLES = {
     "`price_feeds` of mode `replay`": bounds(scenario._REPLAY, "mode"),
     "`price_feeds` of mode `walk`": bounds(scenario._WALK, "mode"),
     "`cdp`": bounds(scenario._CDP),
-    "`cdp.fee_policy` of kind `constant`": bounds(scenario._CONSTANT_FEE, "kind"),
-    "`cdp.fee_policy` of kind `proportional`": bounds(scenario._PROPORTIONAL_FEE, "kind"),
     "`agents[]`": bounds(scenario._AGENT),
     **{f"`agents[].params` of kind `{kind}`": bounds(table) for kind, table in scenario._PARAMS.items()},
     "`rewards`": bounds(scenario._REWARDS),

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from lendsim import errors
-from lendsim.cdp import proportional_fee
 from lendsim.fixed import WAD, ceil_div, from_str, to_str, wad
 
 from conftest import build, make_doc, pool_doc, user
@@ -13,19 +12,18 @@ from conftest import build, make_doc, pool_doc, user
 TWO_THIRDS = to_str(2 * WAD // 3)
 
 
-def vault_world(fee="0", penalty="0.13", eth_price="200", fee_policy=None, horizon=10):
+def vault_world(fee="0", penalty="0.13", eth_price="200", fee_gain="0", dai_prices=((0, "1"),), horizon=10):
     cdp = {
         "dai_symbol": "DAI",
         "issuance_fractions": {"ETH": TWO_THIRDS},
         "stability_fee": fee,
+        "fee_gain": fee_gain,
         "liquidation_penalty": penalty,
     }
-    if fee_policy:
-        cdp["fee_policy"] = fee_policy
     doc = make_doc(
         assets=["ETH", "DAI"],
         pools=[pool_doc("DAI", "aDAI", "rebasing", collateral_factor="0.8", liquidation_threshold="0.85")],
-        prices={"ETH": [[0, eth_price]], "DAI": [[0, "1"]]},
+        prices={"ETH": [[0, eth_price]], "DAI": [list(point) for point in dai_prices]},
         cdp=cdp,
         horizon=horizon,
     )
@@ -180,19 +178,23 @@ def test_single_step_fee():
     assert w.cdp.fee_index == WAD + from_str("0.0001")
 
 
-def test_constant_policy_matches_closed_form_over_50_steps():
-    w = vault_world(fee="0.0003", fee_policy={"kind": "constant", "fee": "0.0003"})
+def test_constant_fee_matches_closed_form_over_50_steps():
+    w = vault_world(fee="0.0003")
     for t in range(50):
         w.cdp.accrue(w, t)
     closed_form = Fraction(10003, 10000) ** 50
     assert abs(Fraction(w.cdp.fee_index, WAD) - closed_form) < Fraction(1, 10**12)
 
 
-def test_proportional_policy_raises_fee_below_peg():
-    policy = proportional_fee(base=from_str("0.0001"), gain=from_str("0.01"))
-    assert policy(WAD) == from_str("0.0001")
-    assert policy(from_str("0.99")) == from_str("0.0001") + from_str("0.0001")
-    assert policy(from_str("1.5")) == 0  # clamped at zero above peg
+@pytest.mark.parametrize("dai_price, fee", [
+    ("1", "0.0001"),  # at the peg: the stability fee
+    ("0.99", "0.0002"),  # below it: plus 0.01 x 0.01
+    ("1.5", "0"),  # far above it: 0.0001 - 0.005 floors at 0, so the index holds
+])
+def test_fee_gain_moves_the_fee_against_the_dai_price(dai_price, fee):
+    w = vault_world(fee="0.0001", fee_gain="0.01", dai_prices=[(0, dai_price)])
+    w.cdp.accrue(w, 0)
+    assert w.cdp.fee_index == WAD + from_str(fee)
 
 
 def test_vault_at_bound_is_safe():
@@ -265,8 +267,9 @@ def test_vault_liquidation_seize_cap_shrinks_repay():
     assert abs(repaid - from_str("1769.911504424778761062")) <= 2
 
 
-def test_fee_index_monotone_with_policy_swings():
-    w = vault_world(fee="0.0001", fee_policy={"kind": "proportional", "base": "0.0001", "gain": "0.05"})
+def test_fee_index_monotone_as_the_dai_price_swings():
+    swings = [(0, "1"), (4, "0.97"), (8, "1.02"), (12, "1.3"), (16, "0.9")]  # 1.3 floors the fee at 0
+    w = vault_world(fee="0.0001", fee_gain="0.05", dai_prices=swings, horizon=20)
     last = w.cdp.fee_index
     for t in range(20):
         w.cdp.accrue(w, t)

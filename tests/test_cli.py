@@ -93,9 +93,7 @@ REJECTED = {
     "endowment_negative": (_set("agents", 0, "endowment", "WETH", "-1"), []),
     "inventory_negative": (_set("venues", 1, "inventory", "WBTC", "-1"), []),
     "gas_fee_negative": (_set("gas", {"asset": "DAI", "fee": "-1"}), []),
-    "fee_policy_bad_decimal": (_set("cdp", "fee_policy", {"kind": "constant", "fee": "1.2.3"}), []),
-    "fee_policy_not_object": (_set("cdp", "fee_policy", "constant"), []),
-    "fee_policy_unknown_kind": (_set("cdp", "fee_policy", {"kind": "pid", "fee": "0.1"}), []),
+    "fee_gain_bad_decimal": (_set("cdp", "fee_gain", "1.2.3"), []),
     "agent_param_list": (_set("agents", 0, "params", "pool", []), []),
     "endowment_huge_exponent": (_set("agents", 0, "endowment", "WETH", "1e5000"), []),
     "initial_cash_above_uint256": (_set("pools", 0, "initial_cash", to_str(2**256)), []),
@@ -122,7 +120,7 @@ REJECTED = {
     "unknown_pool_key": (_set("pools", 0, "close_factr", "0.5"), []),
     "unknown_rate_model_key": (_set("pools", 1, "rate_model", "kinq", "0.8"), []),
     "unknown_cdp_key": (_set("cdp", "stability_fees", "0"), []),
-    "unknown_fee_policy_key": (_set("cdp", "fee_policy", "gain", "0.1"), []),  # a proportional key on a constant policy
+    "fee_policy": (_set("cdp", "fee_policy", {"kind": "constant", "fee": "0.000001"}), []),  # fee_gain replaced it
     "unknown_rewards_key": (_set("rewards", "supply_splt", "0.5"), []),
     "unknown_gas_key": (_set("gas", {"asset": "DAI", "fees": "1"}), []),
     "unknown_agent_key": (_set("agents", 0, "windows", [0, 1]), []),
@@ -139,7 +137,7 @@ UNKNOWN_KEY_PATHS = {
     "unknown_pool_key": "pools[0].close_factr",
     "unknown_rate_model_key": "pools[1].rate_model.kinq",
     "unknown_cdp_key": "cdp.stability_fees",
-    "unknown_fee_policy_key": "cdp.fee_policy.gain",
+    "fee_policy": "cdp.fee_policy",
     "unknown_rewards_key": "rewards.supply_splt",
     "unknown_gas_key": "gas.fees",
     "unknown_agent_key": "agents[0].windows",

@@ -165,7 +165,6 @@ ROW_BOUNDS = {
     "cdp.issuance_fractions.WETH": ("must lie in (0, 1)", ["0", "1"], []),
     "cdp.stability_fee": ("must be >= 0", ["-" + TINY], ["0"]),
     "cdp.liquidation_penalty": ("must be >= 0", ["-" + TINY], ["0"]),
-    "cdp.fee_policy.fee": ("must be >= 0", ["-" + TINY], ["0"]),
     "price_feeds.initial.WETH": ("price must be > 0", ["0"], []),
     "price_feeds.drift": ("must lie in [-1, 1]", [math.nextafter(-1, -2), math.nextafter(1, 2)], [-1, 1]),
     "price_feeds.volatility": ("must lie in [0, 1]", [math.nextafter(0, -1), math.nextafter(1, 2)], [0, "1"]),
@@ -422,7 +421,7 @@ def test_absent_keys_take_their_table_defaults():
         "pools": [{"asset": "ETH", "iou_symbol": "cETH"}],
         "venues": [{"kind": "amm", "pair": ["ETH", "DAI"], "reserves": ["1", "2"]}, {}],
         "price_feeds": {"mode": "walk"},
-        "cdp": {"fee_policy": {"kind": "proportional"}},
+        "cdp": {},
         "agents": [{"kind": "liquidator"}, {"kind": "borrow_spiral", "params": {"pool": "ETH"}}],
         "horizon": 7,
     }
@@ -436,8 +435,8 @@ def test_absent_keys_take_their_table_defaults():
     assert (quote.venue_id, quote.numeraire, quote.quotes, quote.fee_bps, inventory) == ("venue1", "", {}, 0, [])
     assert (sc.feed_mode, sc.feed_series, sc.feed_walk.seed, sc.feed_walk.drift, sc.feed_walk.initial) == (
         "walk", {}, 0, 0.0, {})
-    assert (sc.cdp.dai_asset, sc.cdp.stability_fee, sc.cdp.liquidation_penalty) == ("DAI", 0, from_str("0.13"))
-    assert sc.cdp.fee_policy(from_str("0.9")) == 0  # base 0 and gain 0
+    assert (sc.cdp.dai_asset, sc.cdp.stability_fee, sc.cdp.fee_gain, sc.cdp.liquidation_penalty) == (
+        "DAI", 0, 0, from_str("0.13"))
     liquidator, spiral = sc.agents
     assert (liquidator.agent_id, liquidator.endowment, liquidator.window) == ("agent0", {}, (0, 7))
     assert liquidator.params == {"use_flashloan": True}
