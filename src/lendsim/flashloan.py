@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import errors, liquidation
-from .fixed import WAD, div_down, mul_down, mul_up, to_str
+from .fixed import WAD, mul_down, mul_up, to_str
 from .ledger import GENESIS_AUTHORITY
 from .venues import amm_in_given_out  # noqa: F401 -- kept importable: perfbench's tracer hooks it here
 from .world import SCANNER_ACCOUNT, World
@@ -338,14 +338,14 @@ def scan_liquidations(world: World, step: int, borrower: str | None = None) -> l
             continue
         repay_asset, seize_asset = report.largest_debt, report.largest_collateral
         repay_pool, seize_pool = world.pools[repay_asset], world.pools[seize_asset]
-        # keep inside the seizable deposit so the close-factor repay lands fully
-        seize_value = world.oracle.value_usd(seize_pool.underlying_claim(world, account), seize_asset, step)
-        cap_value = div_down(seize_value, WAD + seize_pool.params.liquidation_bonus)
-        repay_amt = min(
-            mul_down(repay_pool.debt_of(account), repay_pool.params.close_factor),
-            div_down(cap_value, world.oracle.price_at(repay_asset, step)),
-            repay_pool.cash(world),
-        )
+        # the repay liquidate applies: the close-factor share the repay pool can lend, shrunk by the collateral cap
+        repay_amt = liquidation.seize_split(
+            min(mul_down(repay_pool.debt_of(account), repay_pool.params.close_factor), repay_pool.cash(world)),
+            world.oracle.price_at(repay_asset, step),
+            world.oracle.price_at(seize_asset, step),
+            WAD + seize_pool.params.liquidation_bonus,
+            seize_pool.underlying_claim(world, account),
+        )[0]
         if repay_amt > 0:
             candidates.append(LiquidateStep(account, repay_asset, seize_asset, repay_amt))
 
