@@ -17,10 +17,11 @@ seizing collateral worth (1 + bonus) times the repaid value. The seized
 collateral is handed over as the pool's IOU token (the claim stays inside the
 pool; the liquidator may redeem it afterwards).
 
-The seize rule lives in seize_split, which CDP vault liquidation shares: value
-the repay at the repay asset's price, add the bonus, convert at the seized
-asset's price, and when that exceeds the collateral held, seize all of it and
-shrink the repay to match, rounding against the liquidator.
+The seize rule lives in seize_split, which CDP vault liquidation and the
+liquidation scanner's repay sizing share: value the repay at the repay asset's
+price, add the bonus, convert at the seized asset's price, and when that
+exceeds the collateral held, seize all of it and shrink the repay to match,
+rounding against the liquidator.
 
 RiskScreen, kept on the world, names the pool accounts (with a borrow
 position) and vaults (with debt) that the liquidation scanner must value.
