@@ -120,7 +120,7 @@ REJECTED = {
     "unknown_pool_key": (_set("pools", 0, "close_factr", "0.5"), []),
     "unknown_rate_model_key": (_set("pools", 1, "rate_model", "kinq", "0.8"), []),
     "unknown_cdp_key": (_set("cdp", "stability_fees", "0"), []),
-    "fee_policy": (_set("cdp", "fee_policy", {"kind": "constant", "fee": "0.000001"}), []),  # fee_gain replaced it
+    "fee_policy": (_set("cdp", "fee_policy", {"kind": "constant", "fee": "0.000001"}), []),  # a deleted key
     "unknown_rewards_key": (_set("rewards", "supply_splt", "0.5"), []),
     "unknown_gas_key": (_set("gas", {"asset": "DAI", "fees": "1"}), []),
     "unknown_agent_key": (_set("agents", 0, "windows", [0, 1]), []),
